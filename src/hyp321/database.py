@@ -24,8 +24,9 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .entries import RAW_ENTRIES
 from .errors import (DivergentSeries, Hyp321Error, InsufficientSamples,
-                     LowerPole, NoConvergence, NonIntegerSumBound, ParseError,
-                     PoleError, SchemaVersionMismatch, UnboundSymbol)
+                     LowerPole, NoConvergence, NonFiniteParameter,
+                     NonIntegerSumBound, ParseError, PoleError,
+                     SchemaVersionMismatch, UnboundSymbol)
 from .expr import (Expr, Gamma, Lin, LinExpr, Mul, Recip, Symbol, eval_expr,
                    expr_from_json, expr_to_json, free_symbols, lin_from_json,
                    lin_to_json, sym, substitute)
@@ -131,10 +132,6 @@ def _build_entry(raw: dict) -> DbEntry:
     )
 
 
-def _gamma_quotient_str(text: str) -> Expr:
-    return parse_expr(text)
-
-
 def _contiguous_transplants(by_id: dict[str, DbEntry]) -> list[DbEntry]:
     """Dixon-family elements obtained by transplanting Watson closed forms.
 
@@ -151,7 +148,7 @@ def _contiguous_transplants(by_id: dict[str, DbEntry]) -> list[DbEntry]:
 
     # offsets (1, 0): 3F2(a, b, c; 2+a-b, 2+a-c)
     sub10 = {a: A * 0 + 2 + A - B * 2, b: A, c: A - B - C + 2}
-    pref10 = _gamma_quotient_str(
+    pref10 = parse_expr(
         "G(a-2*b-2*c+4)*G(2+a-c)/(G(2-c)*G(2*a-2*b-2*c+4))")
     rhs10 = Mul((pref10, substitute(by_id["B.47"].rhs, sub10)))
     out.append(DbEntry(
@@ -167,7 +164,7 @@ def _contiguous_transplants(by_id: dict[str, DbEntry]) -> list[DbEntry]:
 
     # offsets (0, -1): 3F2(a, b, c; 1+a-b, a-c)
     sub0m1 = {a: A - B * 2 + 1, b: A, c: A - B - C + 1}
-    pref0m1 = _gamma_quotient_str(
+    pref0m1 = parse_expr(
         "G(a-2*b-2*c+1)*G(a-c)/(G(-c)*G(2*a-2*b-2*c+1))")
     rhs0m1 = Mul((pref0m1, substitute(by_id["B.43"].rhs, sub0m1)))
     out.append(DbEntry(
@@ -211,7 +208,8 @@ def get_entry(entries: Sequence[DbEntry], entry_id: str) -> DbEntry:
 _REL_RE = re.compile(r"(<=|>=|<|>)")
 
 _RECOVERABLE = (PoleError, DivergentSeries, LowerPole, NoConvergence,
-                NonIntegerSumBound, OverflowError, ZeroDivisionError)
+                NonFiniteParameter, NonIntegerSumBound, OverflowError,
+                ZeroDivisionError)
 
 
 def _constraint_ok(constraint: str, assignment: Mapping[Symbol, complex]) -> bool:

@@ -33,6 +33,10 @@ class LowerPole(Hyp321Error):
     """A lower parameter hits a non-positive integer before the series terminates."""
 
 
+class NonFiniteParameter(Hyp321Error):
+    """A numeric series parameter is NaN or infinite."""
+
+
 class NoConvergence(Hyp321Error):
     """The truncation cap was exceeded before the requested tolerance was met."""
 

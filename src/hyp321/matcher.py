@@ -18,7 +18,7 @@ import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .database import (DbEntry, _constraint_ok, _default_watson, _int_range,
@@ -29,13 +29,14 @@ from .expr import (Add, Cos, Expr, FiniteSum, Gamma, LinExpr, LIN_ZERO, Mul,
                    WatsonRef, eval_expr, free_symbols, substitute)
 from .series import (ParamSet, excess, is_terminating, sample_continuous,
                      series_pfq)
-from .thomae import (IDENTITY_VARIANT, ThomaeVariant, apply_variant,
+from .thomae import (CLASS_REPRESENTATIVES, IDENTITY_VARIANT, LOWER_PERMS,
+                     UPPER_PERMS, ThomaeVariant, apply_variant,
                      distinct_images)
 
 Q = Fraction
 
-_UPPER_PERMS = tuple(permutations(range(3)))
-_LOWER_PERMS = tuple(permutations(range(2)))
+#: the identity, then one variant per class of Thomae images
+_IMAGE_VARIANTS = (IDENTITY_VARIANT,) + CLASS_REPRESENTATIVES
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,9 @@ def unify(template: ParamSet, query: ParamSet) -> list[Substitution]:
     rows = [[p.coeff(s) for s in tsyms] for p in tparams]
     out: list[Substitution] = []
     seen: set = set()
-    for up in _UPPER_PERMS:
+    for up in UPPER_PERMS:
         qu = tuple(query.upper[i] for i in up)
-        for lp in _LOWER_PERMS:
+        for lp in LOWER_PERMS:
             ql = tuple(query.lower[i] for i in lp)
             rhs = [q - LinExpr.of(p.const)
                    for p, q in zip(tparams, qu + ql)]
@@ -308,8 +309,7 @@ def identify(entries: Sequence[DbEntry], query: ParamSet, *,
     variant name, and each instantiated closed form evaluates to the query's
     own value.
     """
-    from .thomae import all_variants
-    images = distinct_images(query, [IDENTITY_VARIANT] + all_variants())
+    images = distinct_images(query, _IMAGE_VARIANTS)
     results: list[MatchResult] = []
     for entry in sorted(entries, key=lambda e: e.id):
         if entry.status == "flagged":
@@ -482,19 +482,16 @@ def _kinds_preserved(e2: DbEntry, sub: Substitution) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+# The bounds of both caches hold about 150 entries with ten images each:
+# cull(seed_db()) and a pool of the seed entries with 50 planted images.
+@lru_cache(maxsize=256)
 def _images_of(q: ParamSet) -> tuple:
     """Distinct Thomae images of a parameter set, identity first (cached)."""
-    out = [(IDENTITY_VARIANT, q)]
-    seen = {q.key()}
-    for v, img, _ in distinct_images(q):
-        if img.key() not in seen:
-            seen.add(img.key())
-            out.append((v, img))
-    return tuple(out)
+    return tuple((v, img)
+                 for v, img, _ in distinct_images(q, _IMAGE_VARIANTS))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _witness_sound(e1: DbEntry, v: ThomaeVariant, tries: int = 24) -> bool:
     """Check numerically that the connecting Thomae relation is non-degenerate.
 
@@ -626,6 +623,31 @@ def _retention_rank(entry: DbEntry) -> tuple:
     return (-_n_continuous(entry), len(entry.int_symbols), entry.id)
 
 
+def _orbit_key(entry: DbEntry) -> tuple:
+    """A key that every pair of entries linked by ``equivalent`` shares.
+
+    With sigma = a+b+c, every Thomae variant permutes the five forms
+    y = (sigma/2-a, sigma/2-b, sigma/2-c, e-sigma/2, f-sigma/2).  An accepted
+    witness is a full-rank affine map that keeps integer and continuous
+    symbols apart, so it keeps constant forms with their values, keeps the
+    other forms non-constant, and keeps the number of symbols of each kind.
+    The key holds those counts and the constant y_i, |y_i-y_j| and y_i+y_j.
+    """
+    p = entry.lhs
+    half = (p.upper[0] + p.upper[1] + p.upper[2]) / 2
+    y = [half - u for u in p.upper] + [l - half for l in p.lower]
+    pairs = list(combinations(y, 2))
+
+    def constants(forms) -> list[Fraction]:
+        return [x.const for x in forms if x.is_constant]
+
+    syms = p.free_symbols()
+    return (sum(s.kind == "integer" for s in syms), len(syms),
+            tuple(sorted(constants(y))),
+            tuple(sorted(abs(d) for d in constants(u - v for u, v in pairs))),
+            tuple(sorted(constants(u + v for u, v in pairs))))
+
+
 def cull(entries: Sequence[DbEntry]) -> list[DbEntry]:
     """Reduce a collection of identities to an inequivalent base set.
 
@@ -637,6 +659,11 @@ def cull(entries: Sequence[DbEntry]) -> list[DbEntry]:
     to fewer integer symbols, then the lexicographically smaller id).
     Flagged entries are kept untouched: they are quarantined, never dropped.
     Input order is preserved among survivors.
+
+    Only entries with equal ``_orbit_key`` are compared.  Thomae variants
+    permute five linear forms of the parameters, and an accepted witness is
+    an invertible affine map that keeps symbol kinds apart; both keep the
+    key, so entries with different keys are never equivalent.
     """
     candidates: list[DbEntry] = []
     for e in entries:
@@ -651,13 +678,14 @@ def cull(entries: Sequence[DbEntry]) -> list[DbEntry]:
 
     ranked = sorted((e for e in candidates if e.status != "flagged"),
                     key=_retention_rank)
-    retained: list[DbEntry] = []
+    retained: dict[tuple, list[DbEntry]] = {}
     for e in ranked:
+        bucket = retained.setdefault(_orbit_key(e), [])
         if any(equivalent(e, r) is not None or equivalent(r, e) is not None
-               for r in retained):
+               for r in bucket):
             continue
-        retained.append(e)
+        bucket.append(e)
 
-    chosen = {id(e) for e in retained}
+    chosen = {id(e) for bucket in retained.values() for e in bucket}
     return [e for e in candidates
             if e.status == "flagged" or id(e) in chosen]

@@ -11,13 +11,15 @@ reported error bound is the difference of the two corrected truncations.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DivergentSeries, LowerPole, NoConvergence
+from .errors import (DivergentSeries, LowerPole, NoConvergence,
+                     NonFiniteParameter)
 from .expr import LinExpr, Symbol, sym
 
 INT_TOL = 1e-12
@@ -130,6 +132,9 @@ def sum_series_numeric(upper: Sequence[complex], lower: Sequence[complex],
     """Sum pFq(upper; lower; 1) numerically.  See module docstring."""
     upper = [complex(u) for u in upper]
     lower = [complex(l) for l in lower]
+    for x in upper + lower:
+        if not cmath.isfinite(x):
+            raise NonFiniteParameter(f"parameter {x} is not finite")
 
     term_counts = [_nonpos_int_index(u) for u in upper]
     term_counts = [k for k in term_counts if k is not None]

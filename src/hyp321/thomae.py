@@ -28,8 +28,8 @@ __all__ = ["ThomaeVariant", "BASE_COUNT", "all_variants", "apply_variant",
 
 BASE_COUNT = 10
 
-_UPPER_PERMS = tuple(itertools.permutations((0, 1, 2)))
-_LOWER_PERMS = ((0, 1), (1, 0))
+UPPER_PERMS = tuple(itertools.permutations((0, 1, 2)))
+LOWER_PERMS = ((0, 1), (1, 0))
 _UPPER_LETTERS = "abc"
 _LOWER_LETTERS = "fe"
 
@@ -104,6 +104,22 @@ class ThomaeVariant:
 
 IDENTITY_VARIANT = ThomaeVariant(10)
 
+#: The first variant of each generic image class, in ``all_variants()``
+#: order.  Every other variant gives, as a polynomial identity, the same
+#: image as the representative of its class.
+CLASS_REPRESENTATIVES = (
+    ThomaeVariant(1, (0, 1, 2), (0, 1)),
+    ThomaeVariant(1, (0, 2, 1), (0, 1)),
+    ThomaeVariant(1, (1, 2, 0), (0, 1)),
+    ThomaeVariant(3, (0, 1, 2), (0, 1)),
+    ThomaeVariant(3, (0, 1, 2), (1, 0)),
+    ThomaeVariant(3, (1, 0, 2), (0, 1)),
+    ThomaeVariant(3, (1, 0, 2), (1, 0)),
+    ThomaeVariant(3, (2, 0, 1), (0, 1)),
+    ThomaeVariant(3, (2, 0, 1), (1, 0)),
+    IDENTITY_VARIANT,
+)
+
 
 def apply_variant(v: ThomaeVariant, p: ParamSet) -> tuple[ParamSet, Expr]:
     """Apply a variant: permute the slots of ``p``, then the base relation."""
@@ -118,17 +134,24 @@ def all_variants() -> list[ThomaeVariant]:
     """All 120 variants in deterministic order (base, upper perm, lower perm)."""
     return [ThomaeVariant(base, up, lo)
             for base in range(1, BASE_COUNT + 1)
-            for up in _UPPER_PERMS
-            for lo in _LOWER_PERMS]
+            for up in UPPER_PERMS
+            for lo in LOWER_PERMS]
 
 
 def distinct_images(p: ParamSet,
                     variants: Optional[Iterable[ThomaeVariant]] = None
                     ) -> list[tuple[ThomaeVariant, ParamSet, Expr]]:
-    """One representative variant per distinct image multiset, in order."""
+    """One representative variant per distinct image multiset, in order.
+
+    Without ``variants`` only the ten ``CLASS_REPRESENTATIVES`` are applied,
+    one variant per class.  Each of the 120 variants reaches the image of
+    its class representative, which precedes it in ``all_variants()``, so
+    the result equals a scan of all 120 for every parameter set, even where
+    classes coincide.
+    """
     seen: set = set()
     out = []
-    for v in (variants if variants is not None else all_variants()):
+    for v in (variants if variants is not None else CLASS_REPRESENTATIVES):
         img, pref = apply_variant(v, p)
         k = img.key()
         if k not in seen:

@@ -11,7 +11,8 @@ from hyp321.database import (db_from_json, db_to_json, dumps_db,
                              load_db, save_db, seed_db, verify_all,
                              verify_entry, _build_entry)
 from hyp321.entries import RAW_ENTRIES
-from hyp321.errors import ParseError, SchemaVersionMismatch
+from hyp321.errors import (InsufficientSamples, ParseError,
+                           SchemaVersionMismatch)
 from hyp321.parser import parse_expr
 from hyp321.series import ParamSet, series_pfq, sum_series_numeric
 
@@ -50,6 +51,15 @@ class TestSpecialValues:
         assign = {a: 0.31, b: 0.47, c: 2.73}
         rhs = E.eval_expr(entry.rhs, assign)
         assert abs(rhs - 1.0326947297019134) <= 1e-7
+
+    def test_non_finite_oracle_parameter_draws_discarded(self):
+        # G(a+120)^2 overflows to inf, so every draw gives the oracle an
+        # infinite lower parameter
+        entry = _build_entry(dict(
+            id="T.INF", upper="a, b, c", lower="d, 2", rhs="1",
+            derived=[("d", "G(a+120)*G(a+120)")], prov="synthetic"))
+        with pytest.raises(InsufficientSamples):
+            verify_entry(entry, trials=3)
 
     def test_perturbed_coefficient_fails(self):
         raw = next(r for r in RAW_ENTRIES if r["id"] == "B.37")

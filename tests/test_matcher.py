@@ -8,9 +8,9 @@ import pytest
 
 from hyp321 import expr as E
 from hyp321.database import get_entry, seed_db, _build_entry
-from hyp321.matcher import cull, equivalent, identify, unify
+from hyp321.matcher import _orbit_key, cull, equivalent, identify, unify
 from hyp321.series import ParamSet, excess
-from hyp321.thomae import ThomaeVariant, apply_variant
+from hyp321.thomae import ThomaeVariant, all_variants, apply_variant
 
 a, b, c, n = E.sym("a"), E.sym("b"), E.sym("c"), E.sym("n")
 L = E.sym("L")
@@ -28,6 +28,17 @@ def _image_entry(entry, base, new_id):
     rhs = E.Mul((E.Recip(pref), entry.rhs))
     return dataclasses.replace(entry, id=new_id, lhs=img, rhs=rhs,
                                excess=excess(img))
+
+
+def _planted_pool():
+    """Ten seed entries, two of them transform families, and two images."""
+    db = seed_db()
+    ids = ["B.17", "B.37", "B.43", "B.44", "B.45", "B.46", "B.47",
+           "B.50", "B.51", "B.52"]
+    entries = [get_entry(db, i) for i in ids]
+    planted = [_image_entry(entries[1], 4, "Z.IMG.0"),
+               _image_entry(entries[2], 6, "Z.IMG.1")]
+    return entries + planted
 
 
 class TestUnify:
@@ -193,13 +204,7 @@ class TestCull:
         assert image in kept
 
     def test_subset_pipeline_properties(self):
-        db = seed_db()
-        ids = ["B.17", "B.37", "B.43", "B.44", "B.45", "B.46", "B.47",
-               "B.50", "B.51", "B.52"]
-        entries = [get_entry(db, i) for i in ids]
-        planted = [_image_entry(entries[1], 4, "Z.IMG.0"),
-                   _image_entry(entries[2], 6, "Z.IMG.1")]
-        pool = entries + planted
+        pool = _planted_pool()
         kept = cull(pool)
         kept_ids = {e.id for e in kept}
         # planted images removed, idempotent, pairwise inequivalent
@@ -212,3 +217,24 @@ class TestCull:
         # the transform family collapses to single representatives
         assert "B.43" in kept_ids and "B.50" in kept_ids
         assert not {"B.44", "B.45", "B.46", "B.51", "B.52"} & kept_ids
+
+
+class TestOrbitKey:
+    def test_invariant_under_every_variant(self):
+        for entry in seed_db():
+            key = _orbit_key(entry)
+            for v in all_variants():
+                img, _ = apply_variant(v, entry.lhs)
+                image = dataclasses.replace(entry, lhs=img)
+                assert _orbit_key(image) == key, (entry.id, v.name)
+
+    def test_witnesses_link_equal_keys(self):
+        pool = _planted_pool()
+        linked = set()
+        for e1 in pool:
+            for e2 in pool:
+                if e1 is not e2 and equivalent(e1, e2) is not None:
+                    assert _orbit_key(e1) == _orbit_key(e2), (e1.id, e2.id)
+                    linked.add(frozenset((e1.id, e2.id)))
+        assert {frozenset(("B.37", "Z.IMG.0")),
+                frozenset(("B.43", "Z.IMG.1"))} <= linked

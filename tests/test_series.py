@@ -7,7 +7,8 @@ import mpmath
 import pytest
 
 from hyp321 import expr as E
-from hyp321.errors import DivergentSeries, LowerPole, UnboundSymbol
+from hyp321.errors import (DivergentSeries, LowerPole, NonFiniteParameter,
+                           UnboundSymbol)
 from hyp321.series import (ParamSet, excess, is_karlsson_minton,
                            is_terminating, series_pfq, sum_series_numeric)
 
@@ -109,6 +110,14 @@ class TestInfinite:
             sum_series_numeric([0.5, 0.5, 0.5], [0.6, 0.7])  # excess -0.2
         with pytest.raises(DivergentSeries):
             sum_series_numeric([0.5, 0.5, 0.5, 0.5], [0.6])  # p > q+1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(0.5, math.inf)])
+    def test_non_finite_parameter_rejected(self, bad):
+        with pytest.raises(NonFiniteParameter):
+            sum_series_numeric([bad, 1, 1], [2, 3])
+        with pytest.raises(NonFiniteParameter):
+            sum_series_numeric([-2, 1, 1], [2, bad])
 
     def test_complex_parameters(self):
         up = [0.4 + 0.2j, 0.5, 0.3]

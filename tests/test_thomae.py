@@ -1,12 +1,15 @@
 """Two-term relations: numeric identity, excess transport, group structure."""
 
 import random
+from fractions import Fraction as Q
 
 import pytest
 
 from hyp321 import expr as E
+from hyp321.database import seed_db
 from hyp321.series import ParamSet, excess, sum_series_numeric
-from hyp321.thomae import (BASE_COUNT, ThomaeVariant, all_variants,
+from hyp321.thomae import (BASE_COUNT, CLASS_REPRESENTATIVES,
+                           IDENTITY_VARIANT, ThomaeVariant, all_variants,
                            apply_variant, base_relation, distinct_images,
                            inverse_of)
 
@@ -14,6 +17,23 @@ a, b, c = E.sym("a"), E.sym("b"), E.sym("c")
 f, e = E.sym("f"), E.sym("e")
 
 GENERIC = ParamSet.make([a, b, c], [f, e])
+
+A, B, C, EE = (E.LinExpr.of(s) for s in (a, b, c, e))
+
+#: special parameter sets; on the first four, and on the constant one, some
+#: of the ten generic image classes coincide
+SPECIAL = {
+    "a=b=c": ParamSet.make([a, a, a], [f, e]),
+    "a=b,e=f": ParamSet.make([a, a, c], [e, e]),
+    "watson,a=b": ParamSet.make([a, a, c], [A + Q(1, 2), C * 2]),
+    "dixon,b=c": ParamSet.make([a, b, b], [A - B + 1, A - B + 1]),
+    "watson": ParamSet.make([a, b, c], [(A + B + 1) / 2, C * 2]),
+    "dixon": ParamSet.make([a, b, c], [A - B + 1, A - C + 1]),
+    "whipple": ParamSet.make([a, 1 - A, c], [e, C * 2 - EE + 1]),
+    "saalschutz": ParamSet.make([a, b, -E.LinExpr.of(E.sym("n"))],
+                                [c, A + B - C + 1 - E.sym("n")]),
+    "constant": ParamSet.make([1, 1, 1], [2, 2]),
+}
 
 
 def _draw(rng):
@@ -25,6 +45,24 @@ def _draw(rng):
         f: rng.uniform(0.9, 1.5),
         e: rng.uniform(0.9, 1.5),
     }
+
+
+def _scan(p, variants):
+    """Reference for ``distinct_images``: apply every variant in turn and
+    keep the first to reach each image."""
+    seen = set()
+    out = []
+    for v in variants:
+        img, pref = apply_variant(v, p)
+        if img.key() not in seen:
+            seen.add(img.key())
+            out.append((v.name, img.key(), pref))
+    return out
+
+
+def _images(p, variants=None):
+    return [(v.name, img.key(), pref)
+            for v, img, pref in distinct_images(p, variants)]
 
 
 class TestNumericIdentity:
@@ -140,3 +178,22 @@ class TestStructure:
             apply_variant(ThomaeVariant(1), ParamSet.make([a, b], [f]))
         with pytest.raises(ValueError):
             base_relation(11, *(E.LinExpr.of(s) for s in (a, b, c, f, e)))
+
+
+class TestDistinctImages:
+    def test_representatives_head_the_generic_classes(self):
+        assert [name for name, _, _ in _scan(GENERIC, all_variants())] == \
+            [v.name for v in CLASS_REPRESENTATIVES]
+
+    @pytest.mark.parametrize("name", sorted(SPECIAL))
+    def test_matches_full_scan_on_special_sets(self, name):
+        p = SPECIAL[name]
+        assert _images(p) == _scan(p, all_variants())
+        with_identity = (IDENTITY_VARIANT,) + CLASS_REPRESENTATIVES
+        assert _images(p, with_identity) == \
+            _scan(p, [IDENTITY_VARIANT] + all_variants())
+
+    def test_matches_full_scan_on_seed_entries(self):
+        for entry in seed_db():
+            assert _images(entry.lhs) == _scan(entry.lhs, all_variants()), \
+                entry.id
