@@ -28,11 +28,12 @@ from .database import (DbEntry, get_entry, load_db, save_db, seed_db,
                        verify_entry)
 from .errors import (AnchorPole, DivergentSeries, ExceptionalCase, Hyp321Error,
                      InsufficientSamples, LowerPole, NoConvergence,
-                     NoConvergentCheck, NonIntegerSumBound, ParseError,
-                     PoleError, SchemaVersionMismatch, SingularRecursionPath)
+                     NoConvergentCheck, NonFiniteParameter,
+                     NonIntegerSumBound, ParseError, PoleError,
+                     SchemaVersionMismatch, SingularRecursionPath)
 from .expr import as_real, eval_expr, expr_str
 from .parser import parse_linexpr, parse_param_list
-from .series import ParamSet, excess, sum_series_numeric
+from .series import ParamSet, sum_series_numeric
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -43,7 +44,7 @@ EXIT_NUMERIC = 4
 _USAGE_ERRORS = (ParseError, SchemaVersionMismatch)
 _NUMERIC_ERRORS = (PoleError, AnchorPole, DivergentSeries, LowerPole,
                    NoConvergence, NonIntegerSumBound, SingularRecursionPath,
-                   InsufficientSamples, ExceptionalCase)
+                   InsufficientSamples, ExceptionalCase, NonFiniteParameter)
 
 
 def _fmt(z: complex) -> str:
@@ -69,10 +70,18 @@ def _parse_paramset(upper: str, lower: str) -> ParamSet:
     return ParamSet.make(up, lo)
 
 
+def _as_complex(lin) -> complex:
+    try:
+        return complex(lin.const)
+    except OverflowError:
+        raise NonFiniteParameter(
+            f"parameter {lin} is too large for a float") from None
+
+
 def _numeric_paramset(p: ParamSet) -> Optional[tuple[list, list]]:
     if all(t.is_constant for t in p.upper + p.lower):
-        return ([complex(t.const) for t in p.upper],
-                [complex(t.const) for t in p.lower])
+        return ([_as_complex(t) for t in p.upper],
+                [_as_complex(t) for t in p.lower])
     return None
 
 
@@ -148,7 +157,7 @@ def _const_arg(text: str, what: str) -> complex:
     lin = parse_linexpr(text)
     if not lin.is_constant:
         raise ParseError(f"--{what} must be numeric, got {lin}")
-    return complex(lin.const)
+    return _as_complex(lin)
 
 
 def _cmd_element(args) -> int:

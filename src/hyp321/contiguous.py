@@ -32,7 +32,7 @@ from typing import Optional
 from .errors import (AnchorPole, DivergentSeries, ExceptionalCase, GammaPole,
                      Hyp321Error, LowerPole, NoConvergence, NoConvergentCheck,
                      PoleError, SingularRecursionPath)
-from .expr import (Expr, LinExpr, Symbol, eval_expr, is_near_nonpositive_integer,
+from .expr import (Expr, LinExpr, eval_expr, is_near_nonpositive_integer,
                    substitute, sym)
 from .parser import parse_expr
 from .series import sum_series_numeric
@@ -295,42 +295,38 @@ _P_FROM_X_PREF = parse_expr(
     "G(a-n)*G(c) / (G(b+c-1-m-n)*G(a-b+m+1))")
 
 
-def _mapped(prefactor: Expr, args, mapping) -> tuple[tuple[LinExpr, ...], Expr]:
-    return tuple(args), substitute(prefactor, mapping)
+def _mapped(prefactor: Expr, mapped_args, a, b, c, m, n
+            ) -> tuple[tuple[LinExpr, ...], Expr]:
+    """``mapped_args(a, b, c, m, n)`` and the prefactor at those symbols."""
+    a, b, c, m, n = map(_coerce, (a, b, c, m, n))
+    return (tuple(mapped_args(a, b, c, m, n)),
+            substitute(prefactor, {_A: a, _B: b, _C: c, _M: m, _N: n}))
 
 
 def x_to_w(a, b, c, m, n) -> tuple[tuple[LinExpr, ...], Expr]:
     """X_{m,n}(a,b,c) = W_{m,n}(mapped args) · prefactor."""
-    a, b, c, m, n = map(_coerce, (a, b, c, m, n))
-    mapping = {_A: a, _B: b, _C: c, _M: m, _N: n}
-    return _mapped(_X_TO_W_PREF,
-                   (1 + m + a - b * 2, a, 1 + m + a - b - c, m, n), mapping)
+    return _mapped(_X_TO_W_PREF, lambda a, b, c, m, n: (
+        1 + m + a - b * 2, a, 1 + m + a - b - c, m, n), a, b, c, m, n)
 
 
 def w_to_x(a, b, c, m, n) -> tuple[tuple[LinExpr, ...], Expr]:
     """W_{m,n}(a,b,c) = X_{m,n}(mapped args) · prefactor."""
-    a, b, c, m, n = map(_coerce, (a, b, c, m, n))
-    mapping = {_A: a, _B: b, _C: c, _M: m, _N: n}
-    return _mapped(_W_TO_X_PREF,
-                   (c * 2 + n - a, (b - a + m + 1) / 2,
-                    (1 + m - a - b) / 2 + c + n, m, n), mapping)
+    return _mapped(_W_TO_X_PREF, lambda a, b, c, m, n: (
+        c * 2 + n - a, (b - a + m + 1) / 2, (1 + m - a - b) / 2 + c + n,
+        m, n), a, b, c, m, n)
 
 
 def p_from_w(a, b, c, m, n) -> tuple[tuple[LinExpr, ...], Expr]:
     """P_{m,n}(a,b,c) = W_{m,n}(mapped args) · prefactor."""
-    a, b, c, m, n = map(_coerce, (a, b, c, m, n))
-    mapping = {_A: a, _B: b, _C: c, _M: m, _N: n}
-    return _mapped(_P_FROM_W_PREF,
-                   (c - b, a * 2 - c + m + 1 - b, a - n, m, n), mapping)
+    return _mapped(_P_FROM_W_PREF, lambda a, b, c, m, n: (
+        c - b, a * 2 - c + m + 1 - b, a - n, m, n), a, b, c, m, n)
 
 
 def p_from_x(a, b, c, m, n) -> tuple[tuple[LinExpr, ...], Expr]:
     """P_{m,n}(a,b,c) = X_{m,n}(mapped args) · prefactor."""
-    a, b, c, m, n = map(_coerce, (a, b, c, m, n))
-    mapping = {_A: a, _B: b, _C: c, _M: m, _N: n}
-    return _mapped(_P_FROM_X_PREF,
-                   (a * 2 - b - c + m + 1, 1 + a - c + m, 1 - b + m + n, m, n),
-                   mapping)
+    return _mapped(_P_FROM_X_PREF, lambda a, b, c, m, n: (
+        a * 2 - b - c + m + 1, 1 + a - c + m, 1 - b + m + n, m, n),
+        a, b, c, m, n)
 
 
 def dixon_swap(a, b, c, m, n) -> tuple:

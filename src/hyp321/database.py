@@ -16,20 +16,21 @@ closed form.
 from __future__ import annotations
 
 import json
+import operator
 import re
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
 from .entries import RAW_ENTRIES
 from .errors import (DivergentSeries, Hyp321Error, InsufficientSamples,
                      LowerPole, NoConvergence, NonFiniteParameter,
                      NonIntegerSumBound, ParseError, PoleError,
-                     SchemaVersionMismatch, UnboundSymbol)
-from .expr import (Expr, Gamma, Lin, LinExpr, Mul, Recip, Symbol, eval_expr,
-                   expr_from_json, expr_to_json, free_symbols, lin_from_json,
-                   lin_to_json, sym, substitute)
+                     SchemaVersionMismatch)
+from .expr import (Expr, LinExpr, Mul, Symbol, eval_expr, expr_from_json,
+                   expr_to_json, free_symbols, lin_from_json, lin_to_json,
+                   sym, substitute)
 from .parser import parse_expr, parse_linexpr, parse_param_list
 from .series import (ParamSet, excess, is_terminating, sample_continuous,
                      series_pfq)
@@ -143,40 +144,22 @@ def _contiguous_transplants(by_id: dict[str, DbEntry]) -> list[DbEntry]:
     """
     a, b, c = sym("a"), sym("b"), sym("c")
     A, B, C = LinExpr.of(a), LinExpr.of(b), LinExpr.of(c)
-
     out = []
-
-    # offsets (1, 0): 3F2(a, b, c; 2+a-b, 2+a-c)
-    sub10 = {a: A * 0 + 2 + A - B * 2, b: A, c: A - B - C + 2}
-    pref10 = parse_expr(
-        "G(a-2*b-2*c+4)*G(2+a-c)/(G(2-c)*G(2*a-2*b-2*c+4))")
-    rhs10 = Mul((pref10, substitute(by_id["B.47"].rhs, sub10)))
-    out.append(DbEntry(
-        id="EXT.X10",
-        lhs=ParamSet.make([a, b, c], [A - B + 2, A - C + 2]),
-        rhs=rhs10,
-        int_symbols=(),
-        derived=(),
-        excess=excess(ParamSet.make([a, b, c], [A - B + 2, A - C + 2])),
-        provenance="Prudnikov 7.4.4.22 : T1, transplanted to the Dixon "
-                   "lattice (m=1, n=0)",
-    ))
-
-    # offsets (0, -1): 3F2(a, b, c; 1+a-b, a-c)
-    sub0m1 = {a: A - B * 2 + 1, b: A, c: A - B - C + 1}
-    pref0m1 = parse_expr(
-        "G(a-2*b-2*c+1)*G(a-c)/(G(-c)*G(2*a-2*b-2*c+1))")
-    rhs0m1 = Mul((pref0m1, substitute(by_id["B.43"].rhs, sub0m1)))
-    out.append(DbEntry(
-        id="EXT.X0M1",
-        lhs=ParamSet.make([a, b, c], [A - B + 1, A - C]),
-        rhs=rhs0m1,
-        int_symbols=(),
-        derived=(),
-        excess=excess(ParamSet.make([a, b, c], [A - B + 1, A - C])),
-        provenance="Prudnikov 7.4.4.20 : T1, transplanted to the Dixon "
-                   "lattice (m=0, n=-1)",
-    ))
+    for new_id, lower, base_id, shift, pref, prov in (
+            ("EXT.X10", [A - B + 2, A - C + 2], "B.47",
+             {a: A - B * 2 + 2, b: A, c: A - B - C + 2},
+             "G(a-2*b-2*c+4)*G(2+a-c)/(G(2-c)*G(2*a-2*b-2*c+4))",
+             "Prudnikov 7.4.4.22 : T1, transplanted to the Dixon "
+             "lattice (m=1, n=0)"),
+            ("EXT.X0M1", [A - B + 1, A - C], "B.43",
+             {a: A - B * 2 + 1, b: A, c: A - B - C + 1},
+             "G(a-2*b-2*c+1)*G(a-c)/(G(-c)*G(2*a-2*b-2*c+1))",
+             "Prudnikov 7.4.4.20 : T1, transplanted to the Dixon "
+             "lattice (m=0, n=-1)")):
+        lhs = ParamSet.make([a, b, c], lower)
+        rhs = Mul((parse_expr(pref), substitute(by_id[base_id].rhs, shift)))
+        out.append(DbEntry(id=new_id, lhs=lhs, rhs=rhs, int_symbols=(),
+                           derived=(), excess=excess(lhs), provenance=prov))
     return out
 
 
@@ -207,37 +190,69 @@ def get_entry(entries: Sequence[DbEntry], entry_id: str) -> DbEntry:
 
 _REL_RE = re.compile(r"(<=|>=|<|>)")
 
-_RECOVERABLE = (PoleError, DivergentSeries, LowerPole, NoConvergence,
-                NonFiniteParameter, NonIntegerSumBound, OverflowError,
-                ZeroDivisionError)
+#: errors of one numeric draw that discard the draw instead of failing
+RECOVERABLE = (PoleError, DivergentSeries, LowerPole, NoConvergence,
+               NonFiniteParameter, NonIntegerSumBound, OverflowError,
+               ZeroDivisionError)
+
+_COMPARE = {"<": operator.lt, "<=": operator.le,
+            ">": operator.gt, ">=": operator.ge}
 
 
-def _constraint_ok(constraint: str, assignment: Mapping[Symbol, complex]) -> bool:
-    parts = _REL_RE.split(constraint)
+@dataclass(frozen=True)
+class Constraint:
+    """A parsed integer-symbol constraint ``lhs op rhs``, e.g. ``n >= 1``."""
+
+    lhs: LinExpr
+    op: str
+    rhs: LinExpr
+
+    def holds(self, assignment: Mapping[Symbol, complex]) -> bool:
+        """Compare the real parts; raises UnboundSymbol for a missing symbol."""
+        return _COMPARE[self.op](self.lhs.eval(assignment).real,
+                                 self.rhs.eval(assignment).real)
+
+
+@lru_cache(maxsize=256)
+def parse_constraint(text: str) -> Constraint:
+    """Parse a constraint string once; raises ParseError when malformed."""
+    parts = _REL_RE.split(text)
     if len(parts) != 3:
-        raise ParseError(f"bad constraint {constraint!r}")
-    lv = parse_linexpr(parts[0]).eval(assignment).real
-    rv = parse_linexpr(parts[2]).eval(assignment).real
-    op = parts[1]
-    return {"<": lv < rv, "<=": lv <= rv,
-            ">": lv > rv, ">=": lv >= rv}[op]
+        raise ParseError(f"bad constraint {text!r}")
+    return Constraint(parse_linexpr(parts[0]), parts[1],
+                      parse_linexpr(parts[2]))
 
 
-def _int_range(constraints: Sequence[str], name: str) -> tuple[int, int]:
+def int_range(constraints: Sequence[str], name: str) -> tuple[int, int]:
+    """The sampling range of integer symbol ``name``: from 0 or 1 up to 4."""
     lo = 0 if f"{name}>=0" in [c.replace(" ", "") for c in constraints] else 1
     return lo, 4
+
+
+def constraints_hold(entry: DbEntry, assignment: Mapping[Symbol, complex],
+                     skip_unbound: bool = False) -> bool:
+    """True when every integer-symbol constraint of ``entry`` holds.
+
+    A constraint that cannot be evaluated (it names a symbol missing from
+    ``assignment``) raises, or is skipped when ``skip_unbound`` is set.
+    """
+    for _, constraints in entry.int_symbols:
+        for text in constraints:
+            try:
+                if not parse_constraint(text).holds(assignment):
+                    return False
+            except Hyp321Error:
+                if not skip_unbound:
+                    raise
+    return True
 
 
 def _draw_integers(entry: DbEntry, rng) -> Optional[dict[Symbol, int]]:
     out: dict[Symbol, int] = {}
     for s, constraints in entry.int_symbols:
-        lo, hi = _int_range(constraints, s.name)
+        lo, hi = int_range(constraints, s.name)
         out[s] = rng.randint(lo, hi)
-    for _, constraints in entry.int_symbols:
-        for cstr in constraints:
-            if not _constraint_ok(cstr, out):
-                return None
-    return out
+    return out if constraints_hold(entry, out) else None
 
 
 def _excess_at(entry: DbEntry, base: Mapping[Symbol, complex]) -> float:
@@ -252,7 +267,7 @@ def _newton_shift(entry: DbEntry, base: dict[Symbol, complex], s: Symbol,
     for _ in range(14):
         try:
             cur = _excess_at(entry, base)
-        except _RECOVERABLE:
+        except RECOVERABLE:
             return None
         if abs(cur - target) < 0.02:
             return base
@@ -260,7 +275,7 @@ def _newton_shift(entry: DbEntry, base: dict[Symbol, complex], s: Symbol,
         bumped[s] = base[s] + h
         try:
             grad = (_excess_at(entry, bumped) - cur) / h
-        except _RECOVERABLE:
+        except RECOVERABLE:
             return None
         if abs(grad) < 1e-9:
             return None
@@ -271,12 +286,12 @@ def _newton_shift(entry: DbEntry, base: dict[Symbol, complex], s: Symbol,
     return None
 
 
-def _repaired_assignment(entry: DbEntry, base: dict[Symbol, complex],
+def repaired_assignment(entry: DbEntry, base: dict[Symbol, complex],
                          rng) -> Optional[dict[Symbol, complex]]:
     """Full assignment with the excess pushed into the convergence region."""
     try:
         full = entry.assignment_with_derived(base)
-    except _RECOVERABLE:
+    except RECOVERABLE:
         return None
     if is_terminating(entry.lhs, full):
         return full
@@ -290,7 +305,7 @@ def _repaired_assignment(entry: DbEntry, base: dict[Symbol, complex],
         if fixed is not None:
             try:
                 full = entry.assignment_with_derived(fixed)
-            except _RECOVERABLE:
+            except RECOVERABLE:
                 continue
             if (is_terminating(entry.lhs, full)
                     or entry.excess.eval(full).real > 0.05):
@@ -304,8 +319,9 @@ def _entry_rng(entry_id: str, seed: int):
     return random.Random((seed << 32) ^ zlib.crc32(entry_id.encode()))
 
 
-def _default_watson(a: complex, b: complex, c: complex,
-                    m: int, n: int) -> complex:
+def default_watson(a: complex, b: complex, c: complex,
+                   m: int, n: int) -> complex:
+    """The resolver of ``WatsonRef`` nodes: the Watson lattice element."""
     from .contiguous import watson_element
 
     return watson_element(a, b, c, m, n)
@@ -325,7 +341,7 @@ def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
     tol = entry.rel_tol if rel_tol is None else rel_tol
     series_tol = min(1e-10, tol / 100.0)
     rng = _entry_rng(entry.id, seed)
-    resolver = watson if watson is not None else _default_watson
+    resolver = watson if watson is not None else default_watson
     samples: list[SampleRecord] = []
     attempts = 0
     max_attempts = 100 * trials
@@ -337,13 +353,13 @@ def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
         base: dict[Symbol, complex] = dict(ints)
         for s in entry.base_continuous():
             base[s] = sample_continuous(rng)
-        full = _repaired_assignment(entry, base, rng)
+        full = repaired_assignment(entry, base, rng)
         if full is None:
             continue
         try:
             lhs = series_pfq(entry.lhs, full, rel_tol=series_tol).value
             rhs = eval_expr(entry.rhs, full, watson=resolver)
-        except _RECOVERABLE:
+        except RECOVERABLE:
             continue
         scale = max(abs(lhs), abs(rhs), 1e-300)
         if abs(lhs) < 1e-14 and abs(rhs) < 1e-14:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .errors import IndexCapture, NonIntegerSumBound, PoleError, UnboundSymbol
 
@@ -277,6 +277,9 @@ class WatsonRef(Expr):
 PI_CONST = Pi()
 ONE = Const(Q(1))
 
+#: the node types with one ``arg`` child and nothing else
+_UNARY = (Neg, Recip, Gamma, Sin, Cos)
+
 
 def const(x: Scalar) -> Const:
     return Const(Q(x))
@@ -293,9 +296,7 @@ def free_symbols(e: Expr) -> frozenset[Symbol]:
         for a in e.args:
             out |= free_symbols(a)
         return out
-    if isinstance(e, (Neg, Recip, Gamma, Sin, Cos)):
-        return free_symbols(e.arg)
-    if isinstance(e, Polygamma):
+    if isinstance(e, (Neg, Recip, Gamma, Sin, Cos, Polygamma)):
         return free_symbols(e.arg)
     if isinstance(e, Pow):
         return free_symbols(e.base) | free_symbols(e.exponent)
@@ -490,18 +491,10 @@ def substitute(e: Expr, mapping: Mapping[Symbol, LinExpr], _bound: frozenset[Sym
         return Add(tuple(substitute(a, mapping, _bound) for a in e.args))
     if isinstance(e, Mul):
         return Mul(tuple(substitute(a, mapping, _bound) for a in e.args))
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, mapping, _bound))
-    if isinstance(e, Recip):
-        return Recip(substitute(e.arg, mapping, _bound))
+    if isinstance(e, _UNARY):
+        return type(e)(substitute(e.arg, mapping, _bound))
     if isinstance(e, Pow):
         return Pow(substitute(e.base, mapping, _bound), substitute(e.exponent, mapping, _bound))
-    if isinstance(e, Gamma):
-        return Gamma(substitute(e.arg, mapping, _bound))
-    if isinstance(e, Sin):
-        return Sin(substitute(e.arg, mapping, _bound))
-    if isinstance(e, Cos):
-        return Cos(substitute(e.arg, mapping, _bound))
     if isinstance(e, Polygamma):
         return Polygamma(e.order, substitute(e.arg, mapping, _bound))
     if isinstance(e, Pochhammer):
@@ -603,12 +596,9 @@ def _expr_str(e: Expr, level: int) -> str:
     if isinstance(e, Pow):
         return _paren(f"{_expr_str(e.base, 3)}^{_expr_str(e.exponent, 3)}",
                       level, 2)
-    if isinstance(e, Gamma):
-        return f"G({_expr_str(e.arg, 0)})"
-    if isinstance(e, Sin):
-        return f"sin({_expr_str(e.arg, 0)})"
-    if isinstance(e, Cos):
-        return f"cos({_expr_str(e.arg, 0)})"
+    if isinstance(e, (Gamma, Sin, Cos)):
+        name = {Gamma: "G", Sin: "sin", Cos: "cos"}[type(e)]
+        return f"{name}({_expr_str(e.arg, 0)})"
     if isinstance(e, Polygamma):
         return f"psi({e.order}, {_expr_str(e.arg, 0)})"
     if isinstance(e, Pochhammer):
@@ -633,18 +623,10 @@ def expr_to_json(e: Expr):
         return ["Add", *[expr_to_json(a) for a in e.args]]
     if isinstance(e, Mul):
         return ["Mul", *[expr_to_json(a) for a in e.args]]
-    if isinstance(e, Neg):
-        return ["Neg", expr_to_json(e.arg)]
-    if isinstance(e, Recip):
-        return ["Recip", expr_to_json(e.arg)]
+    if isinstance(e, _UNARY):
+        return [type(e).__name__, expr_to_json(e.arg)]
     if isinstance(e, Pow):
         return ["Pow", expr_to_json(e.base), expr_to_json(e.exponent)]
-    if isinstance(e, Gamma):
-        return ["Gamma", expr_to_json(e.arg)]
-    if isinstance(e, Sin):
-        return ["Sin", expr_to_json(e.arg)]
-    if isinstance(e, Cos):
-        return ["Cos", expr_to_json(e.arg)]
     if isinstance(e, Polygamma):
         return ["Polygamma", e.order, expr_to_json(e.arg)]
     if isinstance(e, Pochhammer):
@@ -675,18 +657,11 @@ def expr_from_json(j) -> Expr:
             return Add(tuple(expr_from_json(a) for a in j[1:]))
         if tag == "Mul":
             return Mul(tuple(expr_from_json(a) for a in j[1:]))
-        if tag == "Neg":
-            return Neg(expr_from_json(j[1]))
-        if tag == "Recip":
-            return Recip(expr_from_json(j[1]))
+        for node in _UNARY:
+            if tag == node.__name__:
+                return node(expr_from_json(j[1]))
         if tag == "Pow":
             return Pow(expr_from_json(j[1]), expr_from_json(j[2]))
-        if tag == "Gamma":
-            return Gamma(expr_from_json(j[1]))
-        if tag == "Sin":
-            return Sin(expr_from_json(j[1]))
-        if tag == "Cos":
-            return Cos(expr_from_json(j[1]))
         if tag == "Polygamma":
             return Polygamma(int(j[1]), expr_from_json(j[2]))
         if tag == "Pochhammer":

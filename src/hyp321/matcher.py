@@ -18,11 +18,13 @@ import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import combinations, product
+from math import lcm
+from operator import mul
+from typing import Mapping, Optional, Sequence
 
-from .database import (DbEntry, _constraint_ok, _default_watson, _int_range,
-                       _RECOVERABLE)
+from .database import (RECOVERABLE, DbEntry, constraints_hold,
+                       default_watson, int_range, repaired_assignment)
 from .errors import Hyp321Error
 from .expr import (Add, Cos, Expr, FiniteSum, Gamma, LinExpr, LIN_ZERO, Mul,
                    Neg, Pochhammer, Polygamma, Pow, Recip, Sin, Symbol,
@@ -74,33 +76,93 @@ class MatchResult:
 # Exact unification
 # ---------------------------------------------------------------------------
 
-def _solve(rows: list[list[Fraction]], rhs: list[LinExpr],
-           nsym: int) -> Optional[list[LinExpr]]:
-    """Gauss-Jordan over Fraction with LinExpr right-hand sides.
+def _gauss_jordan(rows: list[list[Fraction]],
+                  ncols: int) -> Optional[list[list[Fraction]]]:
+    """Gauss-Jordan over Fraction on the first ``ncols`` columns.
 
-    Returns the unique solution, or None when the system is inconsistent or
-    underdetermined (a free template symbol admits infinitely many bindings).
+    Pivots on the first nonzero entry; later columns ride along.  Returns the
+    reduced rows, pivot rows first, or None when the rank is below ``ncols``.
     """
     m = [row[:] for row in rows]
-    r = list(rhs)
-    for col in range(nsym):
+    for col in range(ncols):
         piv = next((i for i in range(col, len(m)) if m[i][col] != 0), None)
         if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
-        r[col], r[piv] = r[piv], r[col]
         inv = Q(1) / m[col][col]
         m[col] = [x * inv for x in m[col]]
-        r[col] = r[col] * inv
         for i in range(len(m)):
             if i != col and m[i][col] != 0:
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-                r[i] = r[i] - r[col] * f
-    for i in range(nsym, len(m)):
-        if r[i] != LIN_ZERO:
-            return None
-    return r[:nsym]
+    return m
+
+
+@dataclass(frozen=True)
+class _Compiled:
+    """A template's slots ``M sigma + c``, eliminated once.
+
+    An alignment q is consistent iff ``consistency @ q == check``, and its
+    unique solution is then ``left_inverse @ q - offset``.
+    """
+
+    syms: tuple[Symbol, ...]
+    left_inverse: tuple[tuple[Fraction, ...], ...]   # k x 5
+    offset: tuple[Fraction, ...]                      # left_inverse @ c
+    consistency: tuple[tuple[int, ...], ...]         # (5 - k) x 5
+    check: tuple[int, ...]                            # consistency @ c
+
+
+@lru_cache(maxsize=256)
+def _compile(upper: tuple[LinExpr, ...],
+             lower: tuple[LinExpr, ...]) -> Optional[_Compiled]:
+    """Eliminate ``[M | I]`` for the slot-ordered template (cached).
+
+    Each consistency row is scaled so that it and its check are integers.
+    None when the rank of M is below the number of template symbols: every
+    alignment is then underdetermined.
+    """
+    params = upper + lower
+    syms = tuple(sorted(frozenset().union(*(p.free_symbols() for p in params)),
+                        key=lambda s: s.name))
+    k = len(syms)
+    m = _gauss_jordan([[p.coeff(s) for s in syms] + [Q(int(i == j))
+                                                     for j in range(5)]
+                       for i, p in enumerate(params)], k)
+    if m is None:
+        return None
+
+    def dot(row):
+        return sum((r * p.const for r, p in zip(row, params)), Q(0))
+
+    inverse = tuple(tuple(row[k:]) for row in m[:k])
+    consistency = []
+    for row in m[k:]:
+        scale = lcm(*(x.denominator for x in row[k:] + [dot(row[k:])]))
+        consistency.append(tuple(int(x * scale) for x in row[k:]))
+    return _Compiled(syms, inverse, tuple(map(dot, inverse)),
+                     tuple(consistency),
+                     tuple(int(dot(row)) for row in consistency))
+
+
+def _point_value(lin: LinExpr) -> Fraction:
+    """``lin`` at a fixed integer point seeded by each symbol's name."""
+    return lin.const + sum(c * (zlib.crc32(s.name.encode()) + 1)
+                           for s, c in lin.terms)
+
+
+def _combine(row: Sequence, forms: Sequence[LinExpr], offset) -> LinExpr:
+    """``sum(row[i] * forms[i]) - offset``, built without ``LinExpr.make``
+    (every coefficient is already a Fraction)."""
+    coeffs: dict[Symbol, Fraction] = {}
+    const = -offset
+    for r, f in zip(row, forms):
+        if r:
+            const += r * f.const
+            for s, c in f.terms:
+                coeffs[s] = coeffs.get(s, 0) + r * c
+    return LinExpr(tuple(sorted(((s, c) for s, c in coeffs.items() if c),
+                                key=lambda t: t[0].name)), const)
 
 
 def _integer_bindings_ok(mapping: Mapping[Symbol, LinExpr]) -> bool:
@@ -116,63 +178,54 @@ def _integer_bindings_ok(mapping: Mapping[Symbol, LinExpr]) -> bool:
     return True
 
 
-def _constants_compatible(template: ParamSet, query: ParamSet) -> bool:
-    """Cheap rejection: constant template parameters must appear verbatim."""
-    for tside, qside in ((template.upper, query.upper),
-                         (template.lower, query.lower)):
-        pool = list(qside)
-        for t in tside:
-            if t.is_constant:
-                if t not in pool:
-                    return False
-                pool.remove(t)
-    return True
-
-
 def unify(template: ParamSet, query: ParamSet) -> list[Substitution]:
     """All exact substitutions carrying ``template`` onto ``query``.
 
     For each of the 6 x 2 slot alignments the five linear equations
     ``template_i(sigma) = query_i`` are solved over the rationals for the
-    template symbols.  A solution is kept when it is unique and exact,
+    template symbols.  The template's coefficient matrix is eliminated once
+    (``_compile``, cached by slot order) into a left inverse and consistency
+    rows.  An alignment is rejected early when a consistency row is nonzero
+    at a fixed integer point, then checked exactly, then solved by one
+    matrix-vector product.  A solution is kept when it is unique and exact,
     integer-kind symbols bind to non-negative integer constants or to
     integer-valued affine forms, and re-instantiation reproduces the query as
     a multiset.  Template symbols must be disjoint from query symbols.
     """
-    if len(template.upper) != 3 or len(template.lower) != 2:
+    if any(len(p.upper) != 3 or len(p.lower) != 2 for p in (template, query)):
         raise ValueError("unify expects 3F2 parameter sets")
-    if len(query.upper) != 3 or len(query.lower) != 2:
-        raise ValueError("unify expects 3F2 parameter sets")
-    if not _constants_compatible(template, query):
+    comp = _compile(template.upper, template.lower)
+    if comp is None:
         return []
-    tsyms = sorted(template.free_symbols(), key=lambda s: s.name)
-    tparams = template.upper + template.lower
-    rows = [[p.coeff(s) for s in tsyms] for p in tparams]
+    values = [_point_value(q) for q in query.upper + query.lower]
+    scale = lcm(*(x.denominator for x in values))
+    values = [x.numerator * (scale // x.denominator) for x in values]
+    targets = [scale * chk for chk in comp.check]
     out: list[Substitution] = []
     seen: set = set()
     for up in UPPER_PERMS:
-        qu = tuple(query.upper[i] for i in up)
         for lp in LOWER_PERMS:
-            ql = tuple(query.lower[i] for i in lp)
-            rhs = [q - LinExpr.of(p.const)
-                   for p, q in zip(tparams, qu + ql)]
-            sol = _solve(rows, rhs, len(tsyms))
-            if sol is None:
+            point = [values[i] for i in up] + [values[3 + i] for i in lp]
+            if any(sum(map(mul, row, point)) != t
+                   for row, t in zip(comp.consistency, targets)):
                 continue
-            mapping = dict(zip(tsyms, sol))
+            forms = [query.upper[i] for i in up] + \
+                [query.lower[i] for i in lp]
+            if any(_combine(row, forms, chk) != LIN_ZERO
+                   for row, chk in zip(comp.consistency, comp.check)):
+                continue
+            mapping = {s: _combine(row, forms, off) for s, row, off in
+                       zip(comp.syms, comp.left_inverse, comp.offset)}
             if not _integer_bindings_ok(mapping):
                 continue
             inst = ParamSet(tuple(u.subs(mapping) for u in template.upper),
                             tuple(l.subs(mapping) for l in template.lower))
             if inst != query:
                 continue
-            key = tuple((s.name, lin) for s, lin in sorted(
-                mapping.items(), key=lambda kv: kv[0].name))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(Substitution(tuple(
-                sorted(mapping.items(), key=lambda kv: kv[0].name))))
+            sub = Substitution(tuple(mapping.items()))
+            if sub not in seen:
+                seen.add(sub)
+                out.append(sub)
     return out
 
 
@@ -187,19 +240,9 @@ def _entry_constraints_ok(entry: DbEntry,
     Symbolic bindings are accepted here (the constraints travel with the
     match and can only be adjudicated at evaluation time).
     """
-    values: dict[Symbol, complex] = {}
-    for s, _ in entry.int_symbols:
-        lin = mapping.get(s)
-        if lin is not None and lin.is_constant:
-            values[s] = complex(lin.const)
-    for s, constraints in entry.int_symbols:
-        for cstr in constraints:
-            try:
-                if not _constraint_ok(cstr, values):
-                    return False
-            except Hyp321Error:
-                continue  # references an unbound symbol: recorded, not checked
-    return True
+    values = {s: complex(mapping[s].const) for s, _ in entry.int_symbols
+              if s in mapping and mapping[s].is_constant}
+    return constraints_hold(entry, values, skip_unbound=True)
 
 
 def _spot_check(query: ParamSet, match: MatchResult, entry: DbEntry,
@@ -243,17 +286,15 @@ def _spot_check(query: ParamSet, match: MatchResult, entry: DbEntry,
                 ivals[s] = complex(round(v.real))
             if bad:
                 continue
-            ok = all(_constraint_ok(c, ivals)
-                     for _, cons in entry.int_symbols for c in cons)
-            if not ok:
+            if not constraints_hold(entry, ivals):
                 continue
             exc = excess(query).eval(full)
             if not is_terminating(query, full) and exc.real <= 0.3:
                 continue
             lhs = series_pfq(query, full, rel_tol=1e-10).value
             rhs = eval_expr(match.instantiated_rhs, full,
-                            watson=_default_watson)
-        except (_RECOVERABLE + (Hyp321Error,)):
+                            watson=default_watson)
+        except (RECOVERABLE + (Hyp321Error,)):
             continue
         err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
         return err < rel_tol
@@ -351,22 +392,11 @@ def _renamed(p: ParamSet) -> ParamSet:
 
 def _int_grid(entry: DbEntry) -> list[dict[Symbol, int]]:
     """The legal small integer assignments for an entry's integer symbols."""
-    import itertools
-
     syms = [s for s, _ in entry.int_symbols]
-    if not syms:
-        return [dict()]
-    ranges = []
-    for s, constraints in entry.int_symbols:
-        lo, hi = _int_range(constraints, s.name)
-        ranges.append(range(lo, hi + 1))
-    out = []
-    for combo in itertools.product(*ranges):
-        assign = dict(zip(syms, combo))
-        if all(_constraint_ok(c, assign)
-               for _, cons in entry.int_symbols for c in cons):
-            out.append(assign)
-    return out
+    ranges = [range(lo, hi + 1) for lo, hi in
+              (int_range(cs, s.name) for s, cs in entry.int_symbols)]
+    grid = (dict(zip(syms, combo)) for combo in product(*ranges))
+    return [g for g in grid if constraints_hold(entry, g)]
 
 
 def _int_ranges_ok(e1: DbEntry, e2: DbEntry, sub: Substitution) -> bool:
@@ -394,15 +424,8 @@ def _int_ranges_ok(e1: DbEntry, e2: DbEntry, sub: Substitution) -> bool:
             if v.real < -1e-9:
                 return False
             t_assign[s] = v
-        for s, constraints in e2.int_symbols:
-            if s not in t_assign:
-                continue
-            for c in constraints:
-                try:
-                    if not _constraint_ok(c, t_assign):
-                        return False
-                except Hyp321Error:
-                    continue
+        if not constraints_hold(e2, t_assign, skip_unbound=True):
+            return False
     return True
 
 
@@ -449,21 +472,7 @@ def _invertible(sub: Substitution) -> bool:
     if len(qsyms) != len(sub.mapping):
         return False
     rows = [[lin.coeff(t) for t in qsyms] for _, lin in sub.mapping]
-    # rank via fraction Gaussian elimination
-    n = len(qsyms)
-    m = [row[:] for row in rows]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return False
-        m[col], m[piv] = m[piv], m[col]
-        inv = Q(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return True
+    return _gauss_jordan(rows, len(qsyms)) is not None
 
 
 def _kinds_preserved(e2: DbEntry, sub: Substitution) -> bool:
@@ -501,8 +510,6 @@ def _witness_sound(e1: DbEntry, v: ThomaeVariant, tries: int = 24) -> bool:
     only if F(lhs) = prefactor * F(image) verifies at some legal assignment;
     a relation that is never evaluable is treated as degenerate.
     """
-    from .database import _repaired_assignment
-
     if v == IDENTITY_VARIANT:
         return True
     rng = random.Random(zlib.crc32((e1.id + "|" + v.name).encode()))
@@ -518,7 +525,7 @@ def _witness_sound(e1: DbEntry, v: ThomaeVariant, tries: int = 24) -> bool:
             full = e1.assignment_with_derived(base)
             if not is_terminating(e1.lhs, full) and \
                     excess(e1.lhs).eval(full).real <= 0.3:
-                repaired = _repaired_assignment(e1, base, rng)
+                repaired = repaired_assignment(e1, base, rng)
                 if repaired is None:
                     continue
                 full = repaired
@@ -528,7 +535,7 @@ def _witness_sound(e1: DbEntry, v: ThomaeVariant, tries: int = 24) -> bool:
             lv = series_pfq(e1.lhs, full, rel_tol=1e-10).value
             iv = series_pfq(img, full, rel_tol=1e-10).value
             pv = eval_expr(pref, full)
-        except (_RECOVERABLE + (Hyp321Error,)):
+        except (RECOVERABLE + (Hyp321Error,)):
             continue
         err = abs(lv - pv * iv) / max(abs(lv), abs(pv * iv), 1e-300)
         return err < 1e-6
@@ -565,7 +572,7 @@ def equivalent(e1: DbEntry, e2: DbEntry
 def _int_lower_bound(entry: DbEntry, s: Symbol) -> int:
     for t, constraints in entry.int_symbols:
         if t == s:
-            lo, _ = _int_range(constraints, s.name)
+            lo, _ = int_range(constraints, s.name)
             return lo
     return 0
 

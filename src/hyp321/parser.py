@@ -300,7 +300,3 @@ def parse_param_list(text: str) -> tuple[E.LinExpr, ...]:
             start = i + 1
     parts.append(text[start:])
     return tuple(parse_linexpr(p) for p in parts)
-
-
-def format_linexpr(l: E.LinExpr) -> str:
-    return str(l)

@@ -35,6 +35,13 @@ class TestEval:
                          "--lower", "2,2")
         assert code == 2
 
+    def test_parameter_too_large_for_float_is_numeric_error(self, capsys):
+        huge = "1" + "0" * 400
+        code, _, err = run(capsys, "eval", "--upper", f"{huge},1,1",
+                           "--lower", "2,3")
+        assert code == 4
+        assert "too large" in err
+
     def test_inexact_decimal_rejected(self, capsys):
         code, _, err = run(capsys, "eval", "--upper", "0.3333333333,1,1",
                            "--lower", "2,2")

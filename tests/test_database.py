@@ -6,13 +6,13 @@ import random
 import pytest
 
 from hyp321 import expr as E
-from hyp321.database import (db_from_json, db_to_json, dumps_db,
-                             entry_from_json, entry_to_json, get_entry,
-                             load_db, save_db, seed_db, verify_all,
-                             verify_entry, _build_entry)
+from hyp321.database import (constraints_hold, db_from_json, db_to_json,
+                             dumps_db, entry_from_json, entry_to_json,
+                             get_entry, load_db, parse_constraint, save_db,
+                             seed_db, verify_all, verify_entry, _build_entry)
 from hyp321.entries import RAW_ENTRIES
 from hyp321.errors import (InsufficientSamples, ParseError,
-                           SchemaVersionMismatch)
+                           SchemaVersionMismatch, UnboundSymbol)
 from hyp321.parser import parse_expr
 from hyp321.series import ParamSet, series_pfq, sum_series_numeric
 
@@ -69,6 +69,33 @@ class TestSpecialValues:
         entry = _build_entry(bad)
         report = verify_entry(entry, trials=5, seed=0, rel_tol=1e-7)
         assert not report.passed
+
+
+class TestConstraints:
+    def test_parsed_once_and_evaluated(self):
+        m = E.sym("m")
+        parsed = parse_constraint("n < m - 1")
+        assert parse_constraint("n < m - 1") is parsed
+        assert parsed.op == "<" and parsed.lhs == E.LinExpr.of(n)
+        assert parsed.holds({n: 1, m: 3})
+        assert not parsed.holds({n: 2, m: 3})
+        assert parse_constraint("2*n>=n+1").holds({n: 1})
+
+    def test_malformed_text_is_a_parse_error(self):
+        for text in ("n = 1", "n", "n < m < 3", "n >= (1"):
+            with pytest.raises(ParseError):
+                parse_constraint(text)
+
+    def test_unbound_symbol_raises_or_is_skipped(self):
+        entry = _build_entry(dict(id="T.C", upper="a, -n, b",
+                                  lower="c, a+b-c-n+1", rhs="1",
+                                  ints={"n": ("n>=1", "n<m")}))
+        with pytest.raises(UnboundSymbol):
+            parse_constraint("n<m").holds({n: 1})
+        with pytest.raises(UnboundSymbol):
+            constraints_hold(entry, {n: 1})
+        assert constraints_hold(entry, {n: 1}, skip_unbound=True)
+        assert not constraints_hold(entry, {n: 0}, skip_unbound=True)
 
 
 class TestSerialization:

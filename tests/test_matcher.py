@@ -8,13 +8,18 @@ import pytest
 
 from hyp321 import expr as E
 from hyp321.database import get_entry, seed_db, _build_entry
-from hyp321.matcher import _orbit_key, cull, equivalent, identify, unify
+from hyp321.matcher import (Substitution, _images_of, _invertible,
+                            _orbit_key, _point_value, _renamed, cull,
+                            equivalent, identify, unify)
 from hyp321.series import ParamSet, excess
-from hyp321.thomae import ThomaeVariant, all_variants, apply_variant
+from hyp321.thomae import (LOWER_PERMS, UPPER_PERMS, ThomaeVariant,
+                           all_variants, apply_variant)
 
 a, b, c, n = E.sym("a"), E.sym("b"), E.sym("c"), E.sym("n")
 L = E.sym("L")
 Q = Fraction
+#: every STRIDE-th seed entry supplies the queries of the differential test
+STRIDE = 31
 
 
 def _const_paramset(upper, lower):
@@ -39,6 +44,135 @@ def _planted_pool():
     planted = [_image_entry(entries[1], 4, "Z.IMG.0"),
                _image_entry(entries[2], 6, "Z.IMG.1")]
     return entries + planted
+
+
+def _reference_solve(rows, rhs, nsym):
+    """Gauss-Jordan over Fraction with LinExpr right-hand sides, per system."""
+    m = [row[:] for row in rows]
+    r = list(rhs)
+    for col in range(nsym):
+        piv = next((i for i in range(col, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        r[col], r[piv] = r[piv], r[col]
+        inv = Q(1) / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        r[col] = r[col] * inv
+        for i in range(len(m)):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+                r[i] = r[i] - r[col] * f
+    for i in range(nsym, len(m)):
+        if r[i] != E.LIN_ZERO:
+            return None
+    return r[:nsym]
+
+
+def _reference_integer_ok(lin):
+    if lin.is_constant:
+        k = lin.as_integer()
+        return k is not None and k >= 0
+    return lin.is_integer_valued()
+
+
+def _reference_unify(template, query):
+    """``unify`` as it was before templates were compiled: one elimination
+    per slot alignment, with the same later checks and output order."""
+    tsyms = sorted(template.free_symbols(), key=lambda s: s.name)
+    tparams = template.upper + template.lower
+    rows = [[p.coeff(s) for s in tsyms] for p in tparams]
+    pool = {"upper": list(query.upper), "lower": list(query.lower)}
+    for side, tside in (("upper", template.upper), ("lower", template.lower)):
+        for t in tside:
+            if t.is_constant:
+                if t not in pool[side]:
+                    return []
+                pool[side].remove(t)
+    out, seen = [], set()
+    for up in UPPER_PERMS:
+        for lp in LOWER_PERMS:
+            qs = [query.upper[i] for i in up] + [query.lower[i] for i in lp]
+            rhs = [q - E.LinExpr.of(p.const) for p, q in zip(tparams, qs)]
+            sol = _reference_solve(rows, rhs, len(tsyms))
+            if sol is None:
+                continue
+            mapping = dict(zip(tsyms, sol))
+            if not all(_reference_integer_ok(lin)
+                       for s, lin in mapping.items() if s.kind == "integer"):
+                continue
+            inst = ParamSet(tuple(u.subs(mapping) for u in template.upper),
+                            tuple(l.subs(mapping) for l in template.lower))
+            if inst != query:
+                continue
+            key = tuple((s.name, lin) for s, lin in mapping.items())
+            if key not in seen:
+                seen.add(key)
+                out.append(tuple(mapping.items()))
+    return out
+
+
+def _assert_matches_reference(template, query):
+    got = [sub.mapping for sub in unify(template, query)]
+    assert got == _reference_unify(template, query), (template, query)
+    return got
+
+
+class TestCompiledUnify:
+    """``unify`` against the per-alignment elimination it replaced."""
+
+    def test_seed_templates_against_renamed_images(self):
+        db = seed_db()
+        hits = pairs = 0
+        for query_entry in db[::STRIDE]:
+            for _, img in _images_of(_renamed(query_entry.lhs)):
+                for entry in db:
+                    pairs += 1
+                    hits += bool(_assert_matches_reference(entry.lhs, img))
+        assert pairs > 2000 and hits > 50
+
+    def test_rank_deficient_template(self):
+        # a and b only enter as a+b: rank 2 for three symbols
+        A, C = E.LinExpr.of(a), E.LinExpr.of(c)
+        template = ParamSet.make([A + b, C, 1], [A + b + 1, C + 2])
+        X, Y = E.LinExpr.of(E.sym("x")), E.LinExpr.of(E.sym("y"))
+        query = ParamSet.make([X, Y, 1], [X + 1, Y + 2])
+        assert _assert_matches_reference(template, query) == []
+
+    def test_all_constant_template(self):
+        template = _const_paramset([1, 1, 1], [2, 2])
+        assert _assert_matches_reference(template, template) == [()]
+        assert _assert_matches_reference(
+            template, _const_paramset([1, 1, 2], [2, 2])) == []
+
+    def test_slot_orders_of_one_multiset(self):
+        # equal as multisets, so one ParamSet key, but compiled separately
+        A, B, C = E.LinExpr.of(a), E.LinExpr.of(b), E.LinExpr.of(c)
+        first = ParamSet.make([A, B, C], [A + 1, B + C])
+        second = ParamSet.make([C, A, B], [B + C, A + 1])
+        assert first == second
+        X, Y, Z = (E.LinExpr.of(E.sym(x)) for x in "xyz")
+        query = ParamSet.make([X, Y, Z], [Y + Z, X + 1])
+        for template in (first, second, first):
+            assert _assert_matches_reference(template, query)
+
+    def test_zero_point_value_is_not_rejected(self):
+        X = E.LinExpr.of(E.sym("x"))
+        shifted = X - _point_value(X)
+        assert _point_value(shifted) == 0
+        A, B = E.LinExpr.of(a), E.LinExpr.of(b)
+        template = ParamSet.make([A, B, 0], [A + 1, B + 1])
+        query = ParamSet.make([shifted, X * 2, 0], [shifted + 1, X * 2 + 1])
+        got = _assert_matches_reference(template, query)
+        assert (b, X * 2) in got[0]
+
+
+def test_invertible_witness_needs_full_rank():
+    X, Y = E.LinExpr.of(E.sym("x")), E.LinExpr.of(E.sym("y"))
+    assert _invertible(Substitution(((a, X + Y), (b, X - Y + 1))))
+    assert not _invertible(Substitution(((a, X + Y), (b, X * 2 + Y * 2))))
+    assert not _invertible(Substitution(((a, X + Y), (b, E.LinExpr.of(1)))))
 
 
 class TestUnify:
