@@ -70,18 +70,9 @@ def _parse_paramset(upper: str, lower: str) -> ParamSet:
     return ParamSet.make(up, lo)
 
 
-def _as_complex(lin) -> complex:
-    try:
-        return complex(lin.const)
-    except OverflowError:
-        raise NonFiniteParameter(
-            f"parameter {lin} is too large for a float") from None
-
-
 def _numeric_paramset(p: ParamSet) -> Optional[tuple[list, list]]:
     if all(t.is_constant for t in p.upper + p.lower):
-        return ([_as_complex(t) for t in p.upper],
-                [_as_complex(t) for t in p.lower])
+        return p.eval({})
     return None
 
 
@@ -157,7 +148,7 @@ def _const_arg(text: str, what: str) -> complex:
     lin = parse_linexpr(text)
     if not lin.is_constant:
         raise ParseError(f"--{what} must be numeric, got {lin}")
-    return _as_complex(lin)
+    return lin.eval({})
 
 
 def _cmd_element(args) -> int:

@@ -63,10 +63,7 @@ class DbEntry:
     def base_continuous(self) -> tuple[Symbol, ...]:
         """Continuous symbols that are sampled directly (not derived)."""
         derived_names = {s for s, _ in self.derived}
-        syms = set()
-        for p in self.lhs.upper + self.lhs.lower:
-            syms |= p.free_symbols()
-        syms |= free_symbols(self.rhs)
+        syms = set(self.lhs.free_symbols()) | free_symbols(self.rhs)
         for _, d in self.derived:
             syms |= free_symbols(d)
         return tuple(sorted(

@@ -14,9 +14,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .errors import IndexCapture, NonIntegerSumBound, PoleError, UnboundSymbol
+from .errors import (IndexCapture, NonFiniteParameter, NonIntegerSumBound,
+                     PoleError, UnboundSymbol)
 
 Q = Fraction
 
@@ -81,26 +82,21 @@ class LinExpr:
 
     # -- algebra ----------------------------------------------------------
     def __add__(self, other: LinLike) -> "LinExpr":
-        other = LinExpr.of(other)
-        coeffs = dict(self.terms)
-        for s, c in other.terms:
-            coeffs[s] = coeffs.get(s, Q(0)) + c
-        return LinExpr.make(coeffs, self.const + other.const)
+        return combine((1, 1), (self, LinExpr.of(other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LinExpr":
-        return LinExpr.make({s: -c for s, c in self.terms}, -self.const)
+        return combine((-1,), (self,))
 
     def __sub__(self, other: LinLike) -> "LinExpr":
-        return self + (-LinExpr.of(other))
+        return combine((1, -1), (self, LinExpr.of(other)))
 
     def __rsub__(self, other: LinLike) -> "LinExpr":
-        return LinExpr.of(other) + (-self)
+        return combine((1, -1), (LinExpr.of(other), self))
 
     def __mul__(self, k: Scalar) -> "LinExpr":
-        k = Q(k)
-        return LinExpr.make({s: c * k for s, c in self.terms}, self.const * k)
+        return combine((Q(k),), (self,))
 
     __rmul__ = __mul__
 
@@ -135,18 +131,21 @@ class LinExpr:
 
     # -- evaluation / substitution ----------------------------------------
     def eval(self, assignment: Mapping[Symbol, complex]) -> complex:
-        total: complex = complex(self.const)
-        for s, c in self.terms:
-            if s not in assignment:
-                raise UnboundSymbol(s.name)
-            total += complex(c) * complex(assignment[s])
+        try:
+            total: complex = complex(self.const)
+            for s, c in self.terms:
+                if s not in assignment:
+                    raise UnboundSymbol(s.name)
+                total += complex(c) * complex(assignment[s])
+        except OverflowError:
+            raise NonFiniteParameter(
+                f"parameter {self} is too large for a float") from None
         return total
 
     def subs(self, mapping: Mapping[Symbol, "LinExpr"]) -> "LinExpr":
-        out = LinExpr.of(self.const)
-        for s, c in self.terms:
-            out = out + mapping.get(s, LinExpr.of(s)) * c
-        return out
+        return combine([c for _, c in self.terms],
+                       [mapping.get(s, LinExpr.of(s)) for s, _ in self.terms],
+                       -self.const)
 
     def __str__(self) -> str:
         parts = []
@@ -167,6 +166,26 @@ class LinExpr:
 
 LIN_ZERO = LinExpr.of(0)
 LIN_ONE = LinExpr.of(1)
+
+
+def combine(row: Sequence[Scalar], forms: Sequence[LinExpr],
+            offset: Scalar = 0) -> LinExpr:
+    """The affine combination ``sum(row[i] * forms[i]) - offset``.
+
+    Built directly, without ``LinExpr.make``: every product of a row entry
+    and a Fraction coefficient is already a Fraction.
+    """
+    coeffs: dict[Symbol, Fraction] = {}
+    const = Q(-offset)
+    for r, f in zip(row, forms):
+        if r:
+            if f.const:
+                const += f.const if r == 1 else r * f.const
+            for s, c in f.terms:
+                c = c if r == 1 else r * c
+                coeffs[s] = coeffs[s] + c if s in coeffs else c
+    return LinExpr(tuple(sorted(((s, c) for s, c in coeffs.items() if c),
+                                key=lambda t: t[0].name)), const)
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,12 @@ from .database import (RECOVERABLE, DbEntry, constraints_hold,
 from .errors import Hyp321Error
 from .expr import (Add, Cos, Expr, FiniteSum, Gamma, LinExpr, LIN_ZERO, Mul,
                    Neg, Pochhammer, Polygamma, Pow, Recip, Sin, Symbol,
-                   WatsonRef, eval_expr, free_symbols, substitute)
+                   WatsonRef, combine, eval_expr, free_symbols, substitute)
 from .series import (ParamSet, excess, is_terminating, sample_continuous,
                      series_pfq)
 from .thomae import (CLASS_REPRESENTATIVES, IDENTITY_VARIANT, LOWER_PERMS,
                      UPPER_PERMS, ThomaeVariant, apply_variant,
-                     distinct_images)
+                     distinct_images, five_forms)
 
 Q = Fraction
 
@@ -151,20 +151,6 @@ def _point_value(lin: LinExpr) -> Fraction:
                            for s, c in lin.terms)
 
 
-def _combine(row: Sequence, forms: Sequence[LinExpr], offset) -> LinExpr:
-    """``sum(row[i] * forms[i]) - offset``, built without ``LinExpr.make``
-    (every coefficient is already a Fraction)."""
-    coeffs: dict[Symbol, Fraction] = {}
-    const = -offset
-    for r, f in zip(row, forms):
-        if r:
-            const += r * f.const
-            for s, c in f.terms:
-                coeffs[s] = coeffs.get(s, 0) + r * c
-    return LinExpr(tuple(sorted(((s, c) for s, c in coeffs.items() if c),
-                                key=lambda t: t[0].name)), const)
-
-
 def _integer_bindings_ok(mapping: Mapping[Symbol, LinExpr]) -> bool:
     for s, lin in mapping.items():
         if s.kind != "integer":
@@ -211,10 +197,10 @@ def unify(template: ParamSet, query: ParamSet) -> list[Substitution]:
                 continue
             forms = [query.upper[i] for i in up] + \
                 [query.lower[i] for i in lp]
-            if any(_combine(row, forms, chk) != LIN_ZERO
+            if any(combine(row, forms, chk) != LIN_ZERO
                    for row, chk in zip(comp.consistency, comp.check)):
                 continue
-            mapping = {s: _combine(row, forms, off) for s, row, off in
+            mapping = {s: combine(row, forms, off) for s, row, off in
                        zip(comp.syms, comp.left_inverse, comp.offset)}
             if not _integer_bindings_ok(mapping):
                 continue
@@ -240,7 +226,7 @@ def _entry_constraints_ok(entry: DbEntry,
     Symbolic bindings are accepted here (the constraints travel with the
     match and can only be adjudicated at evaluation time).
     """
-    values = {s: complex(mapping[s].const) for s, _ in entry.int_symbols
+    values = {s: mapping[s].eval({}) for s, _ in entry.int_symbols
               if s in mapping and mapping[s].is_constant}
     return constraints_hold(entry, values, skip_unbound=True)
 
@@ -633,22 +619,20 @@ def _retention_rank(entry: DbEntry) -> tuple:
 def _orbit_key(entry: DbEntry) -> tuple:
     """A key that every pair of entries linked by ``equivalent`` shares.
 
-    With sigma = a+b+c, every Thomae variant permutes the five forms
-    y = (sigma/2-a, sigma/2-b, sigma/2-c, e-sigma/2, f-sigma/2).  An accepted
-    witness is a full-rank affine map that keeps integer and continuous
-    symbols apart, so it keeps constant forms with their values, keeps the
-    other forms non-constant, and keeps the number of symbols of each kind.
+    Every Thomae variant permutes the five forms y of ``five_forms``.  An
+    accepted witness is a full-rank affine map that keeps integer and
+    continuous symbols apart, so it keeps constant forms with their values,
+    keeps the other forms non-constant, and keeps the number of symbols of
+    each kind.
     The key holds those counts and the constant y_i, |y_i-y_j| and y_i+y_j.
     """
-    p = entry.lhs
-    half = (p.upper[0] + p.upper[1] + p.upper[2]) / 2
-    y = [half - u for u in p.upper] + [l - half for l in p.lower]
+    y = five_forms(entry.lhs)
     pairs = list(combinations(y, 2))
 
     def constants(forms) -> list[Fraction]:
         return [x.const for x in forms if x.is_constant]
 
-    syms = p.free_symbols()
+    syms = entry.lhs.free_symbols()
     return (sum(s.kind == "integer" for s in syms), len(syms),
             tuple(sorted(constants(y))),
             tuple(sorted(abs(d) for d in constants(u - v for u, v in pairs))),

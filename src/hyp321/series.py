@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DivergentSeries, LowerPole, NoConvergence,
                      NonFiniteParameter)
-from .expr import LinExpr, Symbol, sym
+from .expr import LinExpr, Symbol, combine, sym
 
 INT_TOL = 1e-12
 
@@ -86,12 +86,8 @@ class SeriesResult:
 
 def excess(p: ParamSet) -> LinExpr:
     """Parametric excess: sum of lower minus sum of upper parameters."""
-    out = LinExpr.of(0)
-    for l in p.lower:
-        out = out + l
-    for u in p.upper:
-        out = out - u
-    return out
+    return combine([-1] * len(p.upper) + [1] * len(p.lower),
+                   p.upper + p.lower)
 
 
 def _nonpos_int_index(value: complex, tol: float = INT_TOL) -> Optional[int]:

@@ -1,30 +1,31 @@
-"""The ten two-term relations for 3F2(1) and their 120 permutation variants.
+"""The Thomae group of 3F2(1): S5 acting on five linear forms.
 
-Each base relation maps a 3F2 with upper parameters (a, b, c) and lower
-parameters (f, e) to another 3F2 times a quotient of gamma factors:
-
-    F(a, b, c; f, e) = prefactor * F(upper'; lower').
-
-Writing s = e + f - a - b - c for the parametric excess, the ten images have
-excesses s, a, b, c, e-a, e-b, e-c, f-a, f-b, f-c respectively, so the base
-relations are distinguished by where they transport the excess.  Composing a
-base relation with one of the 6 orderings of the upper parameters and 2 of the
-lower parameters gives 120 variants; for generic parameters these produce only
-10 distinct parameter multisets (each image is stabilized by reorderings of
-its own slots).
+With sigma = a + b + c, the parameters (a, b, c; f, e) have the five forms
+y = (sigma/2 - a, sigma/2 - b, sigma/2 - c, e - sigma/2, f - sigma/2), and
+a = y1 + y2, b = y0 + y2, c = y0 + y1, f = y4 + T, e = y3 + T with
+T = y0 + y1 + y2; the excess s = e + f - sigma is y3 + y4.  Since
+F(a, b, c; f, e) / (Γ(e)Γ(f)Γ(s)) is invariant under every permutation of
+the forms (Whipple 1923; Beyer, Louck and Stein, J. Math. Phys. 28 (1987)
+497), F = Γ(s)Γ(f)Γ(e) / (Γ(s')Γ(f')Γ(e')) * F(image).  An image is fixed by
+the two forms that become y3 and y4: base relation k <-> the k-th pair of
+``combinations(range(5), 2)``, the other three forms, sorted, becoming
+y0, y1, y2 (base 10 is the identity).  Composing a base with the 6 orderings
+of the upper and 2 of the lower slots gives 120 variants, which for generic
+parameters reach only the 10 images.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from fractions import Fraction
+from typing import Iterable, Optional
 
-from .expr import Expr, Gamma, LinExpr, Lin, Mul, ONE, Recip
+from .expr import Expr, Gamma, LinExpr, Lin, Mul, ONE, Recip, combine
 from .series import ParamSet
 
 __all__ = ["ThomaeVariant", "BASE_COUNT", "all_variants", "apply_variant",
-           "base_relation", "inverse_of"]
+           "base_relation", "five_forms", "inverse_of"]
 
 BASE_COUNT = 10
 
@@ -33,16 +34,44 @@ LOWER_PERMS = ((0, 1), (1, 0))
 _UPPER_LETTERS = "abc"
 _LOWER_LETTERS = "fe"
 
+_H = Fraction(1, 2)
+#: the five forms as rows over the slots (a, b, c, f, e)
+_FORM_ROWS = ((-_H, _H, _H, 0, 0), (_H, -_H, _H, 0, 0), (_H, _H, -_H, 0, 0),
+              (-_H, -_H, -_H, 0, 1), (-_H, -_H, -_H, 1, 0))
+#: the slots (a, b, c, f, e) as sums of forms, by form position
+_SLOT_FORMS = ((1, 2), (0, 2), (0, 1), (0, 1, 2, 4), (0, 1, 2, 3))
+#: the gamma arguments s, f, e of the prefactor, by form position
+_GAMMA_FORMS = ((3, 4),) + _SLOT_FORMS[3:]
 
-def _g(l: LinExpr) -> Expr:
-    return Gamma(Lin(l))
+
+def five_forms(p: ParamSet) -> list[LinExpr]:
+    """The five forms y of a 3F2 parameter set; every variant permutes them."""
+    return [combine(row, p.upper + p.lower) for row in _FORM_ROWS]
 
 
-def _gamma_quotient(num: Sequence[LinExpr], den: Sequence[LinExpr]) -> Expr:
-    factors = [_g(l) for l in num] + [Recip(_g(l)) for l in den]
-    if not factors:
-        return ONE
-    return Mul(tuple(factors))
+def _row(forms: Iterable[int]) -> tuple[int, ...]:
+    """A sum of forms as an integer row over the slots (a, b, c, f, e)."""
+    return tuple(int(sum(col)) for col in
+                 zip(*(_FORM_ROWS[k] for k in forms)))
+
+
+def _base(pair: tuple[int, int]) -> tuple:
+    """Form order, image rows and prefactor rows of the base for ``pair``.
+
+    ``order[k]`` is the form at position k of the image.  Gamma factors
+    common to both sides cancel by their sets of forms, never by value, so
+    that the prefactor does not depend on the parameters it is applied to.
+    """
+    order = tuple(k for k in range(5) if k not in pair) + pair
+    num = [frozenset(g) for g in _GAMMA_FORMS]
+    den = [frozenset(order[k] for k in g) for g in _GAMMA_FORMS]
+    return (order,
+            tuple(_row(order[k] for k in slot) for slot in _SLOT_FORMS),
+            tuple(_row(g) for g in num if g not in den),
+            tuple(_row(g) for g in den if g not in num))
+
+
+_BASES = dict(enumerate(map(_base, itertools.combinations(range(5), 2)), 1))
 
 
 def base_relation(base: int, a: LinExpr, b: LinExpr, c: LinExpr,
@@ -51,37 +80,15 @@ def base_relation(base: int, a: LinExpr, b: LinExpr, c: LinExpr,
 
     Semantics: F([a,b,c],[f,e]; 1) = prefactor * F(image; 1).
     """
-    s = e + f - a - b - c
-    if base == 1:
-        return (ParamSet((s, f - c, e - c), (e - b + f - c, e + f - a - c)),
-                _gamma_quotient([s, f, e], [c, e - b + f - c, e + f - a - c]))
-    if base == 2:
-        return (ParamSet((s, f - b, e - b), (e - b + f - c, e - b + f - a)),
-                _gamma_quotient([s, f, e], [b, e - b + f - c, e - b + f - a]))
-    if base == 3:
-        return (ParamSet((f - c, f - b, a), (e - b + f - c, f)),
-                _gamma_quotient([s, e], [e - a, e - b + f - c]))
-    if base == 4:
-        return (ParamSet((e - c, e - b, a), (e - b + f - c, e)),
-                _gamma_quotient([s, f], [f - a, e - b + f - c]))
-    if base == 5:
-        return (ParamSet((s, f - a, e - a), (e + f - a - c, e - b + f - a)),
-                _gamma_quotient([s, f, e], [a, e + f - a - c, e - b + f - a]))
-    if base == 6:
-        return (ParamSet((f - c, f - a, b), (e + f - a - c, f)),
-                _gamma_quotient([s, e], [e - b, e + f - a - c]))
-    if base == 7:
-        return (ParamSet((e - c, e - a, b), (e + f - a - c, e)),
-                _gamma_quotient([s, f], [f - b, e + f - a - c]))
-    if base == 8:
-        return (ParamSet((f - b, f - a, c), (e - b + f - a, f)),
-                _gamma_quotient([s, e], [e - c, e - b + f - a]))
-    if base == 9:
-        return (ParamSet((e - b, e - a, c), (e - b + f - a, e)),
-                _gamma_quotient([s, f], [f - c, e - b + f - a]))
-    if base == 10:
-        return ParamSet((a, b, c), (f, e)), ONE
-    raise ValueError(f"base relation index {base} outside 1..10")
+    if base not in _BASES:
+        raise ValueError(f"base relation index {base} outside 1..10")
+    _, image, num, den = _BASES[base]
+    slots = (a, b, c, f, e)
+    img = [combine(row, slots) for row in image]
+    factors = [Gamma(Lin(combine(row, slots))) for row in num] + \
+        [Recip(Gamma(Lin(combine(row, slots)))) for row in den]
+    return (ParamSet(tuple(img[:3]), tuple(img[3:])),
+            Mul(tuple(factors)) if factors else ONE)
 
 
 @dataclass(frozen=True)
@@ -104,21 +111,11 @@ class ThomaeVariant:
 
 IDENTITY_VARIANT = ThomaeVariant(10)
 
-#: The first variant of each generic image class, in ``all_variants()``
-#: order.  Every other variant gives, as a polynomial identity, the same
-#: image as the representative of its class.
-CLASS_REPRESENTATIVES = (
-    ThomaeVariant(1, (0, 1, 2), (0, 1)),
-    ThomaeVariant(1, (0, 2, 1), (0, 1)),
-    ThomaeVariant(1, (1, 2, 0), (0, 1)),
-    ThomaeVariant(3, (0, 1, 2), (0, 1)),
-    ThomaeVariant(3, (0, 1, 2), (1, 0)),
-    ThomaeVariant(3, (1, 0, 2), (0, 1)),
-    ThomaeVariant(3, (1, 0, 2), (1, 0)),
-    ThomaeVariant(3, (2, 0, 1), (0, 1)),
-    ThomaeVariant(3, (2, 0, 1), (1, 0)),
-    IDENTITY_VARIANT,
-)
+
+def _form_perm(v: ThomaeVariant) -> tuple[int, ...]:
+    """The input form at each form position of ``v``'s image (f: form 4)."""
+    moved = v.upper_perm + (4 - v.lower_perm[1], 4 - v.lower_perm[0])
+    return tuple(moved[k] for k in _BASES[v.base][0])
 
 
 def apply_variant(v: ThomaeVariant, p: ParamSet) -> tuple[ParamSet, Expr]:
@@ -136,6 +133,19 @@ def all_variants() -> list[ThomaeVariant]:
             for base in range(1, BASE_COUNT + 1)
             for up in UPPER_PERMS
             for lo in LOWER_PERMS]
+
+
+def _class_representatives() -> tuple[ThomaeVariant, ...]:
+    firsts: dict[frozenset, ThomaeVariant] = {}
+    for v in all_variants():
+        firsts.setdefault(frozenset(_form_perm(v)[3:]), v)
+    return tuple(firsts.values())
+
+
+#: The first variant of each generic image class (the pair of input forms
+#: made lower), in ``all_variants()`` order.  Every other variant gives, as a
+#: polynomial identity, the same image as the representative of its class.
+CLASS_REPRESENTATIVES = _class_representatives()
 
 
 def distinct_images(p: ParamSet,
@@ -161,13 +171,14 @@ def distinct_images(p: ParamSet,
 
 
 def inverse_of(v: ThomaeVariant) -> ThomaeVariant:
-    """A variant ``w`` with ``w(v(P))`` equal to ``P`` for generic ``P``."""
-    from .expr import sym
+    """A variant ``w`` with ``w(v(P))`` equal to ``P`` for generic ``P``.
 
-    p0 = ParamSet.make([sym("a"), sym("b"), sym("c")], [sym("f"), sym("e")])
-    img, _ = apply_variant(v, p0)
+    The first in ``all_variants()`` whose composition with ``v`` brings the
+    input forms e and f (3 and 4) back to the lower positions.
+    """
+    pv = _form_perm(v)
     for w in all_variants():
-        back, _ = apply_variant(w, img)
-        if back == p0:
+        pw = _form_perm(w)
+        if {pv[pw[3]], pv[pw[4]]} == {3, 4}:
             return w
     raise ValueError(f"no inverse found for {v.name}")  # pragma: no cover

@@ -11,7 +11,7 @@ from hyp321.series import ParamSet, excess, sum_series_numeric
 from hyp321.thomae import (BASE_COUNT, CLASS_REPRESENTATIVES,
                            IDENTITY_VARIANT, ThomaeVariant, all_variants,
                            apply_variant, base_relation, distinct_images,
-                           inverse_of)
+                           five_forms, inverse_of)
 
 a, b, c = E.sym("a"), E.sym("b"), E.sym("c")
 f, e = E.sym("f"), E.sym("e")
@@ -34,6 +34,62 @@ SPECIAL = {
                                 [c, A + B - C + 1 - E.sym("n")]),
     "constant": ParamSet.make([1, 1, 1], [2, 2]),
 }
+
+
+def _gamma_quotient(num, den):
+    factors = [E.Gamma(E.Lin(l)) for l in num] + \
+        [E.Recip(E.Gamma(E.Lin(l))) for l in den]
+    return E.Mul(tuple(factors)) if factors else E.ONE
+
+
+def _reference_base_relation(base, a, b, c, f, e):
+    """The ten relations as written out by hand, one branch each."""
+    s = e + f - a - b - c
+    if base == 1:
+        return (ParamSet((s, f - c, e - c), (e - b + f - c, e + f - a - c)),
+                _gamma_quotient([s, f, e], [c, e - b + f - c, e + f - a - c]))
+    if base == 2:
+        return (ParamSet((s, f - b, e - b), (e - b + f - c, e - b + f - a)),
+                _gamma_quotient([s, f, e], [b, e - b + f - c, e - b + f - a]))
+    if base == 3:
+        return (ParamSet((f - c, f - b, a), (e - b + f - c, f)),
+                _gamma_quotient([s, e], [e - a, e - b + f - c]))
+    if base == 4:
+        return (ParamSet((e - c, e - b, a), (e - b + f - c, e)),
+                _gamma_quotient([s, f], [f - a, e - b + f - c]))
+    if base == 5:
+        return (ParamSet((s, f - a, e - a), (e + f - a - c, e - b + f - a)),
+                _gamma_quotient([s, f, e], [a, e + f - a - c, e - b + f - a]))
+    if base == 6:
+        return (ParamSet((f - c, f - a, b), (e + f - a - c, f)),
+                _gamma_quotient([s, e], [e - b, e + f - a - c]))
+    if base == 7:
+        return (ParamSet((e - c, e - a, b), (e + f - a - c, e)),
+                _gamma_quotient([s, f], [f - b, e + f - a - c]))
+    if base == 8:
+        return (ParamSet((f - b, f - a, c), (e - b + f - a, f)),
+                _gamma_quotient([s, e], [e - c, e - b + f - a]))
+    if base == 9:
+        return (ParamSet((e - b, e - a, c), (e - b + f - a, e)),
+                _gamma_quotient([s, f], [f - c, e - b + f - a]))
+    if base == 10:
+        return ParamSet((a, b, c), (f, e)), E.ONE
+    raise ValueError(f"base relation index {base} outside 1..10")
+
+
+def _reference_apply(v, p):
+    a, b, c = (p.upper[i] for i in v.upper_perm)
+    f, e = (p.lower[i] for i in v.lower_perm)
+    return _reference_base_relation(v.base, a, b, c, f, e)
+
+
+def _reference_inverse(v):
+    """The first variant that maps ``v``'s generic image back, by search."""
+    img, _ = apply_variant(v, GENERIC)
+    for w in all_variants():
+        back, _ = apply_variant(w, img)
+        if back == GENERIC:
+            return w
 
 
 def _draw(rng):
@@ -153,10 +209,9 @@ class TestStructure:
             assert img.key() in class_keys
 
     def test_inverse_of(self):
-        rng = random.Random(9)
-        vs = all_variants()
-        for v in rng.sample(vs, 12) + [ThomaeVariant(10)]:
+        for v in all_variants():
             w = inverse_of(v)
+            assert w == _reference_inverse(v), v.name
             img, _ = apply_variant(v, GENERIC)
             back, _ = apply_variant(w, img)
             assert back == GENERIC
@@ -197,3 +252,25 @@ class TestDistinctImages:
         for entry in seed_db():
             assert _images(entry.lhs) == _scan(entry.lhs, all_variants()), \
                 entry.id
+
+
+class TestAgainstHandWrittenRelations:
+    """The construction from the five forms reproduces the ten branches."""
+
+    @pytest.mark.parametrize("p", [pytest.param(GENERIC, id="generic")] + [
+        pytest.param(SPECIAL[k], id=k) for k in sorted(SPECIAL)] + [
+        pytest.param(e.lhs, id=e.id) for e in seed_db()[::7]])
+    def test_all_variants_match_reference(self, p):
+        for v in all_variants():
+            img, pref = apply_variant(v, p)
+            ref_img, ref_pref = _reference_apply(v, p)
+            assert img.upper == ref_img.upper, v.name
+            assert img.lower == ref_img.lower, v.name
+            assert pref == ref_pref, v.name
+            assert E.expr_str(pref) == E.expr_str(ref_pref), v.name
+
+    def test_variants_permute_the_five_forms(self):
+        forms = sorted(five_forms(GENERIC), key=str)
+        for v in all_variants():
+            img, _ = apply_variant(v, GENERIC)
+            assert sorted(five_forms(img), key=str) == forms, v.name
