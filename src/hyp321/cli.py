@@ -87,6 +87,8 @@ def _cmd_eval(args) -> int:
         raise ParseError("eval requires fully numeric parameters")
     res = sum_series_numeric(numeric[0], numeric[1], rel_tol=args.tol)
     kind = "terminating" if res.terminated else "convergent"
+    if res.representation != "direct":
+        kind += f", via {res.representation}"
     print(f"value = {_fmt(res.value)}  "
           f"(abs error est {res.abs_error_estimate:.3g}, "
           f"{res.terms_used} terms, {kind})")

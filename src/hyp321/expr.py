@@ -374,6 +374,38 @@ def cgamma(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
+#: coefficients B_{2j} / (2j (2j - 1)) of Stirling's series, j = 1..8
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+             -691 / 360360, 1 / 156, -3617 / 122400)
+
+
+def loggamma(z: complex) -> complex:
+    """A logarithm of Γ(z): ``exp(loggamma(z)) == Γ(z)``, on any branch.
+
+    Real arguments use ``math.lgamma`` with the sign of Γ as an imaginary
+    part of 0 or π; complex ones reflect to Re(z) >= 1/2, shift to
+    |z| >= 10 and sum Stirling's series.  Raises PoleError like ``cgamma``.
+    """
+    z = complex(z)
+    if is_near_nonpositive_integer(z):
+        raise PoleError(f"gamma pole at {z}")
+    if z.imag == 0:
+        x = z.real
+        return complex(math.lgamma(x),
+                       math.pi if x < 0 and math.floor(x) % 2 else 0.0)
+    if z.real < 0.5:
+        return (cmath.log(math.pi / cmath.sin(math.pi * z))
+                - loggamma(1.0 - z))
+    shift = 0j
+    while abs(z) < 10.0:
+        shift += cmath.log(z)
+        z += 1.0
+    w = 1.0 / z
+    series = sum(c * w ** (2 * j + 1) for j, c in enumerate(_STIRLING))
+    return ((z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2.0 * math.pi)
+            + series - shift)
+
+
 def cpolygamma(order: int, z: complex) -> complex:
     """Polygamma of arbitrary non-negative order at a complex point (mpmath)."""
     import mpmath

@@ -6,26 +6,55 @@ The oracle sums the defining series with the term-ratio recurrence
 
 adds a polynomial tail correction t_K * (K/s + 1/2) (s = parametric excess),
 and refines by Richardson extrapolation between truncations K and 2K.  The
-reported error bound is the difference of the two corrected truncations.
+error expansion is in K^{-(s+j)}, so the extrapolation uses the exponent
+s + 1, complex when s is; a step whose exponent exceeds the float range is
+skipped, as it changes nothing.  The reported error bound is the difference
+of the last two extrapolated values.
+
+A non-terminating 3F2 that has not converged within ``DIRECT_BUDGET`` terms
+(large parameters make the tail expansion valid only for K far beyond
+them) is summed through a Thomae image instead: F = Γ(e)Γ(f)Γ(s) /
+(Γ(e')Γ(f')Γ(s')) * F', trying the images in falling Re(excess), where the
+series decays fastest.  The prefactor is computed in log-gamma form, so that
+Γ(451) does not overflow.  An image is used only when its sum converges
+within the same budget with a rounding error EPS * sum |t_k| (tracked while
+summing) plus EPS * sum |log Γ| of the prefactor, relative to F, of at most
+half the tolerance; its reported error is the image's own estimate scaled by
+|prefactor| plus that rounding.  When no image qualifies the direct sum
+continues up to ``MAX_TERMS``.  ``SeriesResult.representation`` names what
+was summed.
+
+A terminating sum is exact up to rounding; its bound is EPS * sum (k+1) |t_k|,
+as term k carries the rounding of k ratio steps.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import (DivergentSeries, LowerPole, NoConvergence,
-                     NonFiniteParameter)
-from .expr import LinExpr, Symbol, combine, sym
+                     NonFiniteParameter, PoleError)
+from .expr import LinExpr, Symbol, combine, loggamma, sym
 
 INT_TOL = 1e-12
 
 #: hard cap on the number of summed terms
 MAX_TERMS = 2 ** 21  # slightly above 2e6
+
+#: direct terms of a non-terminating 3F2 summed before a Thomae image is tried
+DIRECT_BUDGET = 2 ** 14
+
+EPS = sys.float_info.epsilon
+
+#: a Richardson step whose exponent has a larger real part divides by more
+#: than 2^1000 and changes nothing a double holds (2.0 ** 1024 overflows)
+_MAX_RICHARDSON_EXP = 1000.0
 
 
 @dataclass(frozen=True)
@@ -82,6 +111,8 @@ class SeriesResult:
     abs_error_estimate: float
     terms_used: int
     terminated: bool
+    #: what was summed: "direct", or the Thomae image with its excess
+    representation: str = "direct"
 
 
 def excess(p: ParamSet) -> LinExpr:
@@ -165,11 +196,13 @@ def _sum_terminating(upper, lower, n_term: int) -> SeriesResult:
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     t = 1.0 + 0.0j
+    weighted = 0.0
     for k in range(n_term + 1):
         y = t - comp
         new = total + y
         comp = (new - total) - y
         total = new
+        weighted += (k + 1) * abs(t)
         if k == n_term:
             break
         num = 1.0 + 0.0j
@@ -181,7 +214,7 @@ def _sum_terminating(upper, lower, n_term: int) -> SeriesResult:
         if den == 0:
             raise LowerPole(f"zero denominator advancing to term {k + 1}")
         t *= num / den
-    return SeriesResult(total, 0.0, n_term + 1, True)
+    return SeriesResult(total, EPS * weighted, n_term + 1, True)
 
 
 def _block_terms(upper, lower, t_start: complex, k_start: int, k_stop: int) -> np.ndarray:
@@ -204,39 +237,42 @@ def _block_terms(upper, lower, t_start: complex, k_start: int, k_stop: int) -> n
 _RICHARDSON_DEPTH = 5
 
 
-def _sum_infinite(upper, lower, s: Optional[complex], rel_tol: float) -> SeriesResult:
-    """Adaptive doubling with tail correction and Richardson extrapolation.
+def _doublings(upper, lower, s: Optional[complex], track_abs: bool = False):
+    """Yield ``(K, estimate, error, sum of |t_k|)`` at K = 64 * 2^j.
 
-    Corrected truncations V_j at K_j = 64 * 2^j carry an error expansion in
+    Corrected truncations V_j at K_j carry an error expansion in
     K^{-(s+1)}, K^{-(s+2)}, ...; a short Richardson table over the doubling
-    checkpoints removes the leading terms.
+    checkpoints removes the leading terms.  The error is the change of the
+    best estimate since the previous checkpoint (the next term in the entire
+    case, s None).  The sum of |t_k| is tracked only with ``track_abs``.
     """
     checkpoint = 64
     k_next = 0
     t_next = 1.0 + 0.0j
     partial = 0.0 + 0.0j
+    abs_sum = 0.0
     rows: list[list[complex]] = []  # rows[i] = Richardson level i over checkpoints
     best_prev: Optional[complex] = None
-    last_err = math.inf
+    if s is not None:
+        p = s.real + 1.0 if s.imag == 0 else s + 1.0
 
     while checkpoint <= MAX_TERMS:
         terms = _block_terms(upper, lower, t_next, k_next, checkpoint + 1)
         # terms covers indices k_next .. checkpoint; keep t_checkpoint for the tail
         partial += complex(np.sum(terms[:-1]))
+        if track_abs:
+            abs_sum += float(np.sum(np.abs(terms[:-1])))
         t_cp = complex(terms[-1])
         k_next = checkpoint
         t_next = t_cp
 
         if s is None:
-            # entire case: stop when the next term is negligible
-            if abs(t_cp) <= rel_tol * max(abs(partial), 1e-300):
-                return SeriesResult(partial, abs(t_cp), checkpoint, False)
+            yield checkpoint, partial, abs(t_cp), abs_sum
             checkpoint *= 2
             continue
 
         tail = t_cp * (checkpoint / s + 0.5)
         v = partial + tail
-        p = s.real + 1.0
         if not rows:
             rows.append([v])
         else:
@@ -245,23 +281,95 @@ def _sum_infinite(upper, lower, s: Optional[complex], rel_tol: float) -> SeriesR
             cur = v
             while level + 1 < min(len(rows[0]), _RICHARDSON_DEPTH):
                 prev = rows[level][-2]
-                cur = cur + (cur - prev) / (2.0 ** (p + level) - 1.0)
+                q = p + level
+                if q.real <= _MAX_RICHARDSON_EXP:
+                    cur = cur + (cur - prev) / (2.0 ** q - 1.0)
                 level += 1
                 if level == len(rows):
                     rows.append([])
                 rows[level].append(cur)
             best = cur
             if best_prev is not None:
-                err = abs(best - best_prev)
-                last_err = err
-                if err <= rel_tol * max(abs(best), 1e-300):
-                    return SeriesResult(best, err, checkpoint, False)
+                yield checkpoint, best, abs(best - best_prev), abs_sum
             best_prev = best
         checkpoint *= 2
 
+
+def _converged(best: complex, err: float, rel_tol: float) -> bool:
+    return err <= rel_tol * max(abs(best), 1e-300)
+
+
+def _sum_infinite(upper, lower, s: Optional[complex], rel_tol: float) -> SeriesResult:
+    """Direct summation; a 3F2 that has not converged after DIRECT_BUDGET
+    terms is summed through a Thomae image when one qualifies."""
+    spent = 0
+    err = math.inf
+    no_image = ""
+    for k, best, err, _ in _doublings(upper, lower, s):
+        if _converged(best, err, rel_tol):
+            return SeriesResult(best, err, spent + k, False)
+        if k == DIRECT_BUDGET and len(upper) == 3 and len(lower) == 2:
+            res, spent = _thomae_sum(upper, lower, s, rel_tol)
+            if res is not None:
+                return replace(res, terms_used=res.terms_used + k)
+            no_image = "; no well-conditioned Thomae image of larger excess"
     raise NoConvergence(
         f"no convergence to rel_tol={rel_tol} within {MAX_TERMS} terms "
-        f"(last delta {last_err:.3g})")
+        f"(last delta {err:.3g}){no_image}")
+
+
+def _thomae_sum(upper, lower, s: complex, rel_tol: float
+                ) -> tuple[Optional[SeriesResult], int]:
+    """F = prod Γ(num) / prod Γ(den) * F(image) from the first Thomae image,
+    in falling Re(excess) above Re(s), that sums well; also the terms summed.
+
+    An image qualifies when its lower parameters and gamma arguments are
+    regular and it converges to ``rel_tol / 2`` within DIRECT_BUDGET terms
+    with a rounding error, EPS * sum |t_k| of the image plus EPS * sum
+    |log Γ| of the prefactor (relative to F), of at most ``rel_tol / 2``.
+    The reported error adds that rounding to the image's own error estimate.
+    """
+    from .thomae import numeric_images  # thomae imports this module
+
+    images = [(sum(img[3:]) - sum(img[:3]), base, img, num, den)
+              for base, img, num, den in numeric_images(upper + lower)]
+    images = sorted((im for im in images if im[0].real > s.real),
+                    key=lambda im: -im[0].real)
+    real = not any(x.imag for x in upper + lower)
+    spent = 0
+    for s_img, base, img, num, den in images:
+        if any(_nonpos_int_index(x) is not None for x in img):
+            continue  # a lower pole, or an image that terminates
+        try:
+            logs = [loggamma(x) for x in num] + [-loggamma(x) for x in den]
+            pref = cmath.exp(sum(logs))
+        except (PoleError, OverflowError):
+            continue
+        k, best, err, abs_sum = _sum_image(img[:3], img[3:], s_img,
+                                           rel_tol / 2)
+        spent += k
+        rounding = EPS * (abs_sum / max(abs(best), 1e-300)
+                          + sum(abs(x) for x in logs))
+        value = (pref.real if real else pref) * best
+        if _converged(best, err, rel_tol / 2) and rounding <= rel_tol / 2 \
+                and cmath.isfinite(value):
+            excess_str = f"{s_img.real:.6g}" if s_img.imag == 0 \
+                else f"{s_img:.6g}"
+            rep = f"Thomae base {base} (excess {excess_str})"
+            return SeriesResult(value, abs(pref) * err + abs(value) * rounding,
+                                spent, False, rep), spent
+    return None, spent
+
+
+def _sum_image(upper, lower, s: complex, rel_tol: float) -> tuple:
+    """``(K, estimate, error, sum |t_k|)`` of a direct sum stopped at
+    convergence, at DIRECT_BUDGET terms or when its terms overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, best, err, abs_sum in _doublings(upper, lower, s,
+                                                track_abs=True):
+            if _converged(best, err, rel_tol) or k >= DIRECT_BUDGET \
+                    or not math.isfinite(abs_sum):
+                return k, best, err, abs_sum
 
 
 def series_pfq(p: ParamSet, assignment: Mapping[Symbol, complex],

@@ -19,13 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .expr import Expr, Gamma, LinExpr, Lin, Mul, ONE, Recip, combine
 from .series import ParamSet
 
 __all__ = ["ThomaeVariant", "BASE_COUNT", "all_variants", "apply_variant",
-           "base_relation", "five_forms", "inverse_of"]
+           "base_relation", "five_forms", "inverse_of", "numeric_images"]
 
 BASE_COUNT = 10
 
@@ -89,6 +89,22 @@ def base_relation(base: int, a: LinExpr, b: LinExpr, c: LinExpr,
         [Recip(Gamma(Lin(combine(row, slots)))) for row in den]
     return (ParamSet(tuple(img[:3]), tuple(img[3:])),
             Mul(tuple(factors)) if factors else ONE)
+
+
+def numeric_images(slots: Sequence[complex]) -> list[tuple]:
+    """The nine non-identity base images of numeric slots (a, b, c, f, e).
+
+    Each is ``(base, image, num, den)``: the image's slots (a', b', c', f',
+    e') and the gamma arguments of its prefactor, so that
+    F = prod Γ(num) / prod Γ(den) * F(image), from the same integer rows as
+    ``base_relation``.
+    """
+    def dot(row):
+        return sum(r * x for r, x in zip(row, slots) if r)
+
+    return [(k, [dot(r) for r in image], [dot(r) for r in num],
+             [dot(r) for r in den])
+            for k, (_, image, num, den) in _BASES.items() if k != BASE_COUNT]
 
 
 @dataclass(frozen=True)

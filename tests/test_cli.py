@@ -24,6 +24,21 @@ class TestEval:
         assert code == 0
         assert "1.64493406685" in out
 
+    def test_thomae_image_named_only_when_used(self, capsys):
+        code, out, _ = run(capsys, "eval", "--upper", "300,300,300",
+                           "--lower", "451,451")
+        assert code == 0
+        assert "value = 6.1830444569e+154" in out
+        assert "via Thomae base 1 (excess 300)" in out
+        _, out, _ = run(capsys, "eval", "--upper", "1,1,1", "--lower", "2,2")
+        assert "via" not in out
+
+    def test_no_well_conditioned_image_is_numeric_error(self, capsys):
+        code, _, err = run(capsys, "eval", "--upper", "1000000,1,1",
+                           "--lower", "1000001,5/2")
+        assert code == 4
+        assert "no well-conditioned Thomae image" in err
+
     def test_divergent_is_numeric_error(self, capsys):
         code, _, err = run(capsys, "eval", "--upper", "0.5,0.5,1",
                            "--lower", "0.2,0.1")

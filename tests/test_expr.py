@@ -95,6 +95,21 @@ class TestGamma:
         for z in (0, -1, -5, -2 + 1e-14j):
             with pytest.raises(PoleError):
                 E.cgamma(z)
+            with pytest.raises(PoleError):
+                E.loggamma(z)
+
+    def test_loggamma_against_mpmath(self):
+        """exp(loggamma) is Γ: equal to mpmath's log-gamma mod 2πi."""
+        rng = random.Random(12)
+        points = [complex(rng.uniform(-60, 600), rng.uniform(-40, 40))
+                  for _ in range(200)]
+        points += [complex(rng.uniform(-60, 600)) for _ in range(100)]
+        points += [451.0, -0.5, -1.5, 1e5 + 2j, 1e-8 + 1e-9j]
+        for z in points:
+            ref = mpmath.loggamma(mpmath.mpc(z))
+            d = mpmath.mpc(E.loggamma(z)) - ref
+            d -= 2j * mpmath.pi * mpmath.nint(d.imag / (2 * mpmath.pi))
+            assert abs(d) <= 1e-14 * max(1.0, abs(ref)), z
 
 
 class TestPolygamma:

@@ -2,15 +2,18 @@
 
 import math
 import random
+import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
 
 from hyp321 import expr as E
-from hyp321.errors import (DivergentSeries, LowerPole, NonFiniteParameter,
-                           UnboundSymbol)
-from hyp321.series import (ParamSet, excess, is_karlsson_minton,
-                           is_terminating, series_pfq, sum_series_numeric)
+from hyp321.errors import (DivergentSeries, LowerPole, NoConvergence,
+                           NonFiniteParameter, UnboundSymbol)
+from hyp321.series import (DIRECT_BUDGET, ParamSet, excess,
+                           is_karlsson_minton, is_terminating, series_pfq,
+                           sum_series_numeric)
 
 a, b, c, n = E.sym("a"), E.sym("b"), E.sym("c"), E.sym("n")
 
@@ -51,7 +54,9 @@ class TestTerminating:
     def test_exact_small_cases(self):
         # 2F1(-2, 1; 1; 1) = sum_{k=0..2} (-2)_k / k! = 1 - 2 + 1 = 0
         r = sum_series_numeric([-2, 1], [1])
-        assert r.terminated and r.value == 0.0 and r.abs_error_estimate == 0.0
+        assert r.terminated and r.value == 0.0
+        # the rounding bound EPS * sum (k + 1) |t_k| = EPS * (1 + 4 + 3)
+        assert r.abs_error_estimate == 8 * sys.float_info.epsilon
 
     def test_chu_vandermonde(self):
         # 2F1(-n, b; c; 1) = (c-b)_n / (c)_n
@@ -125,7 +130,7 @@ class TestInfinite:
         r = sum_series_numeric(up, lo, rel_tol=1e-10)
         ref = complex(mpmath.hyper([mpmath.mpc(u) for u in up],
                                    [mpmath.mpc(l) for l in lo], 1))
-        assert abs(r.value - ref) <= 1e-8 * abs(ref)
+        assert abs(r.value - ref) <= 1e-10 * abs(ref)
 
     def test_self_consistency_tolerance_halving(self):
         """Tighter tolerance never moves the answer by more than the bound."""
@@ -136,6 +141,123 @@ class TestInfinite:
             loose = sum_series_numeric(up, lo, rel_tol=1e-7)
             tight = sum_series_numeric(up, lo, rel_tol=1e-11)
             assert abs(loose.value - tight.value) <= 1e-6 * abs(tight.value)
+
+
+def _exact_terminating(up, lo):
+    """The exact sum of a terminating 3F2 at the doubles' exact values."""
+    up = [Fraction(float(u)) for u in up]
+    lo = [Fraction(float(l)) for l in lo]
+    total, term = Fraction(0), Fraction(1)
+    for k in range(int(-min(up)) + 1):
+        total += term
+        num = (up[0] + k) * (up[1] + k) * (up[2] + k)
+        term *= num / ((lo[0] + k) * (lo[1] + k) * (k + 1))
+    return total
+
+
+class TestErrorBounds:
+    def test_cancelling_terminating_sum_within_bound(self):
+        # terms up to 2.6e36 cancel to 1.2077e17; the float sum is off by
+        # about 2e20, which the estimate must cover
+        up, lo = [-40, 20.5, 30.5], [1.5, 2.5]
+        r = sum_series_numeric(up, lo)
+        exact = _exact_terminating(up, lo)
+        assert abs(float(exact) - 1.2077e17) < 1e-4 * 1.2077e17
+        assert abs(r.value - float(exact)) > 1e20
+        assert abs(r.value - float(exact)) <= r.abs_error_estimate
+
+    def test_terminating_bounds_hold(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randint(1, 60)
+            up = [-n, rng.randint(1, 400) / rng.choice((7, 11, 13)),
+                  rng.randint(1, 400) / rng.choice((7, 11, 13))]
+            lo = [rng.randint(1, 100) / rng.choice((7, 11, 13)),
+                  rng.randint(1, 100) / rng.choice((7, 11, 13))]
+            r = sum_series_numeric(up, lo)
+            exact = float(_exact_terminating(up, lo))
+            assert abs(r.value - exact) <= r.abs_error_estimate
+
+
+#: mpmath.hyp3f2(..., 1) at 30 digits of the exact double parameters,
+#: with the Thomae base each input is summed through
+_LARGE = [
+    ([300, 300, 300], [451, 451], 6.183044456902821786088609e+154, 1),
+    ([161.375, 243.94, 288.543], [232.171, 462.911],
+     8.6820678204482787218096e+128, 3),
+    ([214.224, 201.801, 41.947], [121.41, 337.129],
+     4.459610540603365831367582e+70, 8),
+    ([226.455, 83.191, 155.465], [255.435, 210.97],
+     1.024459773363897546802014e+66, 5),
+    ([284.106, 126.461, 299.55], [245.657, 465.115],
+     4.25025383563193964904567e+120, 6),
+]
+_COMPLEX = [
+    ([1.325 - 0.349j, 1.088 + 0.059j, 1.437 - 0.29j],
+     [1.824 + 0.083j, 3.066 - 0.663j],
+     2.079661150424438358953829 - 0.4406509098522529580046458j),
+    ([0.533 - 0.418j, 1.416 - 0.026j, 1.495 - 0.358j],
+     [1.72 + 0.252j, 3.036 - 1.054j],
+     1.32231890671854735316389 - 0.4835869479769394567121081j),
+    ([0.125 - 0.128j, 0.172 + 0.252j, 0.596 + 0.46j],
+     [1.662 + 0.221j, 0.106 + 0.363j],
+     1.118295697158948175536949 - 0.08021561301003860004174549j),
+    ([0.435 + 0.057j, 1.44 + 0.027j, 0.604 - 0.233j],
+     [0.789 + 0.062j, 2.976 - 0.211j],
+     1.361170630269342532150084 - 0.1104727365763897552311752j),
+]
+
+
+class TestHardInputs:
+    @pytest.mark.parametrize("up, lo, ref, base", _LARGE)
+    def test_large_parameters_via_thomae_image(self, up, lo, ref, base):
+        r = sum_series_numeric(up, lo, rel_tol=1e-10)
+        assert abs(r.value - ref) <= 1e-10 * abs(ref)
+        assert abs(r.value - ref) <= r.abs_error_estimate
+        assert r.abs_error_estimate <= 1e-10 * abs(ref)
+        assert r.representation.startswith(f"Thomae base {base} (excess ")
+        assert r.terms_used < DIRECT_BUDGET + 1024
+        assert r.value.imag == 0.0
+
+    @pytest.mark.parametrize("up, lo, ref", _COMPLEX)
+    def test_complex_parameters_direct(self, up, lo, ref):
+        r = sum_series_numeric(up, lo, rel_tol=1e-10)
+        assert abs(r.value - ref) <= max(1e-10 * abs(ref), r.abs_error_estimate)
+        assert r.representation == "direct"
+        assert r.terms_used <= 2 ** 13
+
+    def test_complex_excess_converges_directly(self):
+        """Richardson with the complex exponent s + 1: no stall."""
+        rng = random.Random(8)
+        for _ in range(40):
+            up = [complex(rng.uniform(0.1, 1.5), rng.uniform(-0.5, 0.5))
+                  for _ in range(3)]
+            s = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+            e = complex(rng.uniform(0.5, 2.5), rng.uniform(-0.3, 0.3))
+            r = sum_series_numeric(up, [e, sum(up) - e + s], rel_tol=1e-10)
+            assert r.representation == "direct"
+            assert r.terms_used <= 2 ** 13
+
+    def test_ill_conditioned_image_is_skipped(self):
+        # the image of largest excess (base 9, excess 108.38) converges,
+        # but its sum of |t_k| is about 1.8e6 times its value; the next
+        # one (base 2) is well conditioned
+        ref = 115598160889385668109715.3
+        r = sum_series_numeric([108.136, 33.942, 24.924], [133.304, 36.631])
+        assert r.representation == "Thomae base 2 (excess 33.942)"
+        assert abs(r.value - ref) <= 1e-10 * ref
+
+    def test_no_well_conditioned_image_is_typed(self):
+        # every image of larger excess has an upper parameter near -1e6,
+        # whose terms overflow; the direct sum stalls
+        with pytest.raises(NoConvergence, match="well-conditioned"):
+            sum_series_numeric([1e6, 1, 1], [1e6 + 1, 2.5])
+
+    def test_richardson_exponent_beyond_float_range(self):
+        # excess 2e6: 2.0 ** (s + 1) overflows a float
+        r = sum_series_numeric([0.5, 0.5], [2e6 + 1.0])
+        assert r.representation == "direct"
+        assert abs(r.value - 1.0 - 0.25 / (2e6 + 1.0)) < 1e-12
 
 
 class TestSeriesPfq:

@@ -11,7 +11,7 @@ from hyp321.series import ParamSet, excess, sum_series_numeric
 from hyp321.thomae import (BASE_COUNT, CLASS_REPRESENTATIVES,
                            IDENTITY_VARIANT, ThomaeVariant, all_variants,
                            apply_variant, base_relation, distinct_images,
-                           five_forms, inverse_of)
+                           five_forms, inverse_of, numeric_images)
 
 a, b, c = E.sym("a"), E.sym("b"), E.sym("c")
 f, e = E.sym("f"), E.sym("e")
@@ -274,3 +274,26 @@ class TestAgainstHandWrittenRelations:
         for v in all_variants():
             img, _ = apply_variant(v, GENERIC)
             assert sorted(five_forms(img), key=str) == forms, v.name
+
+
+class TestNumericImages:
+    def test_matches_base_relation(self):
+        """The numeric view evaluates the symbolic image and prefactor."""
+        rng = random.Random(77)
+        for _ in range(10):
+            assign = _draw(rng)
+            slots = [complex(x) for x in sum(GENERIC.eval(assign), [])]
+            images = numeric_images(slots)
+            assert [k for k, *_ in images] == list(range(1, BASE_COUNT))
+            for base, img, num, den in images:
+                ref_img, pref = base_relation(
+                    base, *(GENERIC.upper + GENERIC.lower))
+                up, lo = ref_img.eval(assign)
+                assert img == pytest.approx(up + lo, rel=1e-14, abs=1e-14)
+                value = 1.0
+                for x in num:
+                    value *= E.cgamma(x)
+                for x in den:
+                    value /= E.cgamma(x)
+                ref = E.eval_expr(pref, assign)
+                assert abs(value - ref) <= 1e-12 * abs(ref)
