@@ -20,7 +20,7 @@ import operator
 import re
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
 from .entries import RAW_ENTRIES
@@ -62,6 +62,10 @@ class DbEntry:
 
     def base_continuous(self) -> tuple[Symbol, ...]:
         """Continuous symbols that are sampled directly (not derived)."""
+        return self._base_continuous
+
+    @cached_property
+    def _base_continuous(self) -> tuple[Symbol, ...]:
         derived_names = {s for s, _ in self.derived}
         syms = set(self.lhs.free_symbols()) | free_symbols(self.rhs)
         for _, d in self.derived:

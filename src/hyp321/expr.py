@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import (IndexCapture, NonFiniteParameter, NonIntegerSumBound,
@@ -36,10 +37,18 @@ class Symbol:
     def __post_init__(self):
         if self.kind not in ("continuous", "integer"):
             raise ValueError(f"bad symbol kind {self.kind!r}")
+        object.__setattr__(self, "_hash", hash((self.name, self.kind)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # a pickled hash is stale under another hash seed
+        return Symbol, (self.name, self.kind)
 
 
+@lru_cache(maxsize=4096)
 def sym(name: str) -> Symbol:
-    """Make a symbol, honouring the reserved integer names."""
+    """Make a symbol, honouring the reserved integer names (interned)."""
     kind = "integer" if name in INTEGER_SYMBOL_NAMES else "continuous"
     return Symbol(name, kind)
 
@@ -131,12 +140,13 @@ class LinExpr:
 
     # -- evaluation / substitution ----------------------------------------
     def eval(self, assignment: Mapping[Symbol, complex]) -> complex:
+        # n / d is complex(Fraction) without its two ABC dispatches
         try:
-            total: complex = complex(self.const)
+            total = complex(self.const.numerator / self.const.denominator)
             for s, c in self.terms:
                 if s not in assignment:
                     raise UnboundSymbol(s.name)
-                total += complex(c) * complex(assignment[s])
+                total += complex(c.numerator / c.denominator) * complex(assignment[s])
         except OverflowError:
             raise NonFiniteParameter(
                 f"parameter {self} is too large for a float") from None
@@ -165,7 +175,6 @@ class LinExpr:
 
 
 LIN_ZERO = LinExpr.of(0)
-LIN_ONE = LinExpr.of(1)
 
 
 def combine(row: Sequence[Scalar], forms: Sequence[LinExpr],
@@ -346,6 +355,7 @@ _LANCZOS_COEF = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def is_near_nonpositive_integer(z: complex, tol: float = POLE_TOL) -> bool:
@@ -368,10 +378,10 @@ def cgamma(z: complex) -> complex:
         return math.pi / (cmath.sin(math.pi * z) * cgamma(1.0 - z))
     z -= 1.0
     x = complex(_LANCZOS_COEF[0])
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        x += c / (z + i)
+    for i in range(1, len(_LANCZOS_COEF)):
+        x += _LANCZOS_COEF[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+    return _SQRT_2PI * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
 #: coefficients B_{2j} / (2j (2j - 1)) of Stirling's series, j = 1..8
@@ -443,26 +453,23 @@ def eval_expr(e: Expr, assignment: Assignment, watson: Optional[WatsonFn] = None
     ``watson`` resolves WatsonRef nodes; leaving it unset raises UnboundSymbol
     if such a node is encountered.
     """
-    if isinstance(e, Const):
-        return complex(e.value)
-    if isinstance(e, Pi):
-        return complex(math.pi)
+    # hottest node types first, as counted in a numeric_mix round
     if isinstance(e, Lin):
         return e.lin.eval(assignment)
-    if isinstance(e, Add):
-        return sum((eval_expr(a, assignment, watson) for a in e.args), 0j)
+    if isinstance(e, Gamma):
+        return cgamma(eval_expr(e.arg, assignment, watson))
     if isinstance(e, Mul):
         out: complex = 1.0
         for a in e.args:
             out *= eval_expr(a, assignment, watson)
         return out
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, assignment, watson)
     if isinstance(e, Recip):
         v = eval_expr(e.arg, assignment, watson)
         if v == 0:
             raise PoleError("division by zero")
         return 1.0 / v
+    if isinstance(e, Const):
+        return complex(e.value)
     if isinstance(e, Pow):
         b = eval_expr(e.base, assignment, watson)
         p = eval_expr(e.exponent, assignment, watson)
@@ -471,8 +478,12 @@ def eval_expr(e: Expr, assignment: Assignment, watson: Optional[WatsonFn] = None
                 return 0.0
             raise PoleError("0 raised to a non-positive power")
         return cmath.exp(p * cmath.log(b))
-    if isinstance(e, Gamma):
-        return cgamma(eval_expr(e.arg, assignment, watson))
+    if isinstance(e, Add):
+        return sum((eval_expr(a, assignment, watson) for a in e.args), 0j)
+    if isinstance(e, Pi):
+        return complex(math.pi)
+    if isinstance(e, Neg):
+        return -eval_expr(e.arg, assignment, watson)
     if isinstance(e, Sin):
         return cmath.sin(eval_expr(e.arg, assignment, watson))
     if isinstance(e, Cos):

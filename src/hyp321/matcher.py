@@ -343,13 +343,13 @@ def identify(entries: Sequence[DbEntry], query: ParamSet, *,
             continue
         if entry.status == "conjecture" and not include_conjectures:
             continue
-        for v, img, pref in images:
+        for v, img in images:
             for sub in unify(entry.lhs, img):
                 smap = sub.as_dict()
                 if not _entry_constraints_ok(entry, smap):
                     continue
-                inst_rhs = Mul((pref, _substitute_capture_free(entry.rhs,
-                                                               smap)))
+                inst_rhs = Mul((apply_variant(v, query)[1],
+                                _substitute_capture_free(entry.rhs, smap)))
                 derived = tuple((s, _substitute_capture_free(d, smap))
                                 for s, d in entry.derived)
                 match = MatchResult(entry.id, v, sub, inst_rhs, derived)
@@ -482,8 +482,7 @@ def _kinds_preserved(e2: DbEntry, sub: Substitution) -> bool:
 @lru_cache(maxsize=256)
 def _images_of(q: ParamSet) -> tuple:
     """Distinct Thomae images of a parameter set, identity first (cached)."""
-    return tuple((v, img)
-                 for v, img, _ in distinct_images(q, _IMAGE_VARIANTS))
+    return tuple(distinct_images(q, _IMAGE_VARIANTS))
 
 
 @lru_cache(maxsize=2048)
@@ -501,7 +500,7 @@ def _witness_sound(e1: DbEntry, v: ThomaeVariant, tries: int = 24) -> bool:
     rng = random.Random(zlib.crc32((e1.id + "|" + v.name).encode()))
     img, pref = apply_variant(v, e1.lhs)
     grid = _int_grid(e1)
-    img_excess = excess(img)
+    lhs_excess, img_excess = excess(e1.lhs), excess(img)
     for _ in range(tries):
         base: dict[Symbol, complex] = {
             s: sample_continuous(rng) for s in e1.base_continuous()}
@@ -510,7 +509,7 @@ def _witness_sound(e1: DbEntry, v: ThomaeVariant, tries: int = 24) -> bool:
         try:
             full = e1.assignment_with_derived(base)
             if not is_terminating(e1.lhs, full) and \
-                    excess(e1.lhs).eval(full).real <= 0.3:
+                    lhs_excess.eval(full).real <= 0.3:
                 repaired = repaired_assignment(e1, base, rng)
                 if repaired is None:
                     continue

@@ -74,6 +74,11 @@ def _base(pair: tuple[int, int]) -> tuple:
 _BASES = dict(enumerate(map(_base, itertools.combinations(range(5), 2)), 1))
 
 
+def _image(base: int, slots: Sequence[LinExpr]) -> ParamSet:
+    img = [combine(row, slots) for row in _BASES[base][1]]
+    return ParamSet(tuple(img[:3]), tuple(img[3:]))
+
+
 def base_relation(base: int, a: LinExpr, b: LinExpr, c: LinExpr,
                   f: LinExpr, e: LinExpr) -> tuple[ParamSet, Expr]:
     """Image parameters and prefactor of base relation ``base`` in 1..10.
@@ -82,13 +87,11 @@ def base_relation(base: int, a: LinExpr, b: LinExpr, c: LinExpr,
     """
     if base not in _BASES:
         raise ValueError(f"base relation index {base} outside 1..10")
-    _, image, num, den = _BASES[base]
+    _, _, num, den = _BASES[base]
     slots = (a, b, c, f, e)
-    img = [combine(row, slots) for row in image]
     factors = [Gamma(Lin(combine(row, slots))) for row in num] + \
         [Recip(Gamma(Lin(combine(row, slots)))) for row in den]
-    return (ParamSet(tuple(img[:3]), tuple(img[3:])),
-            Mul(tuple(factors)) if factors else ONE)
+    return _image(base, slots), Mul(tuple(factors)) if factors else ONE
 
 
 def numeric_images(slots: Sequence[complex]) -> list[tuple]:
@@ -134,13 +137,16 @@ def _form_perm(v: ThomaeVariant) -> tuple[int, ...]:
     return tuple(moved[k] for k in _BASES[v.base][0])
 
 
-def apply_variant(v: ThomaeVariant, p: ParamSet) -> tuple[ParamSet, Expr]:
-    """Apply a variant: permute the slots of ``p``, then the base relation."""
+def _slots(v: ThomaeVariant, p: ParamSet) -> list[LinExpr]:
     if len(p.upper) != 3 or len(p.lower) != 2:
         raise ValueError("Thomae relations apply to 3F2 parameter sets only")
-    a, b, c = (p.upper[i] for i in v.upper_perm)
-    f, e = (p.lower[i] for i in v.lower_perm)
-    return base_relation(v.base, a, b, c, f, e)
+    return [p.upper[i] for i in v.upper_perm] + \
+        [p.lower[i] for i in v.lower_perm]
+
+
+def apply_variant(v: ThomaeVariant, p: ParamSet) -> tuple[ParamSet, Expr]:
+    """Apply a variant: permute the slots of ``p``, then the base relation."""
+    return base_relation(v.base, *_slots(v, p))
 
 
 def all_variants() -> list[ThomaeVariant]:
@@ -166,23 +172,23 @@ CLASS_REPRESENTATIVES = _class_representatives()
 
 def distinct_images(p: ParamSet,
                     variants: Optional[Iterable[ThomaeVariant]] = None
-                    ) -> list[tuple[ThomaeVariant, ParamSet, Expr]]:
+                    ) -> list[tuple[ThomaeVariant, ParamSet]]:
     """One representative variant per distinct image multiset, in order.
 
     Without ``variants`` only the ten ``CLASS_REPRESENTATIVES`` are applied,
     one variant per class.  Each of the 120 variants reaches the image of
     its class representative, which precedes it in ``all_variants()``, so
     the result equals a scan of all 120 for every parameter set, even where
-    classes coincide.
+    classes coincide.  ``apply_variant`` gives a variant's prefactor.
     """
     seen: set = set()
     out = []
     for v in (variants if variants is not None else CLASS_REPRESENTATIVES):
-        img, pref = apply_variant(v, p)
+        img = _image(v.base, _slots(v, p))
         k = img.key()
         if k not in seen:
             seen.add(k)
-            out.append((v, img, pref))
+            out.append((v, img))
     return out
 
 

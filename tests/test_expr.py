@@ -1,15 +1,31 @@
 """Expression trees: evaluation, substitution, serialization."""
 
+import cmath
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
+from typing import Optional
 
 import mpmath
 import pytest
 
+from hyp321 import contiguous
 from hyp321 import expr as E
-from hyp321.errors import (IndexCapture, NonIntegerSumBound, ParseError,
-                           PoleError, UnboundSymbol)
+from hyp321.database import seed_db
+from hyp321.errors import (IndexCapture, NonFiniteParameter,
+                           NonIntegerSumBound, ParseError, PoleError,
+                           UnboundSymbol)
+from hyp321.expr import (_LANCZOS_COEF, _LANCZOS_G, Add, Assignment, Const,
+                         Cos, FiniteSum, Gamma, Lin, Mul, Neg, Pi, Pochhammer,
+                         Polygamma, Pow, Recip, Sin, WatsonFn, WatsonRef,
+                         cpolygamma, is_near_nonpositive_integer,
+                         rising_factorial)
+from hyp321.series import sample_continuous
 
 a, b, c = E.sym("a"), E.sym("b"), E.sym("c")
 n = E.sym("n")
@@ -272,3 +288,285 @@ class TestAsReal:
         assert E.as_real(2.0 + 1e-13j) == 2.0
         v = E.as_real(2.0 + 0.1j)
         assert v == 2.0 + 0.1j
+
+
+# ---------------------------------------------------------------------------
+# Differential: the evaluator against its straightforward form
+# ---------------------------------------------------------------------------
+
+# The three functions below are the evaluator as it was before it was tuned
+# (Fraction coefficients through complex(), the node types in declaration
+# order, the Lanczos constants rebuilt on each call).  Every value of the
+# tuned evaluator must equal theirs bit for bit.
+
+def ref_lin_eval(self, assignment):
+    try:
+        total: complex = complex(self.const)
+        for s, c in self.terms:
+            if s not in assignment:
+                raise UnboundSymbol(s.name)
+            total += complex(c) * complex(assignment[s])
+    except OverflowError:
+        raise NonFiniteParameter(
+            f"parameter {self} is too large for a float") from None
+    return total
+
+
+def ref_cgamma(z: complex) -> complex:
+    z = complex(z)
+    if is_near_nonpositive_integer(z):
+        raise PoleError(f"gamma pole at {z}")
+    if z.real < 0.5:
+        # reflection: Gamma(z) = pi / (sin(pi z) * Gamma(1 - z))
+        return math.pi / (cmath.sin(math.pi * z) * ref_cgamma(1.0 - z))
+    z -= 1.0
+    x = complex(_LANCZOS_COEF[0])
+    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
+        x += c / (z + i)
+    t = z + _LANCZOS_G + 0.5
+    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+
+
+def ref_eval_expr(e: E.Expr, assignment: Assignment,
+                  watson: Optional[WatsonFn] = None) -> complex:
+    if isinstance(e, Const):
+        return complex(e.value)
+    if isinstance(e, Pi):
+        return complex(math.pi)
+    if isinstance(e, Lin):
+        return ref_lin_eval(e.lin, assignment)
+    if isinstance(e, Add):
+        return sum((ref_eval_expr(a, assignment, watson) for a in e.args), 0j)
+    if isinstance(e, Mul):
+        out: complex = 1.0
+        for a in e.args:
+            out *= ref_eval_expr(a, assignment, watson)
+        return out
+    if isinstance(e, Neg):
+        return -ref_eval_expr(e.arg, assignment, watson)
+    if isinstance(e, Recip):
+        v = ref_eval_expr(e.arg, assignment, watson)
+        if v == 0:
+            raise PoleError("division by zero")
+        return 1.0 / v
+    if isinstance(e, Pow):
+        b = ref_eval_expr(e.base, assignment, watson)
+        p = ref_eval_expr(e.exponent, assignment, watson)
+        if b == 0:
+            if p.real > 0:
+                return 0.0
+            raise PoleError("0 raised to a non-positive power")
+        return cmath.exp(p * cmath.log(b))
+    if isinstance(e, Gamma):
+        return ref_cgamma(ref_eval_expr(e.arg, assignment, watson))
+    if isinstance(e, Sin):
+        return cmath.sin(ref_eval_expr(e.arg, assignment, watson))
+    if isinstance(e, Cos):
+        return cmath.cos(ref_eval_expr(e.arg, assignment, watson))
+    if isinstance(e, Polygamma):
+        return cpolygamma(e.order, ref_eval_expr(e.arg, assignment, watson))
+    if isinstance(e, Pochhammer):
+        base = ref_eval_expr(e.base, assignment, watson)
+        cnt = ref_lin_eval(e.count, assignment)
+        if abs(cnt.imag) < 1e-12 and abs(cnt.real - round(cnt.real)) < 1e-12:
+            return rising_factorial(base, int(round(cnt.real)))
+        return ref_cgamma(base + cnt) / ref_cgamma(base)
+    if isinstance(e, FiniteSum):
+        lo = ref_lin_eval(e.lower, assignment)
+        hi = ref_lin_eval(e.upper, assignment)
+        for v in (lo, hi):
+            if abs(v.imag) > 1e-9 or abs(v.real - round(v.real)) > 1e-9:
+                raise NonIntegerSumBound(f"sum bound {v} is not an integer")
+        lo_i, hi_i = int(round(lo.real)), int(round(hi.real))
+        sign = 1.0
+        if hi_i < lo_i - 1:
+            # definite-sum convention for reversed bounds (see class docstring)
+            lo_i, hi_i, sign = hi_i + 1, lo_i - 1, -1.0
+        total: complex = 0.0
+        inner = dict(assignment)
+        for i in range(lo_i, hi_i + 1):  # empty when hi == lo - 1
+            inner[e.index] = i
+            total += ref_eval_expr(e.body, inner, watson)
+        return sign * total
+    if isinstance(e, WatsonRef):
+        if watson is None:
+            raise UnboundSymbol("WatsonRef encountered without a watson resolver")
+        a = ref_eval_expr(e.a, assignment, watson)
+        b = ref_eval_expr(e.b, assignment, watson)
+        c = ref_eval_expr(e.c, assignment, watson)
+        m = ref_lin_eval(e.m, assignment)
+        n = ref_lin_eval(e.n, assignment)
+        for v in (m, n):
+            if abs(v.imag) > 1e-9 or abs(v.real - round(v.real)) > 1e-9:
+                raise NonIntegerSumBound(f"Watson offset {v} is not an integer")
+        return watson(a, b, c, int(round(m.real)), int(round(n.real)))
+    raise TypeError(f"unknown node {e!r}")
+
+
+def _fake_watson(a, b, c, m, n):
+    """A cheap resolver: both evaluators must pass it the same arguments."""
+    return a * 3 + b - c * 1j + m - 0.5 * n
+
+
+def _outcome(fn, *args):
+    """``repr`` of the value, or the type of the exception raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+def _assert_same(e, assignment, watson=_fake_watson):
+    got = _outcome(E.eval_expr, e, assignment, watson)
+    want = _outcome(ref_eval_expr, e, assignment, watson)
+    assert got == want, (E.expr_str(e), assignment)
+    return want
+
+
+def _draw(rng, symbols, complex_part: bool):
+    out = {}
+    for s in symbols:
+        if s.kind == "integer":
+            out[s] = rng.randint(0, 4)
+        else:
+            out[s] = sample_continuous(rng)
+            if complex_part:
+                out[s] += 1j * rng.uniform(-0.5, 0.5)
+    return out
+
+
+class TestEvaluatorDifferential:
+    def test_seed_entries(self):
+        """Every entry's derived definitions and closed form, at seeded draws."""
+        rng = random.Random(41)
+        compared = 0
+        for entry in seed_db():
+            ints = [s for s, _ in entry.int_symbols]
+            for k in range(4):
+                full = _draw(rng, entry.base_continuous() + tuple(ints),
+                             complex_part=k >= 2)
+                for s, d in entry.derived:
+                    value = _assert_same(d, full)
+                    if not isinstance(value, str):
+                        break
+                    full[s] = ref_eval_expr(d, full)
+                else:
+                    _assert_same(entry.rhs, full)
+                    compared += 1
+        assert compared >= 300
+
+    def test_anchors_and_prefactors(self):
+        """The eight Watson anchors and the four conversion prefactors."""
+        rng = random.Random(42)
+        anchors = contiguous.default_anchor_table().entries
+        assert len(anchors) == 8
+        prefactors = (contiguous._X_TO_W_PREF, contiguous._W_TO_X_PREF,
+                      contiguous._P_FROM_W_PREF, contiguous._P_FROM_X_PREF)
+        sa, sb, sc, sm, sn = (E.sym(x) for x in "abcmn")
+        for k in range(20):
+            assignment = _draw(rng, (sa, sb, sc), complex_part=k % 2 == 1)
+            for entry, _ in anchors.values():
+                _assert_same(entry.rhs, assignment)
+            assignment.update({sm: rng.randint(-4, 4), sn: rng.randint(-4, 4)})
+            for pref in prefactors:
+                _assert_same(pref, assignment)
+
+    def test_one_tree_per_node_type(self):
+        k = E.sym("k")
+        la, lb, ln = E.LinExpr.of(a), E.LinExpr.of(b), E.LinExpr.of(n)
+        A, B = E.Lin(la), E.Lin(lb)
+        trees = [
+            E.Const(Q(-7, 3)), E.PI_CONST, A, E.Lin(la * Q(2, 7) - lb + 1),
+            E.Add((A, B, E.ONE)), E.Mul((A, B, E.PI_CONST)), E.Neg(A),
+            E.Recip(A), E.Recip(E.Const(Q(0))),
+            E.Pow(A, B), E.Pow(E.Const(Q(0)), B),
+            E.Pow(E.Const(Q(0)), E.Neg(B)), E.Pow(E.Const(Q(0)), E.Const(Q(0))),
+            E.Gamma(A), E.Gamma(E.Neg(A)), E.Gamma(E.Const(Q(-2))),
+            E.Sin(A), E.Cos(A), E.Polygamma(1, A),
+            E.Pochhammer(A, ln), E.Pochhammer(A, ln - 3),
+            E.Pochhammer(A, lb),
+            E.FiniteSum(k, E.LinExpr.of(0), ln, E.Lin(E.LinExpr.of(k) + la)),
+            E.FiniteSum(k, E.LinExpr.of(1), ln - 4, E.Gamma(E.Lin(
+                E.LinExpr.of(k) + la))),
+            E.FiniteSum(k, E.LinExpr.of(0), la, E.ONE),
+            E.WatsonRef(A, B, E.ONE, E.LinExpr.of(1), ln - 2),
+            E.WatsonRef(A, B, E.ONE, la, ln),
+        ]
+        rng = random.Random(43)
+        for tree in trees:
+            for j in range(6):
+                assignment = _draw(rng, (a, b, n), complex_part=j % 2 == 1)
+                _assert_same(tree, assignment)
+        unresolved = E.WatsonRef(A, B, E.ONE, E.LinExpr.of(0), ln)
+        assert _assert_same(unresolved, {a: 0.5, b: 0.25, n: 1},
+                            watson=None) is UnboundSymbol
+        assert _assert_same(E.Add((A, B)), {a: 0.5}) is UnboundSymbol
+
+    def test_cgamma(self):
+        rng = random.Random(44)
+        points = [complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
+                  for _ in range(500)]
+        points += [rng.uniform(-8, 8) for _ in range(500)]
+        points += [0.5, 1, 2, 171.5, -3, -2 + 1e-14j, 1e-300]
+        for z in points:
+            assert _outcome(E.cgamma, z) == _outcome(ref_cgamma, z), z
+
+    def test_lin_eval_matches_complex_of_fraction(self):
+        """n / d is complex(Fraction) bit for bit, int constants included."""
+        rng = random.Random(45)
+        for _ in range(4000):
+            num = rng.choice((rng.randint(-10, 10),
+                              rng.randint(-10 ** 40, 10 ** 40)))
+            den = rng.choice((rng.randint(1, 12), rng.randint(1, 10 ** 40)))
+            q = Q(num, den)
+            const = rng.randint(-10 ** 20, 10 ** 20)
+            lin = E.LinExpr(((a, q),), const) if q else E.LinExpr((), const)
+            x = rng.choice((sample_continuous(rng),
+                            complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                            rng.randint(-5, 5), -0.0))
+            assert repr(E.LinExpr((), q).eval({})) == repr(complex(q))
+            assert repr(lin.eval({a: x})) == repr(ref_lin_eval(lin, {a: x}))
+
+    def test_huge_coefficient_raises_every_call(self):
+        huge = 10 ** 400
+        for lin in (E.LinExpr.of(a) * huge, E.LinExpr.of(huge),
+                    E.LinExpr(((a, Q(1)),), huge)):
+            for _ in range(3):
+                with pytest.raises(NonFiniteParameter):
+                    lin.eval({a: 1.0})
+
+
+# ---------------------------------------------------------------------------
+# Symbols: hashing, interning, pickling
+# ---------------------------------------------------------------------------
+
+_PICKLE_A_SYMBOL = """
+import pickle, sys
+from hyp321.expr import sym
+sys.stdout.write(pickle.dumps([sym("a"), sym("n")]).hex())
+"""
+
+
+class TestSymbol:
+    def test_hash_is_the_dataclass_value(self):
+        for name, kind in (("a", "continuous"), ("n", "integer")):
+            assert hash(E.Symbol(name, kind)) == hash((name, kind))
+
+    def test_sym_is_interned(self):
+        assert E.sym("a") is E.sym("a")
+        assert E.sym("a") == E.Symbol("a")
+
+    def test_pickle_from_another_hash_seed(self):
+        """A symbol pickled under another PYTHONHASHSEED finds its entry."""
+        src = str(Path(E.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
+        if os.environ.get("PYTHONHASHSEED") == "12345":
+            env["PYTHONHASHSEED"] = "54321"
+        out = subprocess.run([sys.executable, "-c", _PICKLE_A_SYMBOL],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout
+        got_a, got_n = pickle.loads(bytes.fromhex(out))
+        table = {E.sym("a"): "a", E.sym("n"): "n"}
+        assert table[got_a] == "a" and table[got_n] == "n"
+        assert got_n.kind == "integer"
+        assert hash(got_a) == hash(("a", "continuous"))
