@@ -4,7 +4,7 @@ Subcommands::
 
     eval      --upper A,B,C --lower E,F [--tol R]
     identify  --upper ... --lower ... [--conjectures] [--seed S] [--tol R]
-    verify    [--entry ID] [--trials K] [--seed S] [--tol R] [--report PATH]
+    verify    [--entry ID] [--trials K>=3] [--seed S] [--tol R] [--report PATH]
     watson|dixon|whipple --a --b --c --m --n [--tol R]
     cull      [--in PATH] --out PATH
     db        list | show ID | export PATH
@@ -105,6 +105,11 @@ def _cmd_identify(args) -> int:
         print("no match")
         return EXIT_NO_MATCH
     numeric = _numeric_paramset(query)
+    try:  # summed once; a failure is reported at every hit
+        lhs = numeric and sum_series_numeric(*numeric,
+                                             rel_tol=args.tol / 10).value
+    except Hyp321Error as exc:
+        lhs = exc
     for h in hits:
         print(f"{h.entry_id}  variant={h.variant.name}  {h.substitution}")
         print(f"  rhs = {expr_str(h.instantiated_rhs)}")
@@ -112,8 +117,8 @@ def _cmd_identify(args) -> int:
             print(f"  with {s.name} = {expr_str(d)}")
         if numeric is not None and not h.derived:
             try:
-                lhs = sum_series_numeric(numeric[0], numeric[1],
-                                         rel_tol=args.tol / 10).value
+                if isinstance(lhs, Hyp321Error):
+                    raise lhs
                 rhs = eval_expr(h.instantiated_rhs, {},
                                 watson=contiguous.watson_element)
             except Hyp321Error as exc:
@@ -216,6 +221,13 @@ def _cmd_db(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _trials(text: str) -> int:
+    """``verify --trials``: ``verify_entry`` needs at least 3 samples."""
+    if int(text) < 3:
+        raise argparse.ArgumentTypeError(f"needs at least 3, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="hyp321",
@@ -239,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the numeric database gate")
     p.add_argument("--entry")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_trials, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--report")

@@ -303,10 +303,17 @@ def _mapped(prefactor: Expr, mapped_args, a, b, c, m, n
             substitute(prefactor, {_A: a, _B: b, _C: c, _M: m, _N: n}))
 
 
+def _x_to_w_args(a, b, c, m, n) -> tuple:
+    return 1 + m + a - b * 2, a, 1 + m + a - b - c, m, n
+
+
+def _p_from_w_args(a, b, c, m, n) -> tuple:
+    return c - b, a * 2 - c + m + 1 - b, a - n, m, n
+
+
 def x_to_w(a, b, c, m, n) -> tuple[tuple[LinExpr, ...], Expr]:
     """X_{m,n}(a,b,c) = W_{m,n}(mapped args) · prefactor."""
-    return _mapped(_X_TO_W_PREF, lambda a, b, c, m, n: (
-        1 + m + a - b * 2, a, 1 + m + a - b - c, m, n), a, b, c, m, n)
+    return _mapped(_X_TO_W_PREF, _x_to_w_args, a, b, c, m, n)
 
 
 def w_to_x(a, b, c, m, n) -> tuple[tuple[LinExpr, ...], Expr]:
@@ -318,8 +325,7 @@ def w_to_x(a, b, c, m, n) -> tuple[tuple[LinExpr, ...], Expr]:
 
 def p_from_w(a, b, c, m, n) -> tuple[tuple[LinExpr, ...], Expr]:
     """P_{m,n}(a,b,c) = W_{m,n}(mapped args) · prefactor."""
-    return _mapped(_P_FROM_W_PREF, lambda a, b, c, m, n: (
-        c - b, a * 2 - c + m + 1 - b, a - n, m, n), a, b, c, m, n)
+    return _mapped(_P_FROM_W_PREF, _p_from_w_args, a, b, c, m, n)
 
 
 def p_from_x(a, b, c, m, n) -> tuple[tuple[LinExpr, ...], Expr]:
@@ -389,10 +395,7 @@ def dixon_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
                   anchors: Optional[AnchorTable] = None) -> complex:
     """X_{m,n}(a, b, c) via the Watson lattice at shifted arguments."""
     m, n = int(m), int(n)
-    wa = 1 + m + a - 2 * b
-    wb = a
-    wc = 1 + m + a - b - c
-    value = (watson_element(wa, wb, wc, m, n, anchors=anchors)
+    value = (watson_element(*_x_to_w_args(a, b, c, m, n), anchors=anchors)
              * _prefactor_value(_X_TO_W_PREF, a, b, c, m, n))
     if rel_tol is not None:
         _cross_check(ContigQuery("dixon", a, b, c, m, n), value, rel_tol)
@@ -414,10 +417,7 @@ def whipple_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
         raise ExceptionalCase(
             "the Whipple conversion fails at m = n = 0 when a is a "
             "non-positive integer and b is not an integer")
-    wa = c - b
-    wb = 2 * a - c + m + 1 - b
-    wc = a - n
-    value = (watson_element(wa, wb, wc, m, n, anchors=anchors)
+    value = (watson_element(*_p_from_w_args(a, b, c, m, n), anchors=anchors)
              * _prefactor_value(_P_FROM_W_PREF, a, b, c, m, n))
     if rel_tol is not None:
         _cross_check(ContigQuery("whipple", a, b, c, m, n), value, rel_tol)

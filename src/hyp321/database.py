@@ -19,15 +19,16 @@ import json
 import operator
 import re
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .entries import RAW_ENTRIES
-from .errors import (DivergentSeries, Hyp321Error, InsufficientSamples,
-                     LowerPole, NoConvergence, NonFiniteParameter,
-                     NonIntegerSumBound, ParseError, PoleError,
-                     SchemaVersionMismatch)
+from .errors import (AnchorPole, DivergentSeries, Hyp321Error,
+                     InsufficientSamples, LowerPole, NoConvergence,
+                     NonFiniteParameter, NonIntegerSumBound, ParseError,
+                     PoleError, SchemaVersionMismatch, SingularRecursionPath)
 from .expr import (Expr, LinExpr, Mul, Symbol, eval_expr, expr_from_json,
                    expr_to_json, free_symbols, lin_from_json, lin_to_json,
                    sym, substitute)
@@ -113,9 +114,8 @@ def _build_entry(raw: dict) -> DbEntry:
     rhs = raw["rhs"] if isinstance(raw["rhs"], Expr) else parse_expr(raw["rhs"])
     derived = tuple((sym(name), parse_expr(d) if not isinstance(d, Expr) else d)
                     for name, d in raw.get("derived", []))
-    syms = set(lhs.free_symbols()) | free_symbols(rhs)
-    for _, d in derived:
-        syms |= free_symbols(d)
+    syms = set(lhs.free_symbols()).union(
+        free_symbols(rhs), *(free_symbols(d) for _, d in derived))
     ints = raw.get("ints", {})
     int_symbols = tuple(
         (s, tuple(ints.get(s.name, (f"{s.name}>=1",))))
@@ -192,9 +192,9 @@ def get_entry(entries: Sequence[DbEntry], entry_id: str) -> DbEntry:
 _REL_RE = re.compile(r"(<=|>=|<|>)")
 
 #: errors of one numeric draw that discard the draw instead of failing
-RECOVERABLE = (PoleError, DivergentSeries, LowerPole, NoConvergence,
-               NonFiniteParameter, NonIntegerSumBound, OverflowError,
-               ZeroDivisionError)
+RECOVERABLE = (PoleError, AnchorPole, SingularRecursionPath, DivergentSeries,
+               LowerPole, NoConvergence, NonFiniteParameter,
+               NonIntegerSumBound, OverflowError, ZeroDivisionError)
 
 _COMPARE = {"<": operator.lt, "<=": operator.le,
             ">": operator.gt, ">=": operator.ge}
@@ -248,12 +248,10 @@ def constraints_hold(entry: DbEntry, assignment: Mapping[Symbol, complex],
     return True
 
 
-def _draw_integers(entry: DbEntry, rng) -> Optional[dict[Symbol, int]]:
-    out: dict[Symbol, int] = {}
-    for s, constraints in entry.int_symbols:
-        lo, hi = int_range(constraints, s.name)
-        out[s] = rng.randint(lo, hi)
-    return out if constraints_hold(entry, out) else None
+def converges_at(p: ParamSet, exc: LinExpr, full: Mapping) -> bool:
+    """The convergence gate: ``p`` terminates, or Re(``exc``) > 0.3, where
+    the caller passes ``exc = excess(p)`` to compute it once per check."""
+    return is_terminating(p, full) or exc.eval(full).real > 0.3
 
 
 def _excess_at(entry: DbEntry, base: Mapping[Symbol, complex]) -> float:
@@ -289,20 +287,14 @@ def _newton_shift(entry: DbEntry, base: dict[Symbol, complex], s: Symbol,
 
 def repaired_assignment(entry: DbEntry, base: dict[Symbol, complex],
                          rng) -> Optional[dict[Symbol, complex]]:
-    """Full assignment with the excess pushed into the convergence region."""
-    try:
-        full = entry.assignment_with_derived(base)
-    except RECOVERABLE:
-        return None
-    if is_terminating(entry.lhs, full):
-        return full
-    s_val = entry.excess.eval(full).real
-    if s_val >= 0.3:
+    """Full assignment with the excess pushed into the convergence region,
+    or None.  Draws from ``rng`` only when it repairs."""
+    full = entry.assignment_with_derived(base)
+    if converges_at(entry.lhs, entry.excess, full):
         return full
     target = 0.45 + 0.4 * rng.random()
     for s in entry.base_continuous():
-        trial = dict(base)
-        fixed = _newton_shift(entry, trial, s, target)
+        fixed = _newton_shift(entry, dict(base), s, target)
         if fixed is not None:
             try:
                 full = entry.assignment_with_derived(fixed)
@@ -314,10 +306,36 @@ def repaired_assignment(entry: DbEntry, base: dict[Symbol, complex],
     return None
 
 
-def _entry_rng(entry_id: str, seed: int):
+def entry_rng(key: str, seed: int):
+    """The rng of every numeric check: seeded by ``seed`` and ``key``."""
     import random
 
-    return random.Random((seed << 32) ^ zlib.crc32(entry_id.encode()))
+    return random.Random((seed << 32) ^ zlib.crc32(key.encode()))
+
+
+def sample_checks(rng, tries: int, draw: Callable, lhs: Callable,
+                  rhs: Callable) -> Iterator:
+    """Yield one outcome per draw: a comparison or why none was made.
+
+    ``draw(rng)`` returns a full assignment, or the name of the gate that
+    refused the draw, e.g. "excess".  The outcome is a :class:`SampleRecord`
+    of ``lhs`` against ``rhs`` (equal when both are below 1e-14), that gate
+    name, or the class name of a ``RECOVERABLE`` error.
+    """
+    for _ in range(tries):
+        try:
+            full = draw(rng)
+            if isinstance(full, str):
+                yield full
+                continue
+            lv, rv = lhs(full), rhs(full)
+        except RECOVERABLE as exc:
+            yield type(exc).__name__
+            continue
+        tiny = abs(lv) < 1e-14 and abs(rv) < 1e-14
+        err = 0.0 if tiny else abs(lv - rv) / max(abs(lv), abs(rv), 1e-300)
+        yield SampleRecord(tuple(sorted((s.name, full[s]) for s in full)),
+                           lv, rv, err)
 
 
 def default_watson(a: complex, b: complex, c: complex,
@@ -331,49 +349,44 @@ def default_watson(a: complex, b: complex, c: complex,
 def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
                  rel_tol: Optional[float] = None,
                  watson: Optional[Callable] = None) -> VerificationReport:
-    """Check an entry numerically at ``trials`` random sample points.
+    """Check an entry numerically at ``trials`` (at least 3) random points.
 
     Draw integer symbols small, continuous symbols from the sampling box,
     evaluate derived symbols, repair the excess if the series would diverge,
     then compare oracle and closed form.  Draws where either side hits a pole
     or the series cannot be summed are discarded and redrawn; fewer than three
-    successful comparisons raise :class:`InsufficientSamples`.
+    comparisons raise :class:`InsufficientSamples`, naming the discards.
     """
     tol = entry.rel_tol if rel_tol is None else rel_tol
     series_tol = min(1e-10, tol / 100.0)
-    rng = _entry_rng(entry.id, seed)
     resolver = watson if watson is not None else default_watson
-    samples: list[SampleRecord] = []
-    attempts = 0
-    max_attempts = 100 * trials
-    while len(samples) < trials and attempts < max_attempts:
-        attempts += 1
-        ints = _draw_integers(entry, rng)
-        if ints is None:
-            continue
-        base: dict[Symbol, complex] = dict(ints)
-        for s in entry.base_continuous():
-            base[s] = sample_continuous(rng)
-        full = repaired_assignment(entry, base, rng)
-        if full is None:
-            continue
-        try:
-            lhs = series_pfq(entry.lhs, full, rel_tol=series_tol).value
-            rhs = eval_expr(entry.rhs, full, watson=resolver)
-        except RECOVERABLE:
-            continue
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        if abs(lhs) < 1e-14 and abs(rhs) < 1e-14:
-            err = 0.0
+
+    def draw(rng):
+        ints = {s: rng.randint(*int_range(cs, s.name))
+                for s, cs in entry.int_symbols}
+        if not constraints_hold(entry, ints):
+            return "constraints"
+        full = repaired_assignment(entry, ints | {
+            s: sample_continuous(rng) for s in entry.base_continuous()}, rng)
+        return "excess" if full is None else full
+
+    samples, discarded = [], Counter()
+    for out in sample_checks(
+            entry_rng(entry.id, seed), 100 * trials, draw,
+            lambda full: series_pfq(entry.lhs, full, rel_tol=series_tol).value,
+            lambda full: eval_expr(entry.rhs, full, watson=resolver)):
+        if isinstance(out, str):
+            discarded[out] += 1
         else:
-            err = abs(lhs - rhs) / scale
-        samples.append(SampleRecord(
-            assignment=tuple(sorted((s.name, full[s]) for s in full)),
-            lhs=lhs, rhs=rhs, rel_err=err))
+            samples.append(out)
+            if len(samples) == trials:
+                break
     if len(samples) < 3:
+        reasons = ", ".join(f"{k} {v}" for k, v in discarded.most_common())
         raise InsufficientSamples(
-            f"{entry.id}: only {len(samples)} usable samples "
-            f"after {attempts} draws")
+            f"{entry.id}: only {len(samples)} usable samples after "
+            f"{len(samples) + discarded.total()} draws "
+            f"(discarded: {reasons or 'none'})")
     passed = all(s.rel_err < tol for s in samples)
     return VerificationReport(entry.id, passed, tuple(samples))
 
@@ -382,13 +395,9 @@ def verify_all(entries: Sequence[DbEntry], trials: int = 5, seed: int = 0,
                rel_tol: Optional[float] = None,
                watson: Optional[Callable] = None,
                skip_status: Sequence[str] = ()) -> dict[str, VerificationReport]:
-    out = {}
-    for e in entries:
-        if e.status in skip_status:
-            continue
-        out[e.id] = verify_entry(e, trials=trials, seed=seed,
-                                 rel_tol=rel_tol, watson=watson)
-    return out
+    return {e.id: verify_entry(e, trials=trials, seed=seed, rel_tol=rel_tol,
+                               watson=watson)
+            for e in entries if e.status not in skip_status}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ optional spot check on candidate matches.
 
 from __future__ import annotations
 
-import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,16 +20,16 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
 from operator import mul
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .database import (RECOVERABLE, DbEntry, constraints_hold,
-                       default_watson, int_range, repaired_assignment)
+from .database import (DbEntry, SampleRecord, constraints_hold,
+                       converges_at, default_watson, entry_rng, int_range,
+                       repaired_assignment, sample_checks)
 from .errors import Hyp321Error
 from .expr import (Add, Cos, Expr, FiniteSum, Gamma, LinExpr, LIN_ZERO, Mul,
                    Neg, Pochhammer, Polygamma, Pow, Recip, Sin, Symbol,
                    WatsonRef, combine, eval_expr, free_symbols, substitute)
-from .series import (ParamSet, excess, is_terminating, sample_continuous,
-                     series_pfq)
+from .series import ParamSet, excess, sample_continuous, series_pfq
 from .thomae import (CLASS_REPRESENTATIVES, IDENTITY_VARIANT, LOWER_PERMS,
                      UPPER_PERMS, ThomaeVariant, apply_variant,
                      distinct_images, five_forms)
@@ -231,60 +230,51 @@ def _entry_constraints_ok(entry: DbEntry,
     return constraints_hold(entry, values, skip_unbound=True)
 
 
-def _spot_check(query: ParamSet, match: MatchResult, entry: DbEntry,
-                seed: int, rel_tol: float) -> bool:
-    """Numerically test one candidate match at a random legal assignment.
-
-    Returns False only on a demonstrated numeric mismatch; if no convergent
-    check point can be found the candidate is accepted.
-    """
-    rng = random.Random((seed << 32) ^ zlib.crc32(
-        (match.entry_id + "|" + match.variant.name).encode()))
-    derived_names = {s for s, _ in match.derived}
-    base: set[Symbol] = set(query.free_symbols())
-    base |= free_symbols(match.instantiated_rhs)
-    for _, d in match.derived:
-        base |= free_symbols(d)
-    base -= derived_names
+def _spot_samples(query: ParamSet, match: MatchResult, entry: DbEntry,
+                  seed: int) -> Optional[Iterator]:
+    """The spot check's outcomes (see ``sample_checks``), drawn lazily, or
+    None when an integer symbol of ``entry`` is unbound or a derived
+    definition uses a symbol not drawn or derived before it."""
+    base = set(query.free_symbols()).union(
+        free_symbols(match.instantiated_rhs),
+        *(free_symbols(d) for _, d in match.derived))
+    base -= {s for s, _ in match.derived}
     order = sorted(base, key=lambda s: s.name)
     submap = match.substitution.as_dict()
-    for _ in range(30):
-        assign: dict[Symbol, complex] = {}
-        for s in order:
-            assign[s] = rng.randint(1, 4) if s.kind == "integer" \
-                else sample_continuous(rng)
-        try:
-            full = dict(assign)
-            for s, d in match.derived:
-                full[s] = eval_expr(d, full)
-            # respect the entry's own integer constraints at this draw
-            ivals: dict[Symbol, complex] = {}
-            bad = False
-            for s, _ in entry.int_symbols:
-                lin = submap.get(s)
-                if lin is None:
-                    bad = True
-                    break
-                v = lin.eval(full)
-                if abs(v.imag) > 1e-9 or abs(v.real - round(v.real)) > 1e-9:
-                    bad = True
-                    break
-                ivals[s] = complex(round(v.real))
-            if bad:
-                continue
-            if not constraints_hold(entry, ivals):
-                continue
-            exc = excess(query).eval(full)
-            if not is_terminating(query, full) and exc.real <= 0.3:
-                continue
-            lhs = series_pfq(query, full, rel_tol=1e-10).value
-            rhs = eval_expr(match.instantiated_rhs, full,
-                            watson=default_watson)
-        except (RECOVERABLE + (Hyp321Error,)):
-            continue
-        err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        return err < rel_tol
-    return True
+    if any(s not in submap for s, _ in entry.int_symbols):
+        return None
+    for s, d in match.derived:
+        if not free_symbols(d) <= base:
+            return None
+        base.add(s)
+
+    def draw(rng):
+        full = {s: rng.randint(1, 4) if s.kind == "integer"
+                else sample_continuous(rng) for s in order}
+        for s, d in match.derived:
+            full[s] = eval_expr(d, full)
+        # respect the entry's own integer constraints at this draw
+        ivals = {s: submap[s].eval(full) for s, _ in entry.int_symbols}
+        if any(abs(v.imag) > 1e-9 or abs(v.real - round(v.real)) > 1e-9
+               for v in ivals.values()) or not constraints_hold(
+                entry, {s: complex(round(v.real)) for s, v in ivals.items()}):
+            return "constraints"
+        return full if converges_at(query, excess(query), full) else "excess"
+
+    return sample_checks(
+        entry_rng(match.entry_id + "|" + match.variant.name, seed), 30, draw,
+        lambda full: series_pfq(query, full, rel_tol=1e-10).value,
+        lambda full: eval_expr(match.instantiated_rhs, full,
+                               watson=default_watson))
+
+
+def _spot_check(query: ParamSet, match: MatchResult, entry: DbEntry,
+                seed: int, rel_tol: float) -> bool:
+    """Test a candidate match numerically at random legal assignments: False
+    only on a demonstrated mismatch, an untestable match is accepted."""
+    return next((o.rel_err < rel_tol for o in
+                 _spot_samples(query, match, entry, seed) or ()
+                 if isinstance(o, SampleRecord)), True)
 
 
 def _rename_captured_indices(e: Expr, taken: frozenset[Symbol]) -> Expr:
@@ -485,6 +475,26 @@ def _images_of(q: ParamSet) -> tuple:
     return tuple(distinct_images(q, _IMAGE_VARIANTS))
 
 
+def _witness_samples(e1: DbEntry, v: ThomaeVariant, tries: int) -> Iterator:
+    """Outcomes of F(lhs) = prefactor * F(image) at legal draws of ``e1``."""
+    img, pref = apply_variant(v, e1.lhs)
+    img_excess, grid = excess(img), _int_grid(e1)
+    if not grid:  # no legal integer assignment: nothing to draw
+        return iter(())
+
+    def draw(rng):
+        base = {s: sample_continuous(rng) for s in e1.base_continuous()}
+        full = repaired_assignment(e1, base | rng.choice(grid), rng)
+        ok = full is not None and converges_at(img, img_excess, full)
+        return full if ok else "excess"
+
+    return sample_checks(
+        entry_rng(e1.id + "|" + v.name, 0), tries, draw,
+        lambda full: series_pfq(e1.lhs, full, rel_tol=1e-10).value,
+        lambda full: series_pfq(img, full, rel_tol=1e-10).value
+        * eval_expr(pref, full))
+
+
 @lru_cache(maxsize=2048)
 def _witness_sound(e1: DbEntry, v: ThomaeVariant, tries: int = 24) -> bool:
     """Check numerically that the connecting Thomae relation is non-degenerate.
@@ -493,38 +503,11 @@ def _witness_sound(e1: DbEntry, v: ThomaeVariant, tries: int = 24) -> bool:
     linking the two evaluations breaks down on the whole legal domain (gamma
     poles in the prefactor at integer parameters).  The witness is accepted
     only if F(lhs) = prefactor * F(image) verifies at some legal assignment;
-    a relation that is never evaluable is treated as degenerate.
+    a relation with no usable draw is treated as degenerate.
     """
-    if v == IDENTITY_VARIANT:
-        return True
-    rng = random.Random(zlib.crc32((e1.id + "|" + v.name).encode()))
-    img, pref = apply_variant(v, e1.lhs)
-    grid = _int_grid(e1)
-    lhs_excess, img_excess = excess(e1.lhs), excess(img)
-    for _ in range(tries):
-        base: dict[Symbol, complex] = {
-            s: sample_continuous(rng) for s in e1.base_continuous()}
-        if grid:
-            base.update(rng.choice(grid))
-        try:
-            full = e1.assignment_with_derived(base)
-            if not is_terminating(e1.lhs, full) and \
-                    lhs_excess.eval(full).real <= 0.3:
-                repaired = repaired_assignment(e1, base, rng)
-                if repaired is None:
-                    continue
-                full = repaired
-            if not is_terminating(img, full) and \
-                    img_excess.eval(full).real <= 0.3:
-                continue
-            lv = series_pfq(e1.lhs, full, rel_tol=1e-10).value
-            iv = series_pfq(img, full, rel_tol=1e-10).value
-            pv = eval_expr(pref, full)
-        except (RECOVERABLE + (Hyp321Error,)):
-            continue
-        err = abs(lv - pv * iv) / max(abs(lv), abs(pv * iv), 1e-300)
-        return err < 1e-6
-    return False
+    return v == IDENTITY_VARIANT or next(
+        (o.rel_err < 1e-6 for o in _witness_samples(e1, v, tries)
+         if isinstance(o, SampleRecord)), False)
 
 
 def equivalent(e1: DbEntry, e2: DbEntry
@@ -538,9 +521,8 @@ def equivalent(e1: DbEntry, e2: DbEntry
     numerically at a legal assignment.
     """
     q = _renamed(e1.lhs)
-    rename_syms = set(e1.lhs.free_symbols())
-    for _, d in e1.derived:
-        rename_syms |= free_symbols(d)
+    rename_syms = set(e1.lhs.free_symbols()).union(
+        *(free_symbols(d) for _, d in e1.derived))
     rename_fwd = {s: LinExpr.make({_qsym(s): Q(1)}) for s in rename_syms}
 
     for v, img in _images_of(q):
@@ -555,11 +537,8 @@ def equivalent(e1: DbEntry, e2: DbEntry
 
 
 def _int_lower_bound(entry: DbEntry, s: Symbol) -> int:
-    for t, constraints in entry.int_symbols:
-        if t == s:
-            lo, _ = int_range(constraints, s.name)
-            return lo
-    return 0
+    return next((int_range(cs, s.name)[0] for t, cs in entry.int_symbols
+                 if t == s), 0)
 
 
 def _sup_if_bounded(entry: DbEntry, lin: LinExpr) -> Optional[Fraction]:

@@ -2,13 +2,19 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyp321.cli
 from hyp321.cli import main
 from hyp321.database import (get_entry, load_db, save_db, seed_db,
                              _build_entry)
 from hyp321.entries import RAW_ENTRIES
+from hyp321.series import sum_series_numeric
 
 
 def run(capsys, *argv):
@@ -101,6 +107,25 @@ class TestIdentify:
         assert code == 3
         assert "no match" in out
 
+    def test_query_series_summed_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sum_series_numeric(*args, **kwargs)
+
+        monkeypatch.setattr(hyp321.cli, "sum_series_numeric", counted)
+        code, out, _ = run(capsys, "identify", "--upper", "1.1,0.4,1.6",
+                           "--lower", "2,2.2")
+        assert code == 0 and len(calls) == 1
+        assert out.count("  check: series=") == 24
+
+    def test_divergent_query_check_unavailable_per_hit(self, capsys):
+        code, out, _ = run(capsys, "identify", "--upper=-1/2,2/5,8/5",
+                           "--lower", "1/2,1/2")
+        assert code == 0
+        assert out.count("  check: unavailable (DivergentSeries)") == 12
+
     def test_deterministic_output(self, capsys):
         args = ("identify", "--upper", "1.1,0.4,1.6", "--lower", "2,2.2",
                 "--seed", "7")
@@ -118,6 +143,13 @@ class TestVerify:
         assert code == 0
         assert out.startswith("PASS B.37")
         assert report.read_text() == out
+
+    @pytest.mark.parametrize("trials", ["2", "0", "-1"])
+    def test_fewer_than_three_trials_is_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "--entry", "B.37",
+                             "--trials", trials)
+        assert code == 2 and not out
+        assert f"--trials: needs at least 3, got {trials}" in err
 
     def test_unknown_entry(self, capsys):
         code, _, _ = run(capsys, "verify", "--entry", "B.999")
@@ -197,3 +229,16 @@ class TestDbAndCull:
         assert "B.43" in kept_ids
         assert not {"B.44", "B.45"} & kept_ids
         assert "dropped" in out
+
+
+def test_cli_import_loads_no_mpmath():
+    """``import hyp321.cli`` plus the first ``seed_db()`` stays light: it is
+    what the benchmark's ``setup_s`` times."""
+    src = str(Path(hyp321.cli.__file__).resolve().parents[1])
+    code = ("import sys, hyp321.cli\n"
+            "hyp321.cli.seed_db()\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'mpmath'])")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

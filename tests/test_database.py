@@ -6,15 +6,17 @@ import random
 import pytest
 
 from hyp321 import expr as E
-from hyp321.database import (constraints_hold, db_from_json, db_to_json,
-                             dumps_db, entry_from_json, entry_to_json,
-                             get_entry, load_db, parse_constraint, save_db,
+from hyp321.database import (constraints_hold, converges_at, db_from_json,
+                             db_to_json, dumps_db, entry_from_json,
+                             entry_to_json, get_entry, load_db,
+                             parse_constraint, sample_checks, save_db,
                              seed_db, verify_all, verify_entry, _build_entry)
 from hyp321.entries import RAW_ENTRIES
-from hyp321.errors import (InsufficientSamples, ParseError,
-                           SchemaVersionMismatch, UnboundSymbol)
+from hyp321.errors import (AnchorPole, InsufficientSamples, ParseError,
+                           PoleError, SchemaVersionMismatch,
+                           SingularRecursionPath, UnboundSymbol)
 from hyp321.parser import parse_expr
-from hyp321.series import ParamSet, series_pfq, sum_series_numeric
+from hyp321.series import ParamSet, excess, series_pfq, sum_series_numeric
 
 a, b, c, n, s = E.sym("a"), E.sym("b"), E.sym("c"), E.sym("n"), E.sym("s")
 
@@ -58,7 +60,9 @@ class TestSpecialValues:
         entry = _build_entry(dict(
             id="T.INF", upper="a, b, c", lower="d, 2", rhs="1",
             derived=[("d", "G(a+120)*G(a+120)")], prov="synthetic"))
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InsufficientSamples,
+                           match=r"after 300 draws \(discarded: "
+                                 r"NonFiniteParameter 300\)"):
             verify_entry(entry, trials=3)
 
     def test_perturbed_coefficient_fails(self):
@@ -69,6 +73,51 @@ class TestSpecialValues:
         entry = _build_entry(bad)
         report = verify_entry(entry, trials=5, seed=0, rel_tol=1e-7)
         assert not report.passed
+
+
+class TestSampleChecks:
+    def test_outcome_per_draw(self):
+        draws = iter([{a: 1.0}, "excess", {a: 0.0}, {a: 2.0}])
+
+        def lhs(full):
+            if full[a] == 0.0:
+                raise PoleError("pole")
+            return full[a]
+
+        out = list(sample_checks(random.Random(0), 4, lambda rng: next(draws),
+                                 lhs, lambda full: 1.0))
+        assert out[1:3] == ["excess", "PoleError"]
+        assert out[0].assignment == (("a", 1.0),) and out[0].rel_err == 0.0
+        assert (out[3].lhs, out[3].rhs, out[3].rel_err) == (2.0, 1.0, 0.5)
+
+    def test_tiny_values_compare_equal(self):
+        [out] = sample_checks(random.Random(0), 1, lambda rng: {},
+                              lambda full: 1e-15, lambda full: 3e-15)
+        assert out.rel_err == 0.0
+
+    def test_unrecoverable_error_propagates(self):
+        with pytest.raises(UnboundSymbol):
+            list(sample_checks(random.Random(0), 3, lambda rng: {},
+                               lambda full: E.eval_expr(parse_expr("a"), full),
+                               lambda full: 1.0))
+
+    def test_watson_lattice_failures_discard_the_draw(self):
+        errors = iter([AnchorPole("anchor"), SingularRecursionPath("path")])
+
+        def rhs(full):
+            raise next(errors)
+
+        out = sample_checks(random.Random(0), 2, lambda rng: {},
+                            lambda full: 1.0, rhs)
+        assert list(out) == ["AnchorPole", "SingularRecursionPath"]
+
+    def test_convergence_gate(self):
+        d = E.sym("d")
+        p = ParamSet.make([a, -E.LinExpr.of(n), b], [c, d])
+        exc = excess(p)
+        assert converges_at(p, exc, {a: 1, n: 2, b: 1, c: 0.5, d: 0.5})
+        assert not converges_at(p, exc, {a: 1, n: -2, b: 1, c: 2.25, d: 2})
+        assert converges_at(p, exc, {a: 1, n: -2, b: 1, c: 2.5, d: 2})
 
 
 class TestConstraints:

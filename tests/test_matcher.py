@@ -9,11 +9,12 @@ import pytest
 from hyp321 import expr as E
 from hyp321.database import get_entry, seed_db, _build_entry
 from hyp321.matcher import (Substitution, _images_of, _invertible,
-                            _orbit_key, _point_value, _renamed, cull,
-                            equivalent, identify, unify)
+                            _orbit_key, _point_value, _renamed, _spot_check,
+                            _spot_samples, _witness_samples, _witness_sound,
+                            cull, equivalent, identify, unify)
 from hyp321.series import ParamSet, excess
-from hyp321.thomae import (LOWER_PERMS, UPPER_PERMS, ThomaeVariant,
-                           all_variants, apply_variant)
+from hyp321.thomae import (CLASS_REPRESENTATIVES, LOWER_PERMS, UPPER_PERMS,
+                           ThomaeVariant, all_variants, apply_variant)
 
 a, b, c, n = E.sym("a"), E.sym("b"), E.sym("c"), E.sym("n")
 L = E.sym("L")
@@ -281,7 +282,62 @@ class TestIdentify:
         assert any(h.entry_id == "CONJ.24" for h in hits)
 
 
+class TestSpotCheck:
+    @staticmethod
+    def _conj24_hits():
+        db = seed_db()
+        query = get_entry(db, "CONJ.24").lhs
+        return db, query, identify(db, query, include_conjectures=True,
+                                   numeric_check=False)
+
+    def test_circular_derived_binding_is_untestable(self):
+        db, query, hits = self._conj24_hits()
+        circular = [h for h in hits if _spot_samples(
+            query, h, get_entry(db, h.entry_id), 0) is None]
+        assert len(circular) == 8
+        for h in circular:
+            # the substituted definition of e1 mentions the query's own e1
+            assert any(s in E.free_symbols(d) for s, d in h.derived)
+            assert _spot_check(query, h, get_entry(db, h.entry_id), 0, 1e-6)
+        assert identify(db, query, include_conjectures=True) == hits
+
+    def test_no_usable_draw_is_an_outcome(self):
+        db, query, hits = self._conj24_hits()
+        b41 = [h for h in hits if h.entry_id == "B.41"]
+        assert len(b41) == 12
+        entry = get_entry(db, "B.41")
+        for h in b41:
+            assert list(_spot_samples(query, h, entry, 0)) == ["excess"] * 30
+            assert _spot_check(query, h, entry, 0, 1e-6)
+
+    def test_mismatch_rejected(self):
+        db = seed_db()
+        query = _const_paramset([Q(11, 10), Q(2, 5), Q(8, 5)],
+                                [Q(2), Q(11, 5)])
+        hit = identify(db, query)[0]
+        entry = get_entry(db, hit.entry_id)
+        assert _spot_check(query, hit, entry, 0, 1e-6)
+        wrong = dataclasses.replace(hit, instantiated_rhs=E.Mul(
+            (E.Const(Q(21, 20)), hit.instantiated_rhs)))
+        assert not _spot_check(query, wrong, entry, 0, 1e-6)
+
+
 class TestEquivalent:
+    def test_untestable_witness_is_degenerate(self):
+        # every draw leaves the image at Re(excess) <= 0.3
+        e = get_entry(seed_db(), "EQ.1")
+        v = next(v for v in CLASS_REPRESENTATIVES if v.name == "T1·(abc|fe)")
+        assert list(_witness_samples(e, v, 24)) == ["excess"] * 24
+        assert not _witness_sound(e, v)
+
+    def test_no_legal_integer_draw_is_degenerate(self):
+        e = _build_entry(dict(id="T.G", upper="a, -n, b",
+                              lower="c, a+b-c-n+1", rhs="1",
+                              ints={"n": ("n>=5",)}))
+        v = CLASS_REPRESENTATIVES[0]
+        assert list(_witness_samples(e, v, 24)) == []
+        assert not _witness_sound(e, v)
+
     def test_self_witness(self):
         e = get_entry(seed_db(), "B.37")
         witness = equivalent(e, e)
