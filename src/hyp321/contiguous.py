@@ -31,7 +31,7 @@ from typing import Optional
 
 from .errors import (AnchorPole, DivergentSeries, ExceptionalCase, GammaPole,
                      Hyp321Error, LowerPole, NoConvergence, NoConvergentCheck,
-                     PoleError, SingularRecursionPath)
+                     PoleError, ShapeError, SingularRecursionPath)
 from .expr import (Expr, LinExpr, eval_expr, is_near_nonpositive_integer,
                    substitute, sym)
 from .parser import parse_expr
@@ -73,7 +73,7 @@ class ContigQuery:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ShapeError(f"unknown family {self.family!r}")
 
     def series_params(self) -> tuple[tuple[Numeric, ...], tuple[Numeric, ...]]:
         """Upper/lower parameters of the defining ₃F₂."""

@@ -5,6 +5,11 @@ class Hyp321Error(Exception):
     """Base class for all package-specific errors."""
 
 
+class ShapeError(Hyp321Error, ValueError):
+    """Input of the wrong form: a parameter set that is not 3F2-shaped where
+    one is required, or an unknown contiguous family."""
+
+
 class PoleError(Hyp321Error):
     """A gamma/polygamma argument landed (numerically) on a non-positive integer."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -195,6 +196,43 @@ def combine(row: Sequence[Scalar], forms: Sequence[LinExpr],
                 coeffs[s] = coeffs[s] + c if s in coeffs else c
     return LinExpr(tuple(sorted(((s, c) for s, c in coeffs.items() if c),
                                 key=lambda t: t[0].name)), const)
+
+
+def int_rows(forms: Sequence[LinExpr]
+             ) -> tuple[tuple[Symbol, ...], list[list[int]], int]:
+    """``forms`` as integer rows over one common denominator.
+
+    Returns ``(syms, rows, den)``: the symbols of ``forms`` in sorted order,
+    and for each form its coefficients on ``syms`` followed by its constant,
+    all multiplied by ``den``, the least common denominator of ``forms``.
+    ``row_lin`` is the inverse.
+    """
+    syms = tuple(sorted({s for f in forms for s, _ in f.terms}))
+    den = math.lcm(*(c.denominator for f in forms for _, c in f.terms),
+                   *(f.const.denominator for f in forms))
+    col = {s: i for i, s in enumerate(syms)}
+    rows = []
+    for f in forms:
+        row = [0] * len(syms)
+        for s, c in f.terms:
+            row[col[s]] = c.numerator * (den // c.denominator)
+        row.append(f.const.numerator * (den // f.const.denominator))
+        rows.append(row)
+    return syms, rows, den
+
+
+def row_lin(syms: Sequence[Symbol], row: Sequence[int], den: int) -> LinExpr:
+    """The form ``row / den`` over ``syms``, its constant last."""
+    return LinExpr(tuple((s, Q(n, den)) for s, n in zip(syms, row) if n),
+                   Q(row[-1], den))
+
+
+def combine_rows(matrix: Sequence[Sequence[int]],
+                 rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """``matrix @ rows``: each row of ``matrix`` combines the integer rows."""
+    cols = list(zip(*rows))
+    return [tuple([sum(map(operator.mul, r, col)) for col in cols])
+            for r in matrix]
 
 
 # ---------------------------------------------------------------------------

@@ -6,35 +6,36 @@ unification with the ten distinct Thomae images of a query to look the query
 up in the database; ``equivalent`` and ``cull`` use the same machinery to
 reduce a collection of identities to an inequivalent base set.
 
-All symbolic matching is exact (``fractions.Fraction``); floating-point values
-never participate in unification.  Numeric evaluation is used only as an
-optional spot check on candidate matches.
+All symbolic matching is exact: each parameter set is encoded as integer
+rows over one common denominator (``expr.int_rows``) and eliminated with
+Python ints; ``LinExpr`` values are built only for the substitutions that
+``unify`` returns.  Floating-point values never participate in unification.
+Numeric evaluation is used only as an optional spot check on candidate
+matches.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
-from operator import mul
+from math import gcd
+from operator import itemgetter, mul
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .database import (DbEntry, SampleRecord, constraints_hold,
                        converges_at, default_watson, entry_rng, int_range,
                        repaired_assignment, sample_checks)
-from .errors import Hyp321Error
-from .expr import (Add, Cos, Expr, FiniteSum, Gamma, LinExpr, LIN_ZERO, Mul,
-                   Neg, Pochhammer, Polygamma, Pow, Recip, Sin, Symbol,
-                   WatsonRef, combine, eval_expr, free_symbols, substitute)
+from .errors import Hyp321Error, ShapeError
+from .expr import (Add, Cos, Expr, FiniteSum, Gamma, LinExpr, Mul, Neg,
+                   Pochhammer, Polygamma, Pow, Recip, Sin, Symbol, WatsonRef,
+                   combine_rows, eval_expr, free_symbols, int_rows, row_lin,
+                   substitute)
 from .series import ParamSet, excess, sample_continuous, series_pfq
-from .thomae import (CLASS_REPRESENTATIVES, IDENTITY_VARIANT, LOWER_PERMS,
-                     UPPER_PERMS, ThomaeVariant, apply_variant,
-                     distinct_images, five_forms)
-
-Q = Fraction
+from .thomae import (CLASS_REPRESENTATIVES, DOUBLED_FORMS, IDENTITY_VARIANT,
+                     LOWER_PERMS, UPPER_PERMS, ThomaeVariant, apply_variant,
+                     distinct_images)
 
 #: the identity, then one variant per class of Thomae images
 _IMAGE_VARIANTS = (IDENTITY_VARIANT,) + CLASS_REPRESENTATIVES
@@ -75,92 +76,100 @@ class MatchResult:
 # Exact unification
 # ---------------------------------------------------------------------------
 
-def _gauss_jordan(rows: list[list[Fraction]],
-                  ncols: int) -> Optional[list[list[Fraction]]]:
-    """Gauss-Jordan over Fraction on the first ``ncols`` columns.
+def _eliminate(rows: list[list[int]],
+               ncols: int) -> Optional[tuple[int, list[list[int]]]]:
+    """Fraction-free Gauss-Jordan (Bareiss) over int on the first ``ncols``.
 
-    Pivots on the first nonzero entry; later columns ride along.  Returns the
-    reduced rows, pivot rows first, or None when the rank is below ``ncols``.
+    Pivots on the first nonzero entry; later columns ride along.  Every
+    division is exact.  Returns ``(d, rows)``: the pivot rows come first and
+    row i < ``ncols`` reads d on column i and 0 on the other pivot columns,
+    so that dividing the rows by d gives the reduced echelon form.  None when
+    the rank is below ``ncols``.
     """
     m = [row[:] for row in rows]
+    prev = 1
     for col in range(ncols):
-        piv = next((i for i in range(col, len(m)) if m[i][col] != 0), None)
+        piv = next((i for i in range(col, len(m)) if m[i][col]), None)
         if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
-        inv = Q(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(len(m)):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return m
+        p, top = m[col][col], m[col]
+        m = [row if i == col else
+             [(p * x - row[col] * y) // prev for x, y in zip(row, top)]
+             for i, row in enumerate(m)]
+        prev = p
+    return prev, m
+
+
+def _aligned_slots(up: tuple[int, ...], lp: tuple[int, ...]) -> itemgetter:
+    """Picks, from a row over template slots, the template slot aligned with
+    each query slot when template slot j meets query slot ``(up + lp)[j]``."""
+    perm = up + tuple(3 + i for i in lp)
+    return itemgetter(*sorted(range(5), key=perm.__getitem__))
+
+
+#: the 6 x 2 slot alignments, in the order ``unify`` tries them
+_ALIGNMENTS = tuple(_aligned_slots(up, lp)
+                    for up in UPPER_PERMS for lp in LOWER_PERMS)
 
 
 @dataclass(frozen=True)
 class _Compiled:
-    """A template's slots ``M sigma + c``, eliminated once.
+    """A template's slots ``M sigma + c`` as integer rows, eliminated once.
 
-    An alignment q is consistent iff ``consistency @ q == check``, and its
-    unique solution is then ``left_inverse @ q - offset``.
+    ``int_rows`` gives the slots as ``[den M | den c]``; ``_eliminate`` of
+    ``[den M | I]`` gives a left inverse ``L / det`` of ``den M`` and
+    consistency rows C with ``C M = 0``.  For a query q with integer columns
+    over its own denominator Dq, an alignment is consistent iff every row r
+    of C has ``r @ q`` zero on the symbol columns and ``den * (r @ q_const)
+    == Dq * (r @ den c)``, the ``check``.  The solution is then
+    ``(den L @ q - Dq * (L @ den c) e_const) / (det * Dq)``, with ``offset``
+    the ``L @ den c``.  ``aligned`` holds C and ``den L`` for each alignment
+    of ``_ALIGNMENTS``, their columns permuted to the query's slot order.
     """
 
     syms: tuple[Symbol, ...]
-    left_inverse: tuple[tuple[Fraction, ...], ...]   # k x 5
-    offset: tuple[Fraction, ...]                      # left_inverse @ c
-    consistency: tuple[tuple[int, ...], ...]         # (5 - k) x 5
-    check: tuple[int, ...]                            # consistency @ c
+    integer: tuple[int, ...]           # positions of integer-kind symbols
+    det: int                           # > 0
+    den: int
+    check: tuple[int, ...]
+    offset: tuple[int, ...]
+    aligned: tuple[tuple[tuple, tuple], ...]
 
 
 @lru_cache(maxsize=256)
 def _compile(upper: tuple[LinExpr, ...],
              lower: tuple[LinExpr, ...]) -> Optional[_Compiled]:
-    """Eliminate ``[M | I]`` for the slot-ordered template (cached).
+    """Eliminate ``[D M | I]`` for the slot-ordered template (cached).
 
-    Each consistency row is scaled so that it and its check are integers.
     None when the rank of M is below the number of template symbols: every
     alignment is then underdetermined.
     """
-    params = upper + lower
-    syms = tuple(sorted(frozenset().union(*(p.free_symbols() for p in params)),
-                        key=lambda s: s.name))
+    syms, rows, den = int_rows(upper + lower)
     k = len(syms)
-    m = _gauss_jordan([[p.coeff(s) for s in syms] + [Q(int(i == j))
-                                                     for j in range(5)]
-                       for i, p in enumerate(params)], k)
-    if m is None:
+    reduced = _eliminate([row[:k] + [int(i == j) for j in range(5)]
+                          for i, row in enumerate(rows)], k)
+    if reduced is None:
         return None
+    det, m = reduced
+    sign = -1 if det < 0 else 1
+    inverse = [[sign * x for x in row[k:]] for row in m[:k]]
+    consistency = [row[k:] for row in m[k:]]
+    consistency = [[x // gcd(*row) for x in row] for row in consistency]
+    const = [row[k] for row in rows]
+
+    scaled = [[den * x for x in row] for row in inverse]
 
     def dot(row):
-        return sum((r * p.const for r, p in zip(row, params)), Q(0))
+        return sum(map(mul, row, const))
 
-    inverse = tuple(tuple(row[k:]) for row in m[:k])
-    consistency = []
-    for row in m[k:]:
-        scale = lcm(*(x.denominator for x in row[k:] + [dot(row[k:])]))
-        consistency.append(tuple(int(x * scale) for x in row[k:]))
-    return _Compiled(syms, inverse, tuple(map(dot, inverse)),
-                     tuple(consistency),
-                     tuple(int(dot(row)) for row in consistency))
-
-
-def _point_value(lin: LinExpr) -> Fraction:
-    """``lin`` at a fixed integer point seeded by each symbol's name."""
-    return lin.const + sum(c * (zlib.crc32(s.name.encode()) + 1)
-                           for s, c in lin.terms)
-
-
-def _integer_bindings_ok(mapping: Mapping[Symbol, LinExpr]) -> bool:
-    for s, lin in mapping.items():
-        if s.kind != "integer":
-            continue
-        if lin.is_constant:
-            k = lin.as_integer()
-            if k is None or k < 0:
-                return False
-        elif not lin.is_integer_valued():
-            return False
-    return True
+    return _Compiled(syms, tuple(i for i, s in enumerate(syms)
+                                 if s.kind == "integer"),
+                     sign * det, den, tuple(map(dot, consistency)),
+                     tuple(map(dot, inverse)),
+                     tuple((tuple(map(pick, consistency)),
+                            tuple(map(pick, scaled)))
+                           for pick in _ALIGNMENTS))
 
 
 def unify(template: ParamSet, query: ParamSet) -> list[Substitution]:
@@ -170,48 +179,52 @@ def unify(template: ParamSet, query: ParamSet) -> list[Substitution]:
     ``template_i(sigma) = query_i`` are solved over the rationals for the
     template symbols.  The template's coefficient matrix is eliminated once
     (``_compile``, cached by slot order) into a left inverse and consistency
-    rows.  An alignment is rejected early when a consistency row is nonzero
-    at a fixed integer point, then checked exactly, then solved by one
-    matrix-vector product.  A solution is kept when it is unique and exact,
-    integer-kind symbols bind to non-negative integer constants or to
-    integer-valued affine forms, and re-instantiation reproduces the query as
-    a multiset.  Template symbols must be disjoint from query symbols.
+    rows, and the query is encoded as integer rows; each alignment is then
+    tested exactly with Python ints and solved by one matrix product.  A
+    solution is kept when it is unique and exact, and integer-kind symbols
+    bind to non-negative integer constants or to integer-valued affine
+    forms; a consistent alignment reproduces the query as a multiset.
+    Template symbols must be disjoint from query symbols.
     """
     if any(len(p.upper) != 3 or len(p.lower) != 2 for p in (template, query)):
-        raise ValueError("unify expects 3F2 parameter sets")
+        raise ShapeError("unify expects 3F2 parameter sets")
     comp = _compile(template.upper, template.lower)
     if comp is None:
         return []
-    values = [_point_value(q) for q in query.upper + query.lower]
-    scale = lcm(*(x.denominator for x in values))
-    values = [x.numerator * (scale // x.denominator) for x in values]
-    targets = [scale * chk for chk in comp.check]
+    qsyms, rows, qden = int_rows(query.upper + query.lower)
+    cols = list(zip(*rows))
+    const = cols.pop()
+    targets = [qden * chk for chk in comp.check]
+    offsets = [qden * off for off in comp.offset]
+    det = comp.det * qden
+    continuous = [i for i, s in enumerate(qsyms) if s.kind != "integer"]
     out: list[Substitution] = []
     seen: set = set()
-    for up in UPPER_PERMS:
-        for lp in LOWER_PERMS:
-            point = [values[i] for i in up] + [values[3 + i] for i in lp]
-            if any(sum(map(mul, row, point)) != t
-                   for row, t in zip(comp.consistency, targets)):
-                continue
-            forms = [query.upper[i] for i in up] + \
-                [query.lower[i] for i in lp]
-            if any(combine(row, forms, chk) != LIN_ZERO
-                   for row, chk in zip(comp.consistency, comp.check)):
-                continue
-            mapping = {s: combine(row, forms, off) for s, row, off in
-                       zip(comp.syms, comp.left_inverse, comp.offset)}
-            if not _integer_bindings_ok(mapping):
-                continue
-            inst = ParamSet(tuple(u.subs(mapping) for u in template.upper),
-                            tuple(l.subs(mapping) for l in template.lower))
-            if inst != query:
-                continue
-            sub = Substitution(tuple(mapping.items()))
-            if sub not in seen:
-                seen.add(sub)
-                out.append(sub)
+    for consistency, inverse in comp.aligned:
+        if any(sum(map(mul, row, col)) for row in consistency
+               for col in cols) or any(
+                comp.den * sum(map(mul, row, const)) != t
+                for row, t in zip(consistency, targets)):
+            continue
+        sol = tuple(tuple([sum(map(mul, row, col)) for col in cols] +
+                          [sum(map(mul, row, const)) - off])
+                    for row, off in zip(inverse, offsets))
+        if sol in seen or not all(_integer_binding_ok(sol[i], det, continuous)
+                                  for i in comp.integer):
+            continue
+        seen.add(sol)
+        out.append(Substitution(tuple(
+            (s, row_lin(qsyms, row, det)) for s, row in zip(comp.syms, sol))))
     return out
+
+
+def _integer_binding_ok(row: tuple[int, ...], den: int,
+                        continuous: list[int]) -> bool:
+    """Whether ``row / den`` is a non-negative integer constant or an
+    integer-valued form: integer coefficients, on integer symbols only."""
+    return all(x % den == 0 for x in row) and \
+        not any(row[i] for i in continuous) and \
+        (any(row[:-1]) or row[-1] >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +373,14 @@ def _qsym(s: Symbol) -> Symbol:
 
 
 def _renamed(p: ParamSet) -> ParamSet:
-    """Rename every symbol so the set is disjoint from any template."""
-    mapping = {s: LinExpr.make({_qsym(s): Q(1)}) for s in p.free_symbols()}
-    return ParamSet(tuple(u.subs(mapping) for u in p.upper),
-                    tuple(l.subs(mapping) for l in p.lower))
+    """Rename every symbol so the set is disjoint from any template.
+
+    The common prefix of ``_qsym`` keeps the terms sorted by name.
+    """
+    def rename(lin: LinExpr) -> LinExpr:
+        return LinExpr(tuple((_qsym(s), c) for s, c in lin.terms), lin.const)
+
+    return ParamSet(tuple(map(rename, p.upper)), tuple(map(rename, p.lower)))
 
 
 def _int_grid(entry: DbEntry) -> list[dict[Symbol, int]]:
@@ -443,12 +460,9 @@ def _invertible(sub: Substitution) -> bool:
     specialization, not an equivalence, and specialization detection is out
     of scope for the automated cull.
     """
-    qsyms = sorted({t for _, lin in sub.mapping for t, _ in lin.terms},
-                   key=lambda s: s.name)
-    if len(qsyms) != len(sub.mapping):
-        return False
-    rows = [[lin.coeff(t) for t in qsyms] for _, lin in sub.mapping]
-    return _gauss_jordan(rows, len(qsyms)) is not None
+    qsyms, rows, _ = int_rows([lin for _, lin in sub.mapping])
+    return len(qsyms) == len(rows) and \
+        _eliminate(rows, len(qsyms)) is not None
 
 
 def _kinds_preserved(e2: DbEntry, sub: Substitution) -> bool:
@@ -523,7 +537,7 @@ def equivalent(e1: DbEntry, e2: DbEntry
     q = _renamed(e1.lhs)
     rename_syms = set(e1.lhs.free_symbols()).union(
         *(free_symbols(d) for _, d in e1.derived))
-    rename_fwd = {s: LinExpr.make({_qsym(s): Q(1)}) for s in rename_syms}
+    rename_fwd = {s: LinExpr.of(_qsym(s)) for s in rename_syms}
 
     for v, img in _images_of(q):
         for sub in unify(e2.lhs, img):
@@ -571,8 +585,8 @@ def _terminating_template(entry: DbEntry) -> bool:
 def _karlsson_minton_template(entry: DbEntry, kmax: int = 3) -> bool:
     for u in entry.lhs.upper:
         for l in entry.lhs.lower:
-            k = (u - l).as_integer()
-            if k is not None and 1 <= k <= kmax:
+            k = u.const - l.const
+            if u.terms == l.terms and k.denominator == 1 and 1 <= k <= kmax:
                 return True
     return False
 
@@ -602,19 +616,22 @@ def _orbit_key(entry: DbEntry) -> tuple:
     continuous symbols apart, so it keeps constant forms with their values,
     keeps the other forms non-constant, and keeps the number of symbols of
     each kind.
-    The key holds those counts and the constant y_i, |y_i-y_j| and y_i+y_j.
+    The key holds those counts and the constant y_i, |y_i-y_j| and y_i+y_j,
+    read off twice the forms as integer rows (symbol part, then constant).
     """
-    y = five_forms(entry.lhs)
+    syms, rows, den = int_rows(entry.lhs.upper + entry.lhs.lower)
+    y = [(row[:-1], row[-1]) for row in combine_rows(DOUBLED_FORMS, rows)]
+    zero = (0,) * len(syms)
     pairs = list(combinations(y, 2))
 
-    def constants(forms) -> list[Fraction]:
-        return [x.const for x in forms if x.is_constant]
+    def values(consts) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, 2 * den) for x in sorted(consts))
 
-    syms = entry.lhs.free_symbols()
     return (sum(s.kind == "integer" for s in syms), len(syms),
-            tuple(sorted(constants(y))),
-            tuple(sorted(abs(d) for d in constants(u - v for u, v in pairs))),
-            tuple(sorted(constants(u + v for u, v in pairs))))
+            values(c for v, c in y if v == zero),
+            values(abs(c - d) for (v, c), (w, d) in pairs if v == w),
+            values(c + d for (v, c), (w, d) in pairs
+                   if all(x == -z for x, z in zip(v, w))))
 
 
 def cull(entries: Sequence[DbEntry]) -> list[DbEntry]:

@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .expr import Expr, Gamma, LinExpr, Lin, Mul, ONE, Recip, combine
+from .errors import ShapeError
+from .expr import (Expr, Gamma, LinExpr, Lin, Mul, ONE, Recip, combine,
+                   combine_rows, int_rows, row_lin)
 from .series import ParamSet
 
-__all__ = ["ThomaeVariant", "BASE_COUNT", "all_variants", "apply_variant",
-           "base_relation", "five_forms", "inverse_of", "numeric_images"]
+__all__ = ["ThomaeVariant", "BASE_COUNT", "DOUBLED_FORMS", "all_variants",
+           "apply_variant", "base_relation", "five_forms", "inverse_of",
+           "numeric_images"]
 
 BASE_COUNT = 10
 
@@ -34,10 +36,9 @@ LOWER_PERMS = ((0, 1), (1, 0))
 _UPPER_LETTERS = "abc"
 _LOWER_LETTERS = "fe"
 
-_H = Fraction(1, 2)
-#: the five forms as rows over the slots (a, b, c, f, e)
-_FORM_ROWS = ((-_H, _H, _H, 0, 0), (_H, -_H, _H, 0, 0), (_H, _H, -_H, 0, 0),
-              (-_H, -_H, -_H, 0, 1), (-_H, -_H, -_H, 1, 0))
+#: twice the five forms, as integer rows over the slots (a, b, c, f, e)
+DOUBLED_FORMS = ((-1, 1, 1, 0, 0), (1, -1, 1, 0, 0), (1, 1, -1, 0, 0),
+                 (-1, -1, -1, 0, 2), (-1, -1, -1, 2, 0))
 #: the slots (a, b, c, f, e) as sums of forms, by form position
 _SLOT_FORMS = ((1, 2), (0, 2), (0, 1), (0, 1, 2, 4), (0, 1, 2, 3))
 #: the gamma arguments s, f, e of the prefactor, by form position
@@ -46,13 +47,15 @@ _GAMMA_FORMS = ((3, 4),) + _SLOT_FORMS[3:]
 
 def five_forms(p: ParamSet) -> list[LinExpr]:
     """The five forms y of a 3F2 parameter set; every variant permutes them."""
-    return [combine(row, p.upper + p.lower) for row in _FORM_ROWS]
+    syms, rows, den = int_rows(p.upper + p.lower)
+    return [row_lin(syms, y, 2 * den)
+            for y in combine_rows(DOUBLED_FORMS, rows)]
 
 
 def _row(forms: Iterable[int]) -> tuple[int, ...]:
     """A sum of forms as an integer row over the slots (a, b, c, f, e)."""
-    return tuple(int(sum(col)) for col in
-                 zip(*(_FORM_ROWS[k] for k in forms)))
+    return tuple(sum(col) // 2 for col in
+                 zip(*(DOUBLED_FORMS[k] for k in forms)))
 
 
 def _base(pair: tuple[int, int]) -> tuple:
@@ -75,7 +78,8 @@ _BASES = dict(enumerate(map(_base, itertools.combinations(range(5), 2)), 1))
 
 
 def _image(base: int, slots: Sequence[LinExpr]) -> ParamSet:
-    img = [combine(row, slots) for row in _BASES[base][1]]
+    syms, rows, den = int_rows(slots)
+    img = [row_lin(syms, r, den) for r in combine_rows(_BASES[base][1], rows)]
     return ParamSet(tuple(img[:3]), tuple(img[3:]))
 
 
@@ -139,7 +143,7 @@ def _form_perm(v: ThomaeVariant) -> tuple[int, ...]:
 
 def _slots(v: ThomaeVariant, p: ParamSet) -> list[LinExpr]:
     if len(p.upper) != 3 or len(p.lower) != 2:
-        raise ValueError("Thomae relations apply to 3F2 parameter sets only")
+        raise ShapeError("Thomae relations apply to 3F2 parameter sets only")
     return [p.upper[i] for i in v.upper_perm] + \
         [p.lower[i] for i in v.lower_perm]
 
@@ -180,15 +184,26 @@ def distinct_images(p: ParamSet,
     its class representative, which precedes it in ``all_variants()``, so
     the result equals a scan of all 120 for every parameter set, even where
     classes coincide.  ``apply_variant`` gives a variant's prefactor.
+
+    ``p`` is encoded once as integer slot rows (``int_rows``); each image is
+    an integer combination of them, two images are the same multiset when
+    their sorted upper and lower rows are, and only the slots of distinct
+    images are built as ``LinExpr``, once per distinct row.
     """
+    syms, rows, den = int_rows(_slots(IDENTITY_VARIANT, p))
     seen: set = set()
+    lins: dict[tuple[int, ...], LinExpr] = {}
     out = []
     for v in (variants if variants is not None else CLASS_REPRESENTATIVES):
-        img = _image(v.base, _slots(v, p))
-        k = img.key()
+        img = combine_rows(_BASES[v.base][1],
+                           [rows[i] for i in v.upper_perm] +
+                           [rows[3 + i] for i in v.lower_perm])
+        k = (tuple(sorted(img[:3])), tuple(sorted(img[3:])))
         if k not in seen:
             seen.add(k)
-            out.append((v, img))
+            slots = [lins[r] if r in lins else
+                     lins.setdefault(r, row_lin(syms, r, den)) for r in img]
+            out.append((v, ParamSet(tuple(slots[:3]), tuple(slots[3:]))))
     return out
 
 

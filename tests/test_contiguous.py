@@ -11,7 +11,7 @@ from hyp321.contiguous import (ContigQuery, default_anchor_table,
                                watson_element, whipple_element, w_to_x, x_to_w,
                                _WatsonLattice)
 from hyp321.database import get_entry, seed_db, verify_entry
-from hyp321.errors import (ExceptionalCase, NoConvergentCheck,
+from hyp321.errors import (ExceptionalCase, Hyp321Error, NoConvergentCheck,
                            SingularRecursionPath)
 from hyp321.series import sum_series_numeric
 
@@ -240,3 +240,8 @@ class TestDatabaseClosure:
         entry = get_entry(seed_db(), eid)
         report = verify_entry(entry, trials=5, seed=0, rel_tol=1e-7)
         assert report.passed, report.max_rel_err
+
+
+def test_unknown_family_is_a_typed_error():
+    with pytest.raises(Hyp321Error, match="unknown family"):
+        ContigQuery("saalschutz", 0.1, 0.2, 0.3, 0, 0)

@@ -2,19 +2,25 @@
 
 import dataclasses
 import random
+import zlib
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hyp321 import expr as E
 from hyp321.database import get_entry, seed_db, _build_entry
-from hyp321.matcher import (Substitution, _images_of, _invertible,
-                            _orbit_key, _point_value, _renamed, _spot_check,
+from hyp321.errors import Hyp321Error
+from hyp321.matcher import (Substitution, _eliminate, _images_of, _invertible,
+                            _orbit_key, _renamed, _spot_check,
                             _spot_samples, _witness_samples, _witness_sound,
                             cull, equivalent, identify, unify)
 from hyp321.series import ParamSet, excess
 from hyp321.thomae import (CLASS_REPRESENTATIVES, LOWER_PERMS, UPPER_PERMS,
-                           ThomaeVariant, all_variants, apply_variant)
+                           ThomaeVariant, all_variants, apply_variant,
+                           five_forms)
+from test_golden_matcher import closure_pool
 
 a, b, c, n = E.sym("a"), E.sym("b"), E.sym("c"), E.sym("n")
 L = E.sym("L")
@@ -158,15 +164,54 @@ class TestCompiledUnify:
         for template in (first, second, first):
             assert _assert_matches_reference(template, query)
 
-    def test_zero_point_value_is_not_rejected(self):
+    def test_form_vanishing_at_a_fixed_point(self):
+        # x - (crc32("x") + 1) is zero at the point where an earlier integer
+        # prefilter evaluated every query slot
         X = E.LinExpr.of(E.sym("x"))
-        shifted = X - _point_value(X)
-        assert _point_value(shifted) == 0
+        shifted = X - (zlib.crc32(b"x") + 1)
         A, B = E.LinExpr.of(a), E.LinExpr.of(b)
         template = ParamSet.make([A, B, 0], [A + 1, B + 1])
         query = ParamSet.make([shifted, X * 2, 0], [shifted + 1, X * 2 + 1])
         got = _assert_matches_reference(template, query)
         assert (b, X * 2) in got[0]
+
+    def test_query_with_large_common_denominator(self):
+        X, Y = E.LinExpr.of(E.sym("x")), E.LinExpr.of(E.sym("y"))
+        A, B, C = E.LinExpr.of(a), E.LinExpr.of(b), E.LinExpr.of(c)
+        template = ParamSet.make([A, B, C], [A + B + 1, C + 2])
+        u, v, w = X * Q(1, 7), Y * Q(3, 11) + Q(5, 13), X * Q(5, 13) - Y
+        query = ParamSet.make([w, u, v], [w + 2, u + v + 1])
+        got = _assert_matches_reference(template, query)
+        assert got and (a, u) in got[0]
+        off = ParamSet.make([w, u, v], [w + 2, u + v + 1 + Q(1, 1001)])
+        assert _assert_matches_reference(template, off) == []
+
+    def test_template_with_scaled_consistency_rows(self):
+        # rank 1 in five slots: four consistency rows with rational entries
+        A = E.LinExpr.of(a)
+        template = ParamSet.make([A * Q(1, 2), A * Q(2, 3) + Q(1, 5),
+                                  A * Q(3, 7)], [A * Q(5, 4) - 1, A + Q(1, 9)])
+        X = E.LinExpr.of(E.sym("x"))
+        query = ParamSet.make([X * Q(1, 3) + Q(1, 5), X * Q(3, 14),
+                               X * Q(1, 4)], [X * Q(1, 2) + Q(1, 9),
+                                              X * Q(5, 8) - 1])
+        got = _assert_matches_reference(template, query)
+        assert got == [((a, X * Q(1, 2)),)]
+        moved = ParamSet.make(list(query.upper), [X * Q(1, 2) + Q(1, 9),
+                                                  X * Q(5, 8)])
+        assert _assert_matches_reference(template, moved) == []
+
+    def test_401_digit_constant_slot(self):
+        big = 10 ** 400 + 7
+        A, B = E.LinExpr.of(a), E.LinExpr.of(b)
+        template = ParamSet.make([A, B, big], [A + B, A + 1])
+        X, Y = E.LinExpr.of(E.sym("x")), E.LinExpr.of(E.sym("y"))
+        query = ParamSet.make([Y, big, X + Q(1, 3)],
+                              [X + Q(4, 3), X + Y + Q(1, 3)])
+        got = _assert_matches_reference(template, query)
+        assert got == [((a, X + Q(1, 3)), (b, Y))]
+        near = ParamSet.make([Y, big + 1, X], [X + 1, X + Y])
+        assert _assert_matches_reference(template, near) == []
 
 
 def test_invertible_witness_needs_full_rank():
@@ -174,6 +219,26 @@ def test_invertible_witness_needs_full_rank():
     assert _invertible(Substitution(((a, X + Y), (b, X - Y + 1))))
     assert not _invertible(Substitution(((a, X + Y), (b, X * 2 + Y * 2))))
     assert not _invertible(Substitution(((a, X + Y), (b, E.LinExpr.of(1)))))
+
+
+def test_eliminate_gives_left_inverse_and_null_rows():
+    rng = random.Random(4)
+    for trial in range(300):
+        k = rng.randint(1, 4)
+        m = np.array([[rng.randint(-9, 9) for _ in range(k)]
+                      for _ in range(5)], dtype=object)
+        if trial % 4 == 0:  # rank below k
+            m[:, k - 1] = m[:, :k - 1].sum(axis=1) if k > 1 else 0
+        got = _eliminate([list(r) + [int(i == j) for j in range(5)]
+                          for i, r in enumerate(m)], k)
+        full = np.linalg.matrix_rank(m.astype(float)) == k
+        assert (got is not None) == full, m
+        if got is not None:
+            d, rows = got
+            inverse = np.array([r[k:] for r in rows[:k]], dtype=object)
+            null = np.array([r[k:] for r in rows[k:]], dtype=object)
+            assert (inverse.dot(m) == d * np.eye(k, dtype=int)).all()
+            assert not null.dot(m).any()
 
 
 class TestUnify:
@@ -227,6 +292,13 @@ class TestUnify:
 
 
 class TestIdentify:
+    def test_wrong_shape_raises_typed_error(self):
+        # a 2F1 parameter set: typed, and still a ValueError
+        with pytest.raises(Hyp321Error, match="3F2 parameter sets only"):
+            identify(seed_db(), ParamSet.make([1, 2], [3]))
+        with pytest.raises(ValueError):
+            identify(seed_db(), ParamSet.make([1, 2], [3]))
+
     def test_numeric_instance_found_with_identity_variant(self):
         db = seed_db()
         query = _const_paramset([Q(11, 10), Q(2, 5), Q(8, 5)],
@@ -407,6 +479,27 @@ class TestCull:
         # the transform family collapses to single representatives
         assert "B.43" in kept_ids and "B.50" in kept_ids
         assert not {"B.44", "B.45", "B.46", "B.51", "B.52"} & kept_ids
+
+
+def _reference_orbit_key(entry):
+    """``_orbit_key`` as it was computed with Fraction forms."""
+    y = five_forms(entry.lhs)
+    pairs = list(combinations(y, 2))
+
+    def constants(forms):
+        return [x.const for x in forms if x.is_constant]
+
+    syms = entry.lhs.free_symbols()
+    return (sum(s.kind == "integer" for s in syms), len(syms),
+            tuple(sorted(constants(y))),
+            tuple(sorted(abs(d) for d in constants(u - v for u, v in pairs))),
+            tuple(sorted(constants(u + v for u, v in pairs))))
+
+
+def test_orbit_key_matches_reference():
+    entries = list(seed_db()) + [img for _, img in closure_pool()]
+    for entry in entries:
+        assert _orbit_key(entry) == _reference_orbit_key(entry), entry.id
 
 
 class TestOrbitKey:
