@@ -140,7 +140,7 @@ class _Compiled:
 @lru_cache(maxsize=256)
 def _compile(upper: tuple[LinExpr, ...],
              lower: tuple[LinExpr, ...]) -> Optional[_Compiled]:
-    """Eliminate ``[D M | I]`` for the slot-ordered template (cached).
+    """Eliminate ``[den M | I]`` for the slot-ordered template (cached).
 
     None when the rank of M is below the number of template symbols: every
     alignment is then underdetermined.

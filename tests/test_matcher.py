@@ -201,6 +201,14 @@ class TestCompiledUnify:
                                                   X * Q(5, 8)])
         assert _assert_matches_reference(template, moved) == []
 
+    def test_integer_symbol_binds_to_non_negative_integers(self):
+        A, B, N = E.LinExpr.of(a), E.LinExpr.of(b), E.LinExpr.of(n)
+        template = ParamSet.make([A, B, N], [A + 1, B + N + 1])
+        X, Y = E.LinExpr.of(E.sym("x")), E.LinExpr.of(E.sym("y"))
+        for k, ok in ((2, True), (0, True), (-2, False), (Q(1, 2), False)):
+            query = ParamSet.make([X, Y, k], [X + 1, Y + k + 1])
+            assert bool(_assert_matches_reference(template, query)) == ok, k
+
     def test_401_digit_constant_slot(self):
         big = 10 ** 400 + 7
         A, B = E.LinExpr.of(a), E.LinExpr.of(b)
