@@ -489,9 +489,20 @@ class TestCull:
         assert not {"B.44", "B.45", "B.46", "B.51", "B.52"} & kept_ids
 
 
+#: the five forms as Fraction rows over the slots (a, b, c, f, e)
+_H = Q(1, 2)
+_FRACTION_FORMS = ((-_H, _H, _H, 0, 0), (_H, -_H, _H, 0, 0),
+                   (_H, _H, -_H, 0, 0), (-_H, -_H, -_H, 0, 1),
+                   (-_H, -_H, -_H, 1, 0))
+
+
+def _reference_five_forms(p):
+    return [E.combine(row, p.upper + p.lower) for row in _FRACTION_FORMS]
+
+
 def _reference_orbit_key(entry):
     """``_orbit_key`` as it was computed with Fraction forms."""
-    y = five_forms(entry.lhs)
+    y = _reference_five_forms(entry.lhs)
     pairs = list(combinations(y, 2))
 
     def constants(forms):
@@ -507,6 +518,7 @@ def _reference_orbit_key(entry):
 def test_orbit_key_matches_reference():
     entries = list(seed_db()) + [img for _, img in closure_pool()]
     for entry in entries:
+        assert five_forms(entry.lhs) == _reference_five_forms(entry.lhs)
         assert _orbit_key(entry) == _reference_orbit_key(entry), entry.id
 
 
