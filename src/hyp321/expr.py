@@ -404,13 +404,20 @@ def is_near_nonpositive_integer(z: complex, tol: float = POLE_TOL) -> bool:
 
 
 def cgamma(z: complex) -> complex:
-    """Complex gamma via a 9-term Lanczos approximation with reflection.
+    """Complex gamma: ``math.gamma`` on the real axis (imaginary part +0.0),
+    a 9-term Lanczos approximation with reflection off it.
 
-    Raises PoleError when ``z`` is within POLE_TOL of a non-positive integer.
+    Raises PoleError when ``z`` is within POLE_TOL of a non-positive
+    integer, OverflowError where a real Γ overflows or underflows to 0.
     """
     z = complex(z)
     if is_near_nonpositive_integer(z):
         raise PoleError(f"gamma pole at {z}")
+    if z.imag == 0:
+        g = math.gamma(z.real)
+        if g == 0:
+            raise OverflowError(f"gamma underflows at {z.real}")
+        return complex(g)
     if z.real < 0.5:
         # reflection: Gamma(z) = pi / (sin(pi z) * Gamma(1 - z))
         return math.pi / (cmath.sin(math.pi * z) * cgamma(1.0 - z))

@@ -9,10 +9,15 @@ out: their values change whenever the oracle's algorithm for them does.
 Regenerate, after a change that is meant to alter these outputs, with::
 
     PYTHONPATH=src python tests/test_golden_oracle.py --write
+
+and review the change first with ``--diff``: per section, how many values
+changed and by how much (relative), and how many ``verify_all`` flags
+flipped.
 """
 
 import json
 import random
+import statistics
 import sys
 from pathlib import Path
 
@@ -109,8 +114,74 @@ def test_oracle_corpus_unchanged():
     assert build_corpus() == GOLDEN.read_text()
 
 
+def test_diff_summary_counts_changes():
+    old = json.loads(GOLDEN.read_text())
+    assert "0 passed flags flipped" in diff_summary(old, old)
+    new = json.loads(GOLDEN.read_text())
+    new["elements"][1]["value"] = repr(_num(old["elements"][1]["value"])
+                                       * (1 + 1e-12))
+    report = next(iter(new["verify_all"]["0"].values()))
+    report["passed"] = not report["passed"]
+    summary = diff_summary(old, new)
+    assert "1 passed flags flipped" in summary
+    assert "elements: 1 of 50 values changed" in summary
+    assert "evals: 0 of " in summary
+
+
+def _num(text: str) -> complex:
+    return complex(text.strip("()"))
+
+
+def _changes(pairs: list) -> str:
+    """How many of the (old, new) value texts differ, and by how much."""
+    rels = sorted(abs(_num(new) - _num(old)) / max(abs(_num(old)), 1e-300)
+                  for old, new in pairs if old != new)
+    out = f"{len(rels)} of {len(pairs)} values changed"
+    if rels:
+        out += (f", relative change largest {rels[-1]:.3g},"
+                f" median {statistics.median(rels):.3g}")
+    return out
+
+
+def diff_summary(old: dict, new: dict) -> str:
+    """A per-section summary of how ``new`` differs from ``old``."""
+    evals = [(o[k], n[k]) for o, n in zip(old["evals"], new["evals"])
+             for k in ("value", "estimate", "terms_used") if k in o]
+    flips, series, errs = 0, [], []
+    for seed, reports in old["verify_all"].items():
+        for eid, rep in reports.items():
+            other = new["verify_all"][seed][eid]
+            flips += rep["passed"] != other["passed"]
+            for (lhs, err), (lhs2, err2) in zip(rep["samples"],
+                                                other["samples"]):
+                series.append((lhs, lhs2))
+                errs.append((float(err), float(err2)))
+    closer = sum(e2 < e for e, e2 in errs)
+    further = sum(e2 > e for e, e2 in errs)
+    before, after = ([e[i] for e in errs] for i in (0, 1))
+    outcomes, elements = 0, []
+    for o, n in zip(old["elements"], new["elements"]):
+        kind = next(k for k in ("value", "unchecked", "error") if k in o)
+        if kind not in n:
+            outcomes += 1
+        elif kind != "error":
+            elements.append((o[kind], n[kind]))
+    return "\n".join([
+        f"evals: {_changes(evals)}",
+        f"verify_all: {flips} passed flags flipped; series {_changes(series)};"
+        f" closed-form error of {len(errs)} samples: median"
+        f" {statistics.median(before):.3g} -> {statistics.median(after):.3g},"
+        f" mean {statistics.fmean(before):.3g} -> {statistics.fmean(after):.3g};"
+        f" {closer} closer, {further} further",
+        f"elements: {_changes(elements)}; {outcomes} outcomes changed kind"])
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_golden_oracle.py --write")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(build_corpus())
+    if sys.argv[1:] == ["--diff"]:
+        print(diff_summary(json.loads(GOLDEN.read_text()),
+                           json.loads(build_corpus())))
+    elif sys.argv[1:] == ["--write"]:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(build_corpus())
+    else:
+        sys.exit("usage: test_golden_oracle.py --diff | --write")
