@@ -61,8 +61,9 @@ class MatchResult:
     ``instantiated_rhs`` is the entry's closed form after substitution,
     multiplied by the Thomae prefactor, so that it evaluates to the *query's*
     value.  ``derived`` carries the entry's helper-symbol definitions with the
-    same substitution applied; they must be bound (in order) before
-    ``instantiated_rhs`` is evaluated.
+    same substitution applied (a fresh symbol where one would mention its
+    own); they must be bound (in order) before ``instantiated_rhs`` is
+    evaluated.
     """
 
     entry_id: str
@@ -327,6 +328,16 @@ def _substitute_capture_free(e: Expr, smap: Mapping[Symbol, LinExpr]) -> Expr:
     return substitute(_rename_captured_indices(e, taken), smap)
 
 
+def _bound_apart(s: Symbol, d: Expr, taken: frozenset[Symbol]
+                 ) -> tuple[Symbol, Expr]:
+    """A derived binding ``s = d``, renamed away from the query's symbols
+    when ``d`` mentions ``s``: bound as it is, it would be circular."""
+    used = free_symbols(d)
+    while s in used:
+        s, used = Symbol(s.name + "_", s.kind), used | taken
+    return s, d
+
+
 def identify(entries: Sequence[DbEntry], query: ParamSet, *,
              include_conjectures: bool = False, numeric_check: bool = True,
              seed: int = 0, rel_tol: float = 1e-6) -> list[MatchResult]:
@@ -340,6 +351,7 @@ def identify(entries: Sequence[DbEntry], query: ParamSet, *,
     own value.
     """
     images = distinct_images(query, _IMAGE_VARIANTS)
+    taken = query.free_symbols()
     results: list[MatchResult] = []
     for entry in sorted(entries, key=lambda e: e.id):
         if entry.status == "flagged":
@@ -353,8 +365,8 @@ def identify(entries: Sequence[DbEntry], query: ParamSet, *,
                     continue
                 inst_rhs = Mul((apply_variant(v, query)[1],
                                 _substitute_capture_free(entry.rhs, smap)))
-                derived = tuple((s, _substitute_capture_free(d, smap))
-                                for s, d in entry.derived)
+                derived = tuple(_bound_apart(s, _substitute_capture_free(
+                    d, smap), taken) for s, d in entry.derived)
                 match = MatchResult(entry.id, v, sub, inst_rhs, derived)
                 if numeric_check and not _spot_check(query, match, entry,
                                                      seed, rel_tol):

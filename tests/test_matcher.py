@@ -370,15 +370,18 @@ class TestSpotCheck:
         return db, query, identify(db, query, include_conjectures=True,
                                    numeric_check=False)
 
-    def test_circular_derived_binding_is_untestable(self):
+    def test_derived_binding_never_circular(self):
+        """Where the substituted definition of e1 mentions the query's own
+        e1, the hit binds a fresh e1_ instead, so it can be evaluated."""
         db, query, hits = self._conj24_hits()
-        circular = [h for h in hits if _spot_samples(
-            query, h, get_entry(db, h.entry_id), 0) is None]
-        assert len(circular) == 8
-        for h in circular:
-            # the substituted definition of e1 mentions the query's own e1
-            assert any(s in E.free_symbols(d) for s, d in h.derived)
-            assert _spot_check(query, h, get_entry(db, h.entry_id), 0, 1e-6)
+        assert len(hits) == 24
+        renamed = [h for h in hits if h.derived[0][0] == E.sym("e1_")]
+        assert len(renamed) == 8
+        assert all(h.entry_id == "CONJ.24" for h in renamed)
+        for h in hits:
+            assert all(s not in E.free_symbols(d) for s, d in h.derived)
+            assert _spot_samples(query, h, get_entry(db, h.entry_id), 0) \
+                is not None
         assert identify(db, query, include_conjectures=True) == hits
 
     def test_no_usable_draw_is_an_outcome(self):
