@@ -10,7 +10,8 @@ Subcommands::
     db        list | show ID | export PATH
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
-3 no match found, 4 numeric error (pole, divergence, singular recursion).
+3 no match found, 4 numeric error (pole, divergence, singular recursion,
+overflow, non-finite value).
 The built-in database is used unless ``--db`` or the ``HYP321_DB``
 environment variable points at a serialized database file.  All randomness
 is controlled by ``--seed``; identical arguments produce identical output.
@@ -29,8 +30,8 @@ from .database import (DbEntry, get_entry, load_db, save_db, seed_db,
 from .errors import (AnchorPole, DivergentSeries, ExceptionalCase, Hyp321Error,
                      InsufficientSamples, LowerPole, NoConvergence,
                      NoConvergentCheck, NonFiniteParameter,
-                     NonIntegerSumBound, ParseError, PoleError,
-                     SchemaVersionMismatch, SingularRecursionPath)
+                     NonFiniteValue, NonIntegerSumBound, ParseError,
+                     PoleError, SchemaVersionMismatch, SingularRecursionPath)
 from .expr import as_real, eval_expr, expr_str
 from .parser import parse_linexpr, parse_param_list
 from .series import ParamSet, sum_series_numeric
@@ -44,7 +45,8 @@ EXIT_NUMERIC = 4
 _USAGE_ERRORS = (ParseError, SchemaVersionMismatch)
 _NUMERIC_ERRORS = (PoleError, AnchorPole, DivergentSeries, LowerPole,
                    NoConvergence, NonIntegerSumBound, SingularRecursionPath,
-                   InsufficientSamples, ExceptionalCase, NonFiniteParameter)
+                   InsufficientSamples, ExceptionalCase, NonFiniteParameter,
+                   NonFiniteValue, OverflowError)
 
 
 def _fmt(z: complex) -> str:

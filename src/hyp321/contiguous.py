@@ -25,13 +25,15 @@ hold in the m = −2 column, where independently computed values meet.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import (AnchorPole, DivergentSeries, ExceptionalCase, GammaPole,
                      Hyp321Error, LowerPole, NoConvergence, NoConvergentCheck,
-                     PoleError, ShapeError, SingularRecursionPath)
+                     NonFiniteValue, PoleError, ShapeError,
+                     SingularRecursionPath)
 from .expr import (Expr, LinExpr, eval_expr, is_near_nonpositive_integer,
                    substitute, sym)
 from .parser import parse_expr
@@ -359,10 +361,22 @@ def _cross_check(query: ContigQuery, value: complex, rel_tol: float) -> None:
         err.value = value
         raise err from exc
     err = abs(value - ref) / max(1.0, abs(ref))
-    if err > rel_tol:
+    if not err <= rel_tol:  # a NaN error never agrees
         raise Hyp321Error(
             f"{query.family} element ({query.m},{query.n}) disagrees with the "
             f"direct series: {value} vs {ref} (rel err {err:.3g})")
+
+
+def _checked(query: ContigQuery, value: complex,
+             rel_tol: Optional[float]) -> complex:
+    """``value``, raised as NonFiniteValue when it is NaN or infinite and
+    cross-checked when ``rel_tol`` is given."""
+    if not cmath.isfinite(value):
+        raise NonFiniteValue(f"{query.family} element ({query.m},{query.n}) "
+                             f"is not finite: {value}")
+    if rel_tol is not None:
+        _cross_check(query, value, rel_tol)
+    return value
 
 
 def watson_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
@@ -372,14 +386,12 @@ def watson_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
 
     When ``rel_tol`` is given the result is cross-checked against direct
     series summation; ``NoConvergentCheck`` (carrying ``.value``) is raised
-    if no convergent check exists.
+    if no convergent check exists.  All three elements raise
+    ``NonFiniteValue`` for a NaN or infinite value.
     """
-    lattice = _WatsonLattice(a, b, c, anchors)
-    value = lattice.value(int(m), int(n))
-    if rel_tol is not None:
-        _cross_check(ContigQuery("watson", a, b, c, int(m), int(n)),
-                     value, rel_tol)
-    return value
+    m, n = int(m), int(n)
+    return _checked(ContigQuery("watson", a, b, c, m, n),
+                    _WatsonLattice(a, b, c, anchors).value(m, n), rel_tol)
 
 
 def _prefactor_value(pref: Expr, a, b, c, m, n) -> complex:
@@ -397,9 +409,7 @@ def dixon_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
     m, n = int(m), int(n)
     value = (watson_element(*_x_to_w_args(a, b, c, m, n), anchors=anchors)
              * _prefactor_value(_X_TO_W_PREF, a, b, c, m, n))
-    if rel_tol is not None:
-        _cross_check(ContigQuery("dixon", a, b, c, m, n), value, rel_tol)
-    return value
+    return _checked(ContigQuery("dixon", a, b, c, m, n), value, rel_tol)
 
 
 def whipple_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
@@ -419,6 +429,4 @@ def whipple_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
             "non-positive integer and b is not an integer")
     value = (watson_element(*_p_from_w_args(a, b, c, m, n), anchors=anchors)
              * _prefactor_value(_P_FROM_W_PREF, a, b, c, m, n))
-    if rel_tol is not None:
-        _cross_check(ContigQuery("whipple", a, b, c, m, n), value, rel_tol)
-    return value
+    return _checked(ContigQuery("whipple", a, b, c, m, n), value, rel_tol)

@@ -42,6 +42,10 @@ class NonFiniteParameter(Hyp321Error):
     """A numeric series parameter is NaN or infinite."""
 
 
+class NonFiniteValue(Hyp321Error):
+    """A computed value (a contiguous element) is NaN or infinite."""
+
+
 class NoConvergence(Hyp321Error):
     """The truncation cap was exceeded before the requested tolerance was met."""
 

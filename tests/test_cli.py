@@ -182,6 +182,21 @@ class TestElements:
                            "--c", "1.4", "--m", "0", "--n", "0")
         assert code == 4
 
+    @pytest.mark.parametrize("family, abc", [
+        ("watson", ("0.3", "0.2", "100")), ("dixon", ("0.3", "100.2", "1.3"))])
+    def test_non_finite_element_is_numeric_error(self, capsys, family, abc):
+        code, out, err = run(capsys, family, "--a", abc[0], "--b", abc[1],
+                             "--c", abc[2], "--m", "0", "--n", "0")
+        assert code == 4
+        assert "not finite" in err
+        assert "agrees" not in out
+
+    def test_overflow_is_numeric_error(self, capsys):
+        code, _, err = run(capsys, "dixon", "--a", "0.3", "--b", "100.2",
+                           "--c", "100.45", "--m", "0", "--n", "0")
+        assert code == 4
+        assert err.startswith("numeric error:")
+
     def test_unchecked_value_still_printed(self, capsys):
         code, out, _ = run(capsys, "watson", "--a", "0.3", "--b", "0.4",
                            "--c", "0.25", "--m", "0", "--n", "-2")

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from hyp321 import contiguous
 from hyp321 import expr as E
 from hyp321.contiguous import (ContigQuery, default_anchor_table,
                                dixon_element, dixon_swap, p_from_w, p_from_x,
@@ -12,7 +14,7 @@ from hyp321.contiguous import (ContigQuery, default_anchor_table,
                                _WatsonLattice)
 from hyp321.database import get_entry, seed_db, verify_entry
 from hyp321.errors import (ExceptionalCase, Hyp321Error, NoConvergentCheck,
-                           SingularRecursionPath)
+                           NonFiniteValue, SingularRecursionPath)
 from hyp321.series import sum_series_numeric
 
 a_s, b_s, c_s = E.sym("a"), E.sym("b"), E.sym("c")
@@ -245,3 +247,29 @@ class TestDatabaseClosure:
 def test_unknown_family_is_a_typed_error():
     with pytest.raises(Hyp321Error, match="unknown family"):
         ContigQuery("saalschutz", 0.1, 0.2, 0.3, 0, 0)
+
+
+class TestNonFinite:
+    """Anchors whose gamma products overflow to inf/inf give a NaN element:
+    it raises, and the cross-check never agrees with a non-finite value."""
+
+    @pytest.mark.parametrize("fn, args", [
+        (watson_element, (0.3, 0.2, 100, 0, 0)),
+        (dixon_element, (0.3, 100.2, 1.3, 0, 0)),
+        (whipple_element, (60.7, 100.2, 0.45, 0, 0)),
+    ])
+    @pytest.mark.parametrize("rel_tol", [None, 1e-7])
+    def test_element_raises(self, fn, args, rel_tol):
+        with pytest.raises(NonFiniteValue, match="not finite"):
+            fn(*args, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("value, ref", [
+        (complex("nan+nanj"), 1.0), (1.0, float("inf")),
+        (float("inf"), float("inf")), (complex("nan+nanj"), float("nan"))])
+    def test_cross_check_never_agrees(self, monkeypatch, value, ref):
+        result = SimpleNamespace(value=complex(ref))
+        monkeypatch.setattr(contiguous, "sum_series_numeric",
+                            lambda *args, **kw: result)
+        query = ContigQuery("watson", 0.3, 0.2, 0.4, 0, 0)
+        with pytest.raises(Hyp321Error, match="disagrees"):
+            contiguous._cross_check(query, complex(value), 1e-7)
