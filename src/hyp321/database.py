@@ -225,9 +225,12 @@ def parse_constraint(text: str) -> Constraint:
 
 
 def int_range(constraints: Sequence[str], name: str) -> tuple[int, int]:
-    """The sampling range of integer symbol ``name``: from 0 or 1 up to 4."""
-    lo = 0 if f"{name}>=0" in [c.replace(" ", "") for c in constraints] else 1
-    return lo, 4
+    """The sampling range of integer symbol ``name``: up to 4, from 0 when
+    every constraint that names ``name`` alone holds at 0, else from 1."""
+    s = sym(name)
+    alone = [c for c in map(parse_constraint, constraints)
+             if c.lhs.free_symbols() | c.rhs.free_symbols() == {s}]
+    return (0 if all(c.holds({s: 0}) for c in alone) else 1), 4
 
 
 def constraints_hold(entry: DbEntry, assignment: Mapping[Symbol, complex],

@@ -6,6 +6,11 @@ right-hand sides are immutable :class:`Expr` trees built from gamma, trig,
 polygamma, Pochhammer, powers, finite sums and references to generalized
 Watson elements.  Everything here is a pure value; evaluation is the only
 numeric operation.
+
+Each node type is described once, by its dataclass: ``SHAPES`` reads its
+fields and their kinds from the annotations, and ``CALL_NAMES`` names the
+function nodes of the grammar.  Every walk of a tree goes through these two
+tables, except ``eval_expr``, the hot path, which tests node types in turn.
 """
 
 from __future__ import annotations
@@ -13,13 +18,13 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (IndexCapture, NonFiniteParameter, NonIntegerSumBound,
-                     PoleError, UnboundSymbol)
+                     ParseError, PoleError, UnboundSymbol)
 
 Q = Fraction
 
@@ -343,38 +348,63 @@ class WatsonRef(Expr):
 PI_CONST = Pi()
 ONE = Const(Q(1))
 
-#: the node types with one ``arg`` child and nothing else
-_UNARY = (Neg, Recip, Gamma, Sin, Cos)
+#: field kinds, written as the node dataclasses annotate them; a bound index
+#: is bound in the node's subtrees, not in its LinExpr fields
+EXPR, EXPRS, LIN, INDEX, FRAC, INT = (
+    "Expr", "tuple[Expr, ...]", "LinExpr", "Symbol", "Fraction", "int")
+
+#: every node type: its fields in order, as (name, kind) pairs
+SHAPES = {node: tuple((f.name, f.type) for f in fields(node))
+          for node in Expr.__subclasses__()}
+
+#: the function nodes of the grammar, with the names they are written with
+CALL_NAMES = {Gamma: "G", Sin: "sin", Cos: "cos", Polygamma: "psi",
+              Pochhammer: "poch", FiniteSum: "Sum", WatsonRef: "W"}
+
+#: the tag of each node type in the JSON form
+JSON_TAGS = {node: "lin" if node is Lin else node.__name__ for node in SHAPES}
 
 
-def const(x: Scalar) -> Const:
-    return Const(Q(x))
+def _fields(e: Expr) -> Iterator[tuple[str, object]]:
+    """The (kind, value) of each field of ``e``, in order."""
+    return ((kind, getattr(e, name)) for name, kind in SHAPES[type(e)])
+
+
+def _subtrees(e: Expr) -> Iterator[Expr]:
+    for kind, v in _fields(e):
+        if kind == EXPR:
+            yield v
+        elif kind == EXPRS:
+            yield from v
+
+
+def _index(e: Expr) -> Optional[Symbol]:
+    """The sum index that ``e`` binds in its subtrees, if any."""
+    return next((v for kind, v in _fields(e) if kind == INDEX), None)
+
+
+def _rebuild(e: Expr, sub: Callable[[Expr], Expr],
+             lin: Callable[[LinExpr], LinExpr] = lambda form: form) -> Expr:
+    """``e`` with ``sub`` applied to each subtree, ``lin`` to each LinExpr."""
+    step = {EXPR: sub, EXPRS: lambda xs: tuple(map(sub, xs)), LIN: lin}
+    return type(e)(*(step[kind](v) if kind in step else v
+                     for kind, v in _fields(e)))
 
 
 def free_symbols(e: Expr) -> frozenset[Symbol]:
-    """Free symbols of a tree (sum indices are bound inside their body)."""
-    if isinstance(e, (Const, Pi)):
-        return frozenset()
-    if isinstance(e, Lin):
-        return e.lin.free_symbols()
-    if isinstance(e, (Add, Mul)):
-        out: frozenset[Symbol] = frozenset()
-        for a in e.args:
-            out |= free_symbols(a)
-        return out
-    if isinstance(e, (Neg, Recip, Gamma, Sin, Cos, Polygamma)):
-        return free_symbols(e.arg)
-    if isinstance(e, Pow):
-        return free_symbols(e.base) | free_symbols(e.exponent)
-    if isinstance(e, Pochhammer):
-        return free_symbols(e.base) | e.count.free_symbols()
-    if isinstance(e, FiniteSum):
-        inner = free_symbols(e.body) - {e.index}
-        return inner | e.lower.free_symbols() | e.upper.free_symbols()
-    if isinstance(e, WatsonRef):
-        return (free_symbols(e.a) | free_symbols(e.b) | free_symbols(e.c)
-                | e.m.free_symbols() | e.n.free_symbols())
-    raise TypeError(f"unknown node {e!r}")
+    """Free symbols of a tree (a sum index is bound in its body only)."""
+    body, bounds, index = frozenset(), frozenset(), None
+    for name, kind in SHAPES[type(e)]:  # not _fields: this is a hot path
+        v = getattr(e, name)
+        if kind == EXPR:
+            body |= free_symbols(v)
+        elif kind == EXPRS:
+            body = body.union(*map(free_symbols, v))
+        elif kind == LIN:
+            bounds |= v.free_symbols()
+        elif kind == INDEX:
+            index = v
+    return (body - {index} if index else body) | bounds
 
 
 # ---------------------------------------------------------------------------
@@ -584,45 +614,38 @@ def as_real(value: complex, rel: float = 1e-9) -> complex:
 # Substitution
 # ---------------------------------------------------------------------------
 
-def substitute(e: Expr, mapping: Mapping[Symbol, LinExpr], _bound: frozenset[Symbol] = frozenset()) -> Expr:
-    """Rewrite every Lin leaf (and LinExpr slot) by exact linear substitution."""
-    for target in mapping.values():
-        if target.free_symbols() & _bound:
-            raise IndexCapture(
-                f"substitution target {target} mentions a bound index")
-    if isinstance(e, (Const, Pi)):
-        return e
-    if isinstance(e, Lin):
-        return Lin(e.lin.subs(mapping))
-    if isinstance(e, Add):
-        return Add(tuple(substitute(a, mapping, _bound) for a in e.args))
-    if isinstance(e, Mul):
-        return Mul(tuple(substitute(a, mapping, _bound) for a in e.args))
-    if isinstance(e, _UNARY):
-        return type(e)(substitute(e.arg, mapping, _bound))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, mapping, _bound), substitute(e.exponent, mapping, _bound))
-    if isinstance(e, Polygamma):
-        return Polygamma(e.order, substitute(e.arg, mapping, _bound))
-    if isinstance(e, Pochhammer):
-        return Pochhammer(substitute(e.base, mapping, _bound), e.count.subs(mapping))
-    if isinstance(e, FiniteSum):
-        inner_map = {s: t for s, t in mapping.items() if s != e.index}
-        return FiniteSum(
-            e.index,
-            e.lower.subs(mapping),
-            e.upper.subs(mapping),
-            substitute(e.body, inner_map, _bound | {e.index}),
-        )
-    if isinstance(e, WatsonRef):
-        return WatsonRef(
-            substitute(e.a, mapping, _bound),
-            substitute(e.b, mapping, _bound),
-            substitute(e.c, mapping, _bound),
-            e.m.subs(mapping),
-            e.n.subs(mapping),
-        )
-    raise TypeError(f"unknown node {e!r}")
+def substitute(e: Expr, mapping: Mapping[Symbol, LinExpr]) -> Expr:
+    """Rewrite every Lin leaf (and LinExpr slot) by exact linear substitution.
+
+    A sum's index shadows ``mapping`` in its body.  IndexCapture when a
+    symbol free in the body maps to a target that mentions the index.
+    """
+    index = _index(e)
+    inner = mapping
+    if index is not None:
+        inner = {s: t for s, t in mapping.items() if s != index}
+        body = frozenset().union(*map(free_symbols, _subtrees(e)))
+        for s, target in inner.items():
+            if s in body and target.coeff(index):
+                raise IndexCapture(
+                    f"substitution target {target} mentions a bound index")
+    return _rebuild(e, lambda x: substitute(x, inner),
+                    lambda form: form.subs(mapping))
+
+
+def rename_indices(e: Expr, taken: frozenset[Symbol]) -> Expr:
+    """Alpha-rename each sum index of ``e`` that is in ``taken``, so that
+    substituting targets over ``taken`` captures no index."""
+    index = _index(e)
+    if index not in taken:
+        return _rebuild(e, lambda x: rename_indices(x, taken))
+    body = frozenset().union(*map(free_symbols, _subtrees(e)))
+    fresh = Symbol(index.name + "_", "integer")
+    while fresh in taken or fresh in body:  # renaming keeps free symbols
+        fresh = Symbol(fresh.name + "_", "integer")
+    to_fresh = {index: LinExpr.of(fresh)}
+    e = _rebuild(e, lambda x: substitute(rename_indices(x, taken), to_fresh))
+    return type(e)(*(fresh if kind == INDEX else v for kind, v in _fields(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -633,31 +656,28 @@ def _frac_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def frac_from_str(s: str) -> Fraction:
-    from .errors import ParseError
+def _require(x, kind: type, what: str):
+    """``x`` read from JSON, when it is a ``kind`` (a bool is no int)."""
+    if not isinstance(x, kind) or isinstance(x, bool):
+        raise ParseError(f"{what}: expected {kind.__name__}, got {x!r}")
+    return x
 
+
+def frac_from_str(s: str) -> Fraction:
     try:
-        q = Fraction(s)
+        return Fraction(_require(s, str, "rational literal"))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {s!r}: {exc}") from None
-    return q
 
 
 def lin_to_flat(l: LinExpr) -> dict:
-    d = {s.name: _frac_to_str(c) for s, c in l.terms}
-    d["const"] = _frac_to_str(l.const)
-    return d
+    j = lin_to_json(l)
+    return {**j["coeffs"], "const": j["const"]}
 
 
 def lin_from_flat(d: Mapping[str, str]) -> LinExpr:
-    coeffs = {}
-    const = Q(0)
-    for name, val in d.items():
-        if name == "const":
-            const = frac_from_str(val)
-        else:
-            coeffs[sym(name)] = frac_from_str(val)
-    return LinExpr.make(coeffs, const)
+    coeffs = dict(_require(d, Mapping, "linear form"))
+    return lin_from_json({"const": coeffs.pop("const", "0"), "coeffs": coeffs})
 
 
 def lin_to_json(l: LinExpr) -> dict:
@@ -669,8 +689,11 @@ def lin_to_json(l: LinExpr) -> dict:
 
 
 def lin_from_json(d: Mapping) -> LinExpr:
-    coeffs = {sym(name): frac_from_str(v) for name, v in d.get("coeffs", {}).items()}
-    return LinExpr.make(coeffs, frac_from_str(d.get("const", "0")))
+    coeffs = _require(_require(d, Mapping, "linear form").get("coeffs", {}),
+                      Mapping, "coeffs")
+    return LinExpr.make({sym(_require(name, str, "symbol name")): frac_from_str(v)
+                         for name, v in coeffs.items()},
+                        frac_from_str(d.get("const", "0")))
 
 
 def expr_str(e: Expr) -> str:
@@ -680,6 +703,13 @@ def expr_str(e: Expr) -> str:
 
 def _paren(text: str, level: int, here: int) -> str:
     return f"({text})" if here < level else text
+
+
+#: operator nodes: (prefix, separator of the subtrees, precedence of the
+#: node, precedence the subtrees are printed at)
+_OPERATORS = {Add: ("", " + ", 0, 1), Mul: ("", "*", 1, 2),
+              Neg: ("-", "", 0, 2), Recip: ("1/", "", 1, 3),
+              Pow: ("", "^", 2, 3)}
 
 
 def _expr_str(e: Expr, level: int) -> str:
@@ -692,93 +722,46 @@ def _expr_str(e: Expr, level: int) -> str:
         return "pi"
     if isinstance(e, Lin):
         return _paren(str(e.lin), level, 0)
-    if isinstance(e, Add):
-        return _paren(" + ".join(_expr_str(a, 1) for a in e.args), level, 0)
-    if isinstance(e, Mul):
-        return _paren("*".join(_expr_str(a, 2) for a in e.args), level, 1)
-    if isinstance(e, Neg):
-        return _paren(f"-{_expr_str(e.arg, 2)}", level, 0)
-    if isinstance(e, Recip):
-        return _paren(f"1/{_expr_str(e.arg, 3)}", level, 1)
-    if isinstance(e, Pow):
-        return _paren(f"{_expr_str(e.base, 3)}^{_expr_str(e.exponent, 3)}",
-                      level, 2)
-    if isinstance(e, (Gamma, Sin, Cos)):
-        name = {Gamma: "G", Sin: "sin", Cos: "cos"}[type(e)]
-        return f"{name}({_expr_str(e.arg, 0)})"
-    if isinstance(e, Polygamma):
-        return f"psi({e.order}, {_expr_str(e.arg, 0)})"
-    if isinstance(e, Pochhammer):
-        return f"poch({_expr_str(e.base, 0)}, {e.count})"
-    if isinstance(e, FiniteSum):
-        return (f"Sum({e.index.name}, {e.lower}, {e.upper}, "
-                f"{_expr_str(e.body, 0)})")
-    if isinstance(e, WatsonRef):
-        return (f"W({_expr_str(e.a, 0)}, {_expr_str(e.b, 0)}, "
-                f"{_expr_str(e.c, 0)}, {e.m}, {e.n})")
-    raise TypeError(f"unknown node {e!r}")
+    if type(e) in _OPERATORS:
+        prefix, sep, here, inner = _OPERATORS[type(e)]
+        return _paren(prefix + sep.join(_expr_str(x, inner)
+                                         for x in _subtrees(e)), level, here)
+    args = (_expr_str(v, 0) if kind == EXPR else
+            v.name if kind == INDEX else str(v) for kind, v in _fields(e))
+    return f"{CALL_NAMES[type(e)]}({', '.join(args)})"
 
 
 def expr_to_json(e: Expr):
-    if isinstance(e, Const):
-        return ["Const", _frac_to_str(e.value)]
-    if isinstance(e, Pi):
-        return ["Pi"]
-    if isinstance(e, Lin):
-        return ["lin", lin_to_flat(e.lin)]
-    if isinstance(e, Add):
-        return ["Add", *[expr_to_json(a) for a in e.args]]
-    if isinstance(e, Mul):
-        return ["Mul", *[expr_to_json(a) for a in e.args]]
-    if isinstance(e, _UNARY):
-        return [type(e).__name__, expr_to_json(e.arg)]
-    if isinstance(e, Pow):
-        return ["Pow", expr_to_json(e.base), expr_to_json(e.exponent)]
-    if isinstance(e, Polygamma):
-        return ["Polygamma", e.order, expr_to_json(e.arg)]
-    if isinstance(e, Pochhammer):
-        return ["Pochhammer", expr_to_json(e.base), lin_to_flat(e.count)]
-    if isinstance(e, FiniteSum):
-        return ["FiniteSum", e.index.name, lin_to_flat(e.lower),
-                lin_to_flat(e.upper), expr_to_json(e.body)]
-    if isinstance(e, WatsonRef):
-        return ["WatsonRef", expr_to_json(e.a), expr_to_json(e.b), expr_to_json(e.c),
-                lin_to_flat(e.m), lin_to_flat(e.n)]
-    raise TypeError(f"unknown node {e!r}")
+    out = [JSON_TAGS[type(e)]]
+    for kind, v in _fields(e):
+        if kind == EXPRS:
+            out.extend(map(expr_to_json, v))
+        else:
+            out.append(_TO_JSON[kind](v))
+    return out
 
 
 def expr_from_json(j) -> Expr:
-    from .errors import ParseError
-
     if not isinstance(j, list) or not j:
         raise ParseError(f"bad expression node {j!r}")
-    tag = j[0]
-    try:
-        if tag == "Const":
-            return Const(frac_from_str(j[1]))
-        if tag == "Pi":
-            return PI_CONST
-        if tag == "lin":
-            return Lin(lin_from_flat(j[1]))
-        if tag == "Add":
-            return Add(tuple(expr_from_json(a) for a in j[1:]))
-        if tag == "Mul":
-            return Mul(tuple(expr_from_json(a) for a in j[1:]))
-        for node in _UNARY:
-            if tag == node.__name__:
-                return node(expr_from_json(j[1]))
-        if tag == "Pow":
-            return Pow(expr_from_json(j[1]), expr_from_json(j[2]))
-        if tag == "Polygamma":
-            return Polygamma(int(j[1]), expr_from_json(j[2]))
-        if tag == "Pochhammer":
-            return Pochhammer(expr_from_json(j[1]), lin_from_flat(j[2]))
-        if tag == "FiniteSum":
-            return FiniteSum(sym(j[1]), lin_from_flat(j[2]), lin_from_flat(j[3]),
-                             expr_from_json(j[4]))
-        if tag == "WatsonRef":
-            return WatsonRef(expr_from_json(j[1]), expr_from_json(j[2]),
-                             expr_from_json(j[3]), lin_from_flat(j[4]), lin_from_flat(j[5]))
-    except (IndexError, KeyError, TypeError) as exc:
-        raise ParseError(f"malformed {tag!r} node: {exc}") from None
-    raise ParseError(f"unknown expression tag {tag!r}")
+    tag, *items = j
+    if not isinstance(tag, str) or tag not in _NODE_OF_TAG:
+        raise ParseError(f"unknown expression tag {tag!r}")
+    shape = SHAPES[_NODE_OF_TAG[tag]]
+    if shape and shape[-1][1] == EXPRS:  # the last field takes the rest
+        items[len(shape) - 1:] = [items[len(shape) - 1:]]
+    if len(items) != len(shape):
+        raise ParseError(f"malformed {tag!r} node: {len(shape)} field(s) "
+                         f"expected, got {len(items)}")
+    return _NODE_OF_TAG[tag](*(_FROM_JSON[kind](x)
+                               for (_, kind), x in zip(shape, items)))
+
+
+#: how a field of each kind is written to and read from the JSON form
+_TO_JSON = {EXPR: expr_to_json, LIN: lin_to_flat, INDEX: lambda s: s.name,
+            FRAC: _frac_to_str, INT: int}
+_FROM_JSON = {EXPR: expr_from_json, LIN: lin_from_flat, FRAC: frac_from_str,
+              EXPRS: lambda js: tuple(map(expr_from_json, js)),
+              INDEX: lambda x: sym(_require(x, str, "sum index")),
+              INT: lambda x: _require(x, int, "integer field")}
+_NODE_OF_TAG = {tag: node for node, tag in JSON_TAGS.items()}

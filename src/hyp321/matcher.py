@@ -28,10 +28,8 @@ from .database import (DbEntry, SampleRecord, constraints_hold,
                        converges_at, default_watson, entry_rng, int_range,
                        repaired_assignment, sample_checks)
 from .errors import Hyp321Error, ShapeError
-from .expr import (Add, Cos, Expr, FiniteSum, Gamma, LinExpr, Mul, Neg,
-                   Pochhammer, Polygamma, Pow, Recip, Sin, Symbol, WatsonRef,
-                   combine_rows, eval_expr, free_symbols, int_rows, row_lin,
-                   substitute)
+from .expr import (Expr, LinExpr, Mul, Symbol, combine_rows, eval_expr,
+                   free_symbols, int_rows, rename_indices, row_lin, substitute)
 from .series import ParamSet, excess, sample_continuous, series_pfq
 from .thomae import (CLASS_REPRESENTATIVES, DOUBLED_FORMS, IDENTITY_VARIANT,
                      LOWER_PERMS, UPPER_PERMS, ThomaeVariant, apply_variant,
@@ -291,41 +289,9 @@ def _spot_check(query: ParamSet, match: MatchResult, entry: DbEntry,
                  if isinstance(o, SampleRecord)), True)
 
 
-def _rename_captured_indices(e: Expr, taken: frozenset[Symbol]) -> Expr:
-    """Alpha-rename finite-sum indices that collide with ``taken`` symbols."""
-    if isinstance(e, (Add, Mul)):
-        return type(e)(tuple(_rename_captured_indices(x, taken)
-                             for x in e.args))
-    if isinstance(e, (Neg, Recip, Gamma, Sin, Cos)):
-        return type(e)(_rename_captured_indices(e.arg, taken))
-    if isinstance(e, Pow):
-        return Pow(_rename_captured_indices(e.base, taken),
-                   _rename_captured_indices(e.exponent, taken))
-    if isinstance(e, Polygamma):
-        return Polygamma(e.order, _rename_captured_indices(e.arg, taken))
-    if isinstance(e, Pochhammer):
-        return Pochhammer(_rename_captured_indices(e.base, taken), e.count)
-    if isinstance(e, WatsonRef):
-        return WatsonRef(_rename_captured_indices(e.a, taken),
-                         _rename_captured_indices(e.b, taken),
-                         _rename_captured_indices(e.c, taken), e.m, e.n)
-    if isinstance(e, FiniteSum):
-        body = _rename_captured_indices(e.body, taken)
-        idx = e.index
-        if idx in taken:
-            fresh = Symbol(idx.name + "_", "integer")
-            while fresh in taken or fresh in free_symbols(body):
-                fresh = Symbol(fresh.name + "_", "integer")
-            body = substitute(body, {idx: LinExpr.of(fresh)})
-            idx = fresh
-        return FiniteSum(idx, e.lower, e.upper, body)
-    return e
-
-
 def _substitute_capture_free(e: Expr, smap: Mapping[Symbol, LinExpr]) -> Expr:
-    taken = frozenset().union(*(t.free_symbols() for t in smap.values()),
-                              frozenset())
-    return substitute(_rename_captured_indices(e, taken), smap)
+    taken = frozenset().union(*(t.free_symbols() for t in smap.values()))
+    return substitute(rename_indices(e, taken), smap)
 
 
 def _bound_apart(s: Symbol, d: Expr, taken: frozenset[Symbol]

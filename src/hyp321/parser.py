@@ -31,7 +31,9 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),]))"
 )
 
-_FUNCTIONS = {"Gamma", "G", "sin", "cos", "sqrt", "psi", "poch", "Sum", "W"}
+#: the function nodes by grammar name, the ``Gamma`` alias and ``sqrt``
+_CALLS = {name: node for node, name in E.CALL_NAMES.items()} | {
+    "Gamma": E.Gamma, "sqrt": lambda x: E.Pow(x, E.Const(Q(1, 2)))}
 
 #: Largest denominator accepted for decimal literals (exact-rational rule).
 MAX_DECIMAL_DENOMINATOR = 10 ** 6
@@ -60,10 +62,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 Value = Union[E.LinExpr, E.Expr]
 
 
-def _is_lin(v: Value) -> bool:
-    return isinstance(v, E.LinExpr)
-
-
 def _to_expr(v: Value) -> E.Expr:
     if isinstance(v, E.LinExpr):
         if v.is_constant:
@@ -73,7 +71,7 @@ def _to_expr(v: Value) -> E.Expr:
 
 
 def _add(x: Value, y: Value) -> Value:
-    if _is_lin(x) and _is_lin(y):
+    if isinstance(x, E.LinExpr) and isinstance(y, E.LinExpr):
         return x + y
     xa = _to_expr(x)
     ya = _to_expr(y)
@@ -83,13 +81,13 @@ def _add(x: Value, y: Value) -> Value:
 
 
 def _neg(x: Value) -> Value:
-    if _is_lin(x):
+    if isinstance(x, E.LinExpr):
         return -x
     return E.Neg(x)
 
 
 def _mul(x: Value, y: Value) -> Value:
-    if _is_lin(x) and _is_lin(y):
+    if isinstance(x, E.LinExpr) and isinstance(y, E.LinExpr):
         if x.is_constant:
             return y * x.const
         if y.is_constant:
@@ -102,10 +100,10 @@ def _mul(x: Value, y: Value) -> Value:
 
 
 def _div(x: Value, y: Value) -> Value:
-    if _is_lin(y) and y.is_constant:
+    if isinstance(y, E.LinExpr) and y.is_constant:
         if y.const == 0:
             raise ParseError("division by zero")
-        if _is_lin(x):
+        if isinstance(x, E.LinExpr):
             return x / y.const
         return _mul(x, E.LinExpr.of(Q(1) / y.const))
     return _mul(x, E.Recip(_to_expr(y)))
@@ -192,7 +190,7 @@ class _Parser:
             if val == "pi":
                 return E.PI_CONST
             nkind, nval, _ = self.peek()
-            if nkind == "op" and nval == "(" and val in _FUNCTIONS:
+            if nkind == "op" and nval == "(" and val in _CALLS:
                 return self.parse_call(val)
             return E.LinExpr.of(E.sym(val))
         raise ParseError(f"unexpected token {val!r}", pos)
@@ -200,66 +198,35 @@ class _Parser:
     def parse_args(self) -> list[Value]:
         self.expect("(")
         args = [self.parse_expr()]
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == ",":
-                self.next()
-                args.append(self.parse_expr())
-            else:
-                break
+        while self.peek()[:2] == ("op", ","):
+            self.next()
+            args.append(self.parse_expr())
         self.expect(")")
         return args
 
     def parse_call(self, name: str) -> Value:
         args = self.parse_args()
-
-        def arity(k: int):
-            if len(args) != k:
-                raise ParseError(f"{name} expects {k} argument(s), got {len(args)}")
-
-        if name in ("Gamma", "G"):
-            arity(1)
-            return E.Gamma(_to_expr(args[0]))
-        if name == "sin":
-            arity(1)
-            return E.Sin(_to_expr(args[0]))
-        if name == "cos":
-            arity(1)
-            return E.Cos(_to_expr(args[0]))
-        if name == "sqrt":
-            arity(1)
-            return E.Pow(_to_expr(args[0]), E.Const(Q(1, 2)))
-        if name == "psi":
-            arity(2)
-            order = _require_lin(args[0], "psi order").as_integer()
-            if order is None or order < 0:
-                raise ParseError("psi order must be a non-negative integer literal")
-            return E.Polygamma(order, _to_expr(args[1]))
-        if name == "poch":
-            arity(2)
-            return E.Pochhammer(_to_expr(args[0]), _require_lin(args[1], "poch count"))
-        if name == "Sum":
-            arity(4)
-            idx = _require_lin(args[0], "Sum index")
-            if len(idx.terms) != 1 or idx.const != 0 or idx.terms[0][1] != 1:
-                raise ParseError("Sum index must be a bare symbol")
-            return E.FiniteSum(
-                idx.terms[0][0],
-                _require_lin(args[1], "Sum lower bound"),
-                _require_lin(args[2], "Sum upper bound"),
-                _to_expr(args[3]),
-            )
-        if name == "W":
-            arity(5)
-            return E.WatsonRef(
-                _to_expr(args[0]), _to_expr(args[1]), _to_expr(args[2]),
-                _require_lin(args[3], "W offset m"), _require_lin(args[4], "W offset n"))
-        raise ParseError(f"unknown function {name!r}")
+        shape = E.SHAPES.get(_CALLS[name], (("x", E.EXPR),))  # sqrt(x)
+        if len(args) != len(shape):
+            raise ParseError(f"{name} expects {len(shape)} argument(s), got {len(args)}")
+        return _CALLS[name](*(_call_arg(v, kind, f"{name} {field}")
+                              for (field, kind), v in zip(shape, args)))
 
 
-def _require_lin(v: Value, what: str) -> E.LinExpr:
+def _call_arg(v: Value, kind: str, what: str):
+    """Argument ``v`` of a function call, read as a field of ``kind``."""
+    if kind == E.EXPR:
+        return _to_expr(v)
     if not isinstance(v, E.LinExpr):
         raise ParseError(f"{what} must be a linear expression")
+    if kind == E.INT:
+        if v.as_integer() is None or v.as_integer() < 0:
+            raise ParseError(f"{what} must be a non-negative integer literal")
+        return v.as_integer()
+    if kind == E.INDEX:
+        if len(v.terms) != 1 or v.const != 0 or v.terms[0][1] != 1:
+            raise ParseError(f"{what} must be a bare symbol")
+        return v.terms[0][0]
     return v
 
 

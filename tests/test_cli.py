@@ -222,6 +222,16 @@ class TestDbAndCull:
         doc = json.loads(path.read_text())
         assert doc["schema"] == "hyp321/1"
 
+    def test_malformed_database_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        save_db([get_entry(seed_db(), "B.37")], str(path))
+        doc = json.loads(path.read_text())
+        doc["entries"][0]["upper"][0]["coeffs"] = "notadict"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "--db", str(path), "db", "list")
+        assert code == 2 and not out
+        assert "coeffs: expected Mapping" in err
+
     def test_env_var_database(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "mini.json"
         save_db([get_entry(seed_db(), "B.37")], str(path))

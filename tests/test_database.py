@@ -1,6 +1,7 @@
 """Seed database: numeric gate, special values, serialization, conjectures."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from hyp321 import expr as E
 from hyp321.database import (constraints_hold, converges_at, db_from_json,
                              db_to_json, dumps_db, entry_from_json,
-                             entry_to_json, get_entry, load_db,
+                             entry_to_json, get_entry, int_range, load_db,
                              parse_constraint, sample_checks, save_db,
                              seed_db, verify_all, verify_entry, _build_entry)
 from hyp321.entries import RAW_ENTRIES
@@ -146,6 +147,14 @@ class TestConstraints:
         assert constraints_hold(entry, {n: 1}, skip_unbound=True)
         assert not constraints_hold(entry, {n: 0}, skip_unbound=True)
 
+    @pytest.mark.parametrize("constraints, lo", [
+        (["n>=0"], 0), (["n >= 0"], 0), (["0<=n"], 0), (["n>-1"], 0),
+        (["n>=1"], 1), (["n>=1", "n<m"], 1), (["n>=0", "n<m"], 0),
+        (["n>0"], 1), (["2*n>=1"], 1),
+    ])
+    def test_int_range_reads_the_parsed_constraints(self, constraints, lo):
+        assert int_range(constraints, "n") == (lo, 4)
+
 
 class TestSerialization:
     def test_dumps_deterministic(self):
@@ -163,6 +172,24 @@ class TestSerialization:
     def test_entry_round_trip_exact(self):
         for e in seed_db():
             assert entry_from_json(entry_to_json(e)) == e
+
+    def test_outputs_pinned(self):
+        """The stored form and every rendered closed form and derived
+        definition of the seed database, byte for byte."""
+        db = seed_db()
+        text = "\n".join(line for e in db for line in (
+            E.expr_str(e.rhs),
+            *(f"{s.name} = {E.expr_str(d)}" for s, d in e.derived)))
+        assert hashlib.sha256(dumps_db(db).encode()).hexdigest() == (
+            "f16f04ffef471cace470ef65e6c5ce7ec96428cf76cee2eadd99c08d1fc6c3bb")
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4045d5fd1433cca0d5987d3844999e2de5dad9b015e3dc8f4dd210e9f29660c5")
+
+    def test_malformed_linear_form_rejected(self):
+        doc = entry_to_json(seed_db()[0])
+        doc["upper"][0]["coeffs"] = "a"
+        with pytest.raises(ParseError):
+            entry_from_json(doc)
 
     def test_division_by_zero_rejected(self):
         with pytest.raises(ParseError):

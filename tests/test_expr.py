@@ -31,6 +31,34 @@ a, b, c = E.sym("a"), E.sym("b"), E.sym("c")
 n = E.sym("n")
 
 
+def _node_trees():
+    """Trees covering every node type, each with its free symbols."""
+    k = E.sym("k")
+    la, lb, ln = E.LinExpr.of(a), E.LinExpr.of(b), E.LinExpr.of(n)
+    A, B = E.Lin(la), E.Lin(lb)
+    return [
+        (E.Const(Q(-7, 3)), ""), (E.PI_CONST, ""), (A, "a"),
+        (E.Lin(la * Q(2, 7) - lb + 1), "ab"),
+        (E.Add((A, B, E.ONE)), "ab"), (E.Mul((A, B, E.PI_CONST)), "ab"),
+        (E.Neg(A), "a"), (E.Recip(A), "a"), (E.Recip(E.Const(Q(0))), ""),
+        (E.Pow(A, B), "ab"), (E.Pow(E.Const(Q(0)), B), "b"),
+        (E.Pow(E.Const(Q(0)), E.Neg(B)), "b"),
+        (E.Pow(E.Const(Q(0)), E.Const(Q(0))), ""),
+        (E.Gamma(A), "a"), (E.Gamma(E.Neg(A)), "a"),
+        (E.Gamma(E.Const(Q(-2))), ""),
+        (E.Sin(A), "a"), (E.Cos(A), "a"), (E.Polygamma(1, A), "a"),
+        (E.Pochhammer(A, ln), "an"), (E.Pochhammer(A, ln - 3), "an"),
+        (E.Pochhammer(A, lb), "ab"),
+        (E.FiniteSum(k, E.LinExpr.of(0), ln, E.Lin(E.LinExpr.of(k) + la)),
+         "an"),
+        (E.FiniteSum(k, E.LinExpr.of(1), ln - 4, E.Gamma(E.Lin(
+            E.LinExpr.of(k) + la))), "an"),
+        (E.FiniteSum(k, E.LinExpr.of(0), la, E.ONE), "a"),
+        (E.WatsonRef(A, B, E.ONE, E.LinExpr.of(1), ln - 2), "abn"),
+        (E.WatsonRef(A, B, E.ONE, la, ln), "abn"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # LinExpr
 # ---------------------------------------------------------------------------
@@ -266,6 +294,29 @@ class TestSubstitute:
         with pytest.raises(IndexCapture):
             E.substitute(s, {a: E.LinExpr.of(k)})
 
+    def test_index_capture_needs_the_symbol_in_the_body(self):
+        k = E.sym("k")
+        s = E.FiniteSum(k, E.LinExpr.of(0), E.LinExpr.of(2),
+                        E.Lin(E.LinExpr.of(a)))
+        assert E.substitute(s, {b: E.LinExpr.of(k)}) == s
+        # a bound is outside the index's scope
+        s = E.FiniteSum(k, E.LinExpr.of(0), E.LinExpr.of(b), E.ONE)
+        assert E.substitute(s, {b: E.LinExpr.of(k)}).upper == E.LinExpr.of(k)
+
+    def test_rename_indices(self):
+        k, k_ = E.sym("k"), E.Symbol("k_", "integer")
+        inner = E.FiniteSum(k, E.LinExpr.of(0), E.LinExpr.of(k_),
+                            E.Lin(E.LinExpr.of(k) + E.LinExpr.of(a)))
+        s = E.FiniteSum(k, E.LinExpr.of(1), E.LinExpr.of(n), inner)
+        out = E.rename_indices(s, frozenset({k}))
+        # the inner k_ is free in the outer body, so the outer index is k__
+        assert out.index.name == "k__" and out.body.index == k_
+        assert E.free_symbols(out) == E.free_symbols(s)
+        moved = E.substitute(out, {a: E.LinExpr.of(k)})
+        assert E.eval_expr(moved, {n: 3, k_: 2, k: 2.0}) == E.eval_expr(
+            s, {n: 3, k_: 2, a: 2.0}) == 27
+        assert E.rename_indices(s, frozenset({a})) == s
+
     def test_free_symbols_excludes_index(self):
         k = E.sym("k")
         body = E.Gamma(E.Lin(E.LinExpr.of(k) + E.LinExpr.of(b)))
@@ -293,6 +344,10 @@ class TestSerialization:
         ))
         j = E.expr_to_json(e)
         assert E.expr_from_json(j) == e
+        for tree, names in _node_trees():
+            assert E.expr_from_json(E.expr_to_json(tree)) == tree
+            assert E.substitute(tree, {}) == tree
+            assert {s.name for s in E.free_symbols(tree)} == set(names)
 
     def test_lin_round_trip(self):
         l = E.LinExpr.of(a) * Q(2, 3) - E.LinExpr.of(n) + Q(5, 7)
@@ -306,6 +361,37 @@ class TestSerialization:
     def test_unknown_tag(self):
         with pytest.raises(ParseError):
             E.expr_from_json(["Bogus", 1])
+
+    @pytest.mark.parametrize("j", [
+        ["Polygamma", "x", ["Pi"]], ["Polygamma", True, ["Pi"]],
+        ["lin", "notadict"], ["lin", {"a": 1}], ["lin", {3: "1"}],
+        ["Pochhammer", ["Pi"], [{"const": "1"}]],
+        ["FiniteSum", 3, {"const": "0"}, {"const": "2"}, ["Pi"]],
+        ["Const", 3], ["Pi", ["Pi"]], ["Pow", ["Pi"]], [["Add"]], ["Add", 1],
+    ])
+    def test_malformed_node(self, j):
+        with pytest.raises(ParseError):
+            E.expr_from_json(j)
+
+    @pytest.mark.parametrize("d", [
+        "notadict", {"coeffs": "x"}, {"coeffs": {"a": 1}},
+        {"coeffs": {}, "const": 0.5},
+    ])
+    def test_malformed_lin(self, d):
+        with pytest.raises(ParseError):
+            E.lin_from_json(d)
+
+    def test_every_node_type_has_a_shape_tag_and_evaluator(self):
+        """A node type cannot join one traversal and miss another."""
+        sample = {E.EXPR: E.ONE, E.EXPRS: (E.ONE,), E.LIN: E.LinExpr.of(1),
+                  E.INDEX: E.sym("k"), E.FRAC: Q(1), E.INT: 0}
+        nodes = [x for x in vars(E).values() if isinstance(x, type)
+                 and issubclass(x, E.Expr) and x is not E.Expr]
+        assert set(nodes) == set(E.SHAPES) == set(E.JSON_TAGS)
+        for node in nodes:
+            tree = node(*(sample[kind] for _, kind in E.SHAPES[node]))
+            assert E.expr_from_json(E.expr_to_json(tree)) == tree
+            E.eval_expr(tree, {}, watson=_fake_watson)
 
 
 class TestAsReal:
@@ -503,28 +589,10 @@ class TestEvaluatorDifferential:
                 _assert_same(pref, assignment)
 
     def test_one_tree_per_node_type(self):
-        k = E.sym("k")
-        la, lb, ln = E.LinExpr.of(a), E.LinExpr.of(b), E.LinExpr.of(n)
-        A, B = E.Lin(la), E.Lin(lb)
-        trees = [
-            E.Const(Q(-7, 3)), E.PI_CONST, A, E.Lin(la * Q(2, 7) - lb + 1),
-            E.Add((A, B, E.ONE)), E.Mul((A, B, E.PI_CONST)), E.Neg(A),
-            E.Recip(A), E.Recip(E.Const(Q(0))),
-            E.Pow(A, B), E.Pow(E.Const(Q(0)), B),
-            E.Pow(E.Const(Q(0)), E.Neg(B)), E.Pow(E.Const(Q(0)), E.Const(Q(0))),
-            E.Gamma(A), E.Gamma(E.Neg(A)), E.Gamma(E.Const(Q(-2))),
-            E.Sin(A), E.Cos(A), E.Polygamma(1, A),
-            E.Pochhammer(A, ln), E.Pochhammer(A, ln - 3),
-            E.Pochhammer(A, lb),
-            E.FiniteSum(k, E.LinExpr.of(0), ln, E.Lin(E.LinExpr.of(k) + la)),
-            E.FiniteSum(k, E.LinExpr.of(1), ln - 4, E.Gamma(E.Lin(
-                E.LinExpr.of(k) + la))),
-            E.FiniteSum(k, E.LinExpr.of(0), la, E.ONE),
-            E.WatsonRef(A, B, E.ONE, E.LinExpr.of(1), ln - 2),
-            E.WatsonRef(A, B, E.ONE, la, ln),
-        ]
+        A, B = E.Lin(E.LinExpr.of(a)), E.Lin(E.LinExpr.of(b))
+        ln = E.LinExpr.of(n)
         rng = random.Random(43)
-        for tree in trees:
+        for tree, _ in _node_trees():
             for j in range(6):
                 assignment = _draw(rng, (a, b, n), complex_part=j % 2 == 1)
                 _assert_same(tree, assignment)
