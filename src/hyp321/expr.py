@@ -10,7 +10,9 @@ numeric operation.
 Each node type is described once, by its dataclass: ``SHAPES`` reads its
 fields and their kinds from the annotations, and ``CALL_NAMES`` names the
 function nodes of the grammar.  Every walk of a tree goes through these two
-tables, except ``eval_expr``, the hot path, which tests node types in turn.
+tables.  ``eval_expr`` compiles a tree once, through ``SHAPES``, into a
+program of nested tuples, with each linear form's coefficients as floats and
+each Γ of a linear form one step, and keeps a bounded number of programs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (IndexCapture, NonFiniteParameter, NonIntegerSumBound,
@@ -41,6 +43,8 @@ class Symbol:
     kind: str = "continuous"  # "continuous" | "integer"
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise TypeError(f"symbol name {self.name!r} is not a string")
         if self.kind not in ("continuous", "integer"):
             raise ValueError(f"bad symbol kind {self.kind!r}")
         object.__setattr__(self, "_hash", hash((self.name, self.kind)))
@@ -521,86 +525,145 @@ def rising_factorial(x: complex, count: int) -> complex:
 Assignment = Mapping[Symbol, complex]
 WatsonFn = Callable[[complex, complex, complex, int, int], complex]
 
+#: compiled programs by id of their tree, which each entry keeps alive
+_PROGRAMS: dict[int, tuple[Expr, tuple]] = {}
+_MAX_PROGRAMS = 512
+
 
 def eval_expr(e: Expr, assignment: Assignment, watson: Optional[WatsonFn] = None) -> complex:
     """Evaluate a closed-form tree at a numeric assignment.
 
     ``watson`` resolves WatsonRef nodes; leaving it unset raises UnboundSymbol
-    if such a node is encountered.
+    if such a node is encountered.  A tree is compiled on its first
+    evaluation into a program of nested ``(step, *operands)`` tuples, run as
+    ``step(program, assignment, watson)``; the last ``_MAX_PROGRAMS`` are kept.
     """
-    # hottest node types first, as counted in a numeric_mix round
-    if isinstance(e, Lin):
-        return e.lin.eval(assignment)
-    if isinstance(e, Gamma):
-        return cgamma(eval_expr(e.arg, assignment, watson))
-    if isinstance(e, Mul):
-        out: complex = 1.0
-        for a in e.args:
-            out *= eval_expr(a, assignment, watson)
-        return out
-    if isinstance(e, Recip):
-        v = eval_expr(e.arg, assignment, watson)
-        if v == 0:
-            raise PoleError("division by zero")
-        return 1.0 / v
-    if isinstance(e, Const):
-        return complex(e.value)
-    if isinstance(e, Pow):
-        b = eval_expr(e.base, assignment, watson)
-        p = eval_expr(e.exponent, assignment, watson)
-        if b == 0:
-            if p.real > 0:
-                return 0.0
-            raise PoleError("0 raised to a non-positive power")
-        return cmath.exp(p * cmath.log(b))
-    if isinstance(e, Add):
-        return sum((eval_expr(a, assignment, watson) for a in e.args), 0j)
-    if isinstance(e, Pi):
-        return complex(math.pi)
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, assignment, watson)
-    if isinstance(e, Sin):
-        return cmath.sin(eval_expr(e.arg, assignment, watson))
-    if isinstance(e, Cos):
-        return cmath.cos(eval_expr(e.arg, assignment, watson))
-    if isinstance(e, Polygamma):
-        return cpolygamma(e.order, eval_expr(e.arg, assignment, watson))
-    if isinstance(e, Pochhammer):
-        base = eval_expr(e.base, assignment, watson)
-        cnt = e.count.eval(assignment)
-        if abs(cnt.imag) < 1e-12 and abs(cnt.real - round(cnt.real)) < 1e-12:
-            return rising_factorial(base, int(round(cnt.real)))
-        return cgamma(base + cnt) / cgamma(base)
-    if isinstance(e, FiniteSum):
-        lo = e.lower.eval(assignment)
-        hi = e.upper.eval(assignment)
-        for v in (lo, hi):
-            if abs(v.imag) > 1e-9 or abs(v.real - round(v.real)) > 1e-9:
-                raise NonIntegerSumBound(f"sum bound {v} is not an integer")
-        lo_i, hi_i = int(round(lo.real)), int(round(hi.real))
-        sign = 1.0
-        if hi_i < lo_i - 1:
-            # definite-sum convention for reversed bounds (see class docstring)
-            lo_i, hi_i, sign = hi_i + 1, lo_i - 1, -1.0
-        total: complex = 0.0
-        inner = dict(assignment)
-        for i in range(lo_i, hi_i + 1):  # empty when hi == lo - 1
-            inner[e.index] = i
-            total += eval_expr(e.body, inner, watson)
-        return sign * total
-    if isinstance(e, WatsonRef):
-        if watson is None:
-            raise UnboundSymbol("WatsonRef encountered without a watson resolver")
-        a = eval_expr(e.a, assignment, watson)
-        b = eval_expr(e.b, assignment, watson)
-        c = eval_expr(e.c, assignment, watson)
-        m = e.m.eval(assignment)
-        n = e.n.eval(assignment)
-        for v in (m, n):
-            if abs(v.imag) > 1e-9 or abs(v.real - round(v.real)) > 1e-9:
-                raise NonIntegerSumBound(f"Watson offset {v} is not an integer")
-        return watson(a, b, c, int(round(m.real)), int(round(n.real)))
-    raise TypeError(f"unknown node {e!r}")
+    hit = _PROGRAMS.get(id(e))
+    if hit is None or hit[0] is not e:
+        if len(_PROGRAMS) >= _MAX_PROGRAMS:
+            del _PROGRAMS[next(iter(_PROGRAMS))]
+        hit = _PROGRAMS[id(e)] = (e, _compile(e))
+    return hit[1][0](hit[1], assignment, watson)
+
+
+def _compile(e: Expr) -> tuple:
+    """``e``'s fields in SHAPES order as operands of its step; a number or
+    a LinExpr is a linear program, fused with a Gamma above it."""
+    node, operands = type(e), []
+    if node not in SHAPES:
+        raise TypeError(f"unknown node {e!r}")
+    for name, kind in SHAPES[node]:  # not _fields: a loop is faster
+        v = getattr(e, name)
+        if kind == EXPRS:
+            operands.extend(map(_compile, v))
+        else:
+            operands.append(_COMPILE_FIELD[kind](v))
+    if node is Lin or node is Const:
+        return operands[0]
+    if node is Pi:
+        return (_lin, complex(math.pi), (), None, None)
+    if node is Gamma and operands[0][0] is _lin and operands[0][-1] is None:
+        return (*operands[0][:-1], cgamma)  # Γ of a linear form: one step
+    if node in _FUNCTIONS:
+        return (_apply, _FUNCTIONS[node], *operands)
+    return (_STEPS[node], *operands)
+
+
+@lru_cache(maxsize=1024)
+def _term(s: Optional[Symbol], num: int, den: int) -> tuple:
+    """``(s, complex(num / den))``, shared by every program that uses it."""
+    return s, complex(num / den)
+
+
+def _compile_lin(form: LinExpr) -> tuple:
+    """``(_lin, const, ((symbol, coefficient), ...), form, None)``; a form
+    too large for a float is left to ``LinExpr.eval``, which raises."""
+    try:
+        return (_lin, _term(None, form.const.numerator,
+                            form.const.denominator)[1],
+                tuple([_term(s, c.numerator, c.denominator)
+                       for s, c in form.terms]), form, None)
+    except OverflowError:
+        return (lambda p, assignment, watson: p[1].eval(assignment), form)
+
+
+def _lin(p, assignment, watson):
+    """The linear form's value, passed to ``then`` (Γ) unless None."""
+    _, total, terms, form, then = p
+    try:
+        for s, c in terms:
+            total += c * complex(assignment[s])
+    except (KeyError, OverflowError):
+        total = form.eval(assignment)  # raises UnboundSymbol or NonFiniteParameter
+    return total if then is None else then(total)
+
+
+def _apply(p, assignment, watson):
+    return p[1](*[x[0](x, assignment, watson) for x in p[2:]])
+
+
+def _recip(v: complex) -> complex:
+    if v == 0:
+        raise PoleError("division by zero")
+    return 1.0 / v
+
+
+def _power(b: complex, e: complex) -> complex:
+    if b != 0:
+        return cmath.exp(e * cmath.log(b))
+    if e.real > 0:
+        return 0.0
+    raise PoleError("0 raised to a non-positive power")
+
+
+def _pochhammer(x: complex, cnt: complex) -> complex:
+    if abs(cnt.imag) < 1e-12 and abs(cnt.real - round(cnt.real)) < 1e-12:
+        return rising_factorial(x, int(round(cnt.real)))
+    return cgamma(x + cnt) / cgamma(x)
+
+
+def _integers(forms, assignment, watson, what: str) -> list[int]:
+    """The linear programs ``forms`` evaluated, then checked integers."""
+    values = [f[0](f, assignment, watson) for f in forms]
+    for v in values:
+        if abs(v.imag) > 1e-9 or abs(v.real - round(v.real)) > 1e-9:
+            raise NonIntegerSumBound(f"{what} {v} is not an integer")
+    return [int(round(v.real)) for v in values]
+
+
+def _finite_sum(p, assignment, watson):
+    _, index, lower, upper, body = p
+    lo, hi = _integers((lower, upper), assignment, watson, "sum bound")
+    # the definite-sum convention for reversed bounds (see FiniteSum)
+    lo, hi, sign = (hi + 1, lo - 1, -1.0) if hi < lo - 1 else (lo, hi, 1.0)
+    total: complex = 0.0
+    inner = dict(assignment)
+    for i in range(lo, hi + 1):  # empty when hi == lo - 1
+        inner[index] = i
+        total += body[0](body, inner, watson)
+    return sign * total
+
+
+def _watson_ref(p, assignment, watson):
+    if watson is None:
+        raise UnboundSymbol("WatsonRef encountered without a watson resolver")
+    a, b, c = [x[0](x, assignment, watson) for x in p[1:4]]
+    return watson(a, b, c, *_integers(p[4:], assignment, watson,
+                                      "Watson offset"))
+
+
+#: what each node type computes from the values of its fields
+_FUNCTIONS = {Add: lambda *xs: sum(xs, 0j),
+              Mul: lambda *xs: reduce(operator.mul, xs, 1.0),
+              Neg: operator.neg, Recip: _recip, Pow: _power, Gamma: cgamma,
+              Sin: cmath.sin, Cos: cmath.cos, Polygamma: cpolygamma,
+              Pochhammer: _pochhammer}
+#: the steps of the node types that evaluate their fields themselves
+_STEPS = {FiniteSum: _finite_sum, WatsonRef: _watson_ref}
+#: a number is a linear program without terms
+_COMPILE_FIELD = {EXPR: _compile, LIN: _compile_lin, INDEX: lambda v: v,
+                  FRAC: lambda v: _compile_lin(LinExpr((), v)),
+                  INT: lambda v: (_lin, v, (), None, None)}
 
 
 def as_real(value: complex, rel: float = 1e-9) -> complex:
@@ -671,7 +734,10 @@ def frac_from_str(s: str) -> Fraction:
 
 
 def lin_to_flat(l: LinExpr) -> dict:
+    """``lin_to_json`` in one mapping, the constant under ``"const"``."""
     j = lin_to_json(l)
+    if "const" in j["coeffs"]:
+        raise ParseError("a symbol named 'const' has no flat JSON form")
     return {**j["coeffs"], "const": j["const"]}
 
 

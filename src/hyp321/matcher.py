@@ -171,7 +171,8 @@ def _compile(upper: tuple[LinExpr, ...],
                            for pick in _ALIGNMENTS))
 
 
-def unify(template: ParamSet, query: ParamSet) -> list[Substitution]:
+def unify(template: ParamSet, query: ParamSet,
+          encoded: Optional[tuple] = None) -> list[Substitution]:
     """All exact substitutions carrying ``template`` onto ``query``.
 
     For each of the 6 x 2 slot alignments the five linear equations
@@ -183,14 +184,15 @@ def unify(template: ParamSet, query: ParamSet) -> list[Substitution]:
     solution is kept when it is unique and exact, and integer-kind symbols
     bind to non-negative integer constants or to integer-valued affine
     forms; a consistent alignment reproduces the query as a multiset.
-    Template symbols must be disjoint from query symbols.
+    Template symbols must be disjoint from query symbols.  ``encoded``, when
+    given, is ``int_rows`` of the query's slots, made once for many calls.
     """
     if any(len(p.upper) != 3 or len(p.lower) != 2 for p in (template, query)):
         raise ShapeError("unify expects 3F2 parameter sets")
     comp = _compile(template.upper, template.lower)
     if comp is None:
         return []
-    qsyms, rows, qden = int_rows(query.upper + query.lower)
+    qsyms, rows, qden = encoded or int_rows(query.upper + query.lower)
     cols = list(zip(*rows))
     const = cols.pop()
     targets = [qden * chk for chk in comp.check]
@@ -316,7 +318,8 @@ def identify(entries: Sequence[DbEntry], query: ParamSet, *,
     variant name, and each instantiated closed form evaluates to the query's
     own value.
     """
-    images = distinct_images(query, _IMAGE_VARIANTS)
+    images = [(v, img, int_rows(img.upper + img.lower))
+              for v, img in distinct_images(query, _IMAGE_VARIANTS)]
     taken = query.free_symbols()
     results: list[MatchResult] = []
     for entry in sorted(entries, key=lambda e: e.id):
@@ -324,8 +327,8 @@ def identify(entries: Sequence[DbEntry], query: ParamSet, *,
             continue
         if entry.status == "conjecture" and not include_conjectures:
             continue
-        for v, img in images:
-            for sub in unify(entry.lhs, img):
+        for v, img, encoded in images:
+            for sub in unify(entry.lhs, img, encoded):
                 smap = sub.as_dict()
                 if not _entry_constraints_ok(entry, smap):
                     continue
@@ -463,8 +466,10 @@ def _kinds_preserved(e2: DbEntry, sub: Substitution) -> bool:
 # cull(seed_db()) and a pool of the seed entries with 50 planted images.
 @lru_cache(maxsize=256)
 def _images_of(q: ParamSet) -> tuple:
-    """Distinct Thomae images of a parameter set, identity first (cached)."""
-    return tuple(distinct_images(q, _IMAGE_VARIANTS))
+    """Distinct Thomae images of a parameter set, identity first, each with
+    its slots' ``int_rows`` (cached)."""
+    return tuple((v, img, int_rows(img.upper + img.lower))
+                 for v, img in distinct_images(q, _IMAGE_VARIANTS))
 
 
 def _witness_samples(e1: DbEntry, v: ThomaeVariant, tries: int) -> Iterator:
@@ -517,8 +522,8 @@ def equivalent(e1: DbEntry, e2: DbEntry
         *(free_symbols(d) for _, d in e1.derived))
     rename_fwd = {s: LinExpr.of(_qsym(s)) for s in rename_syms}
 
-    for v, img in _images_of(q):
-        for sub in unify(e2.lhs, img):
+    for v, img, encoded in _images_of(q):
+        for sub in unify(e2.lhs, img, encoded):
             if _invertible(sub) and \
                _kinds_preserved(e2, sub) and \
                _int_ranges_ok(e1, e2, sub) and \

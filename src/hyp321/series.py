@@ -9,7 +9,8 @@ and refines by Richardson extrapolation between truncations K and 2K.  The
 error expansion is in K^{-(s+j)}, so the extrapolation uses the exponent
 s + 1, complex when s is; a step whose exponent exceeds the float range is
 skipped, as it changes nothing.  The reported error bound is the difference
-of the last two extrapolated values.
+of the last two extrapolated values.  The ratios come from one table for
+k < 1024, then one per doubling block, never longer than that block.
 
 A non-terminating 3F2 that has not converged within ``DIRECT_BUDGET`` terms
 (large parameters make the tail expansion valid only for K far beyond
@@ -217,22 +218,20 @@ def _sum_terminating(upper, lower, n_term: int) -> SeriesResult:
     return SeriesResult(total, EPS * weighted, n_term + 1, True)
 
 
-def _block_terms(upper, lower, t_start: complex, k_start: int, k_stop: int) -> np.ndarray:
-    """Terms t_k for k in [k_start, k_stop), given t_{k_start} = t_start."""
-    k = np.arange(k_start, k_stop - 1, dtype=np.float64)
+def _ratios(upper, lower, k_start: int, k_stop: int) -> np.ndarray:
+    """The term ratios t_{k+1} / t_k for k in [k_start, k_stop)."""
+    k = np.arange(k_start, k_stop, dtype=np.float64)
     num = np.ones_like(k, dtype=np.complex128)
     for u in upper:
         num *= u + k
     den = (k + 1.0).astype(np.complex128)
     for l in lower:
         den *= l + k
-    ratios = num / den
-    terms = np.empty(k_stop - k_start, dtype=np.complex128)
-    terms[0] = t_start
-    if k_stop - k_start > 1:
-        terms[1:] = t_start * np.cumprod(ratios)
-    return terms
+    return num / den
 
+
+#: the ratio table first covers k < max(checkpoint, _FIRST_TABLE)
+_FIRST_TABLE = 1024
 
 _RICHARDSON_DEPTH = 5
 
@@ -256,8 +255,15 @@ def _doublings(upper, lower, s: Optional[complex], track_abs: bool = False):
     if s is not None:
         p = s.real + 1.0 if s.imag == 0 else s + 1.0
 
+    table_start = table_stop = 0
     while checkpoint <= MAX_TERMS:
-        terms = _block_terms(upper, lower, t_next, k_next, checkpoint + 1)
+        if checkpoint > table_stop:
+            table_start, table_stop = k_next, max(checkpoint, _FIRST_TABLE)
+            ratios = _ratios(upper, lower, table_start, table_stop)
+        terms = np.empty(checkpoint + 1 - k_next, dtype=np.complex128)
+        terms[0] = t_next
+        terms[1:] = t_next * np.cumprod(
+            ratios[k_next - table_start:checkpoint - table_start])
         # terms covers indices k_next .. checkpoint; keep t_checkpoint for the tail
         partial += complex(np.sum(terms[:-1]))
         if track_abs:

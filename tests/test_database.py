@@ -191,6 +191,17 @@ class TestSerialization:
         with pytest.raises(ParseError):
             entry_from_json(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("int_symbols", [[3, ["n>=1"]]]), ("int_symbols", [[None, []]]),
+        ("derived", [[3, ["lin", {"const": "1"}]]]),
+        ("derived", [[["d"], ["lin", {"const": "1"}]]]),
+    ])
+    def test_non_string_symbol_name_rejected(self, field, value):
+        doc = entry_to_json(seed_db()[0])
+        doc[field] = value
+        with pytest.raises(ParseError, match="malformed database entry"):
+            entry_from_json(doc)
+
     def test_division_by_zero_rejected(self):
         with pytest.raises(ParseError):
             parse_expr("1/0")

@@ -14,7 +14,7 @@ from typing import Optional
 import mpmath
 import pytest
 
-from hyp321 import contiguous
+from hyp321 import contiguous, database
 from hyp321 import expr as E
 from hyp321.database import seed_db
 from hyp321.errors import (IndexCapture, NonFiniteParameter,
@@ -25,6 +25,7 @@ from hyp321.expr import (_LANCZOS_COEF, _LANCZOS_G, Add, Assignment, Const,
                          Polygamma, Pow, Recip, Sin, WatsonFn, WatsonRef,
                          cpolygamma, is_near_nonpositive_integer,
                          rising_factorial)
+from hyp321.parser import parse_expr
 from hyp321.series import sample_continuous
 
 a, b, c = E.sym("a"), E.sym("b"), E.sym("c")
@@ -45,7 +46,7 @@ def _node_trees():
         (E.Pow(E.Const(Q(0)), E.Neg(B)), "b"),
         (E.Pow(E.Const(Q(0)), E.Const(Q(0))), ""),
         (E.Gamma(A), "a"), (E.Gamma(E.Neg(A)), "a"),
-        (E.Gamma(E.Const(Q(-2))), ""),
+        (E.Gamma(E.Const(Q(-2))), ""), (E.Gamma(E.Gamma(A)), "a"),
         (E.Sin(A), "a"), (E.Cos(A), "a"), (E.Polygamma(1, A), "a"),
         (E.Pochhammer(A, ln), "an"), (E.Pochhammer(A, ln - 3), "an"),
         (E.Pochhammer(A, lb), "ab"),
@@ -381,6 +382,15 @@ class TestSerialization:
         with pytest.raises(ParseError):
             E.lin_from_json(d)
 
+    def test_symbol_named_const_has_no_flat_form(self):
+        """The flat form keeps the constant under "const"; a symbol of that
+        name would be overwritten, so writing it fails instead."""
+        for text in ("G(const + 1)", "Sum(k, const, 2, k)"):
+            with pytest.raises(ParseError, match="'const'"):
+                E.expr_to_json(parse_expr(text))
+        assert E.lin_to_flat(E.LinExpr.of(a) + Q(1, 2)) == {"a": "1",
+                                                             "const": "1/2"}
+
     def test_every_node_type_has_a_shape_tag_and_evaluator(self):
         """A node type cannot join one traversal and miss another."""
         sample = {E.EXPR: E.ONE, E.EXPRS: (E.ONE,), E.LIN: E.LinExpr.of(1),
@@ -634,6 +644,65 @@ class TestEvaluatorDifferential:
             for _ in range(3):
                 with pytest.raises(NonFiniteParameter):
                     lin.eval({a: 1.0})
+
+    def test_program_reused_at_two_assignments(self):
+        tree = E.Mul((E.Gamma(E.Lin(E.LinExpr.of(a) * Q(1, 2) + 1)),
+                      E.Recip(E.Gamma(E.Lin(E.LinExpr.of(a) + b)))))
+        for assignment in ({a: 0.25, b: 0.5}, {a: 1.5 + 0.25j, b: 2}):
+            _assert_same(tree, assignment)
+        assert E._PROGRAMS[id(tree)][0] is tree
+
+    def test_pole_then_value(self):
+        tree = E.Add((E.Gamma(E.Lin(E.LinExpr.of(a))), E.PI_CONST))
+        for x in (-2.0, 0.5, -3.0, 1.5):
+            _assert_same(tree, {a: x})
+        with pytest.raises(PoleError):
+            E.eval_expr(tree, {a: -2.0})
+        assert E.eval_expr(tree, {a: 0.5}) == math.sqrt(math.pi) + math.pi
+
+    @pytest.mark.parametrize("lin", [
+        E.LinExpr.of(a) * 10 ** 400, E.LinExpr.of(10 ** 400),
+        E.LinExpr(((a, Q(1)), (b, Q(10 ** 400))), Q(0))])
+    def test_huge_coefficient_in_gamma_raises_every_call(self, lin):
+        tree = E.Mul((E.ONE, E.Gamma(E.Lin(lin))))
+        for _ in range(3):
+            with pytest.raises(NonFiniteParameter):
+                E.eval_expr(tree, {a: 1.0, b: 1.0})
+        # the error the unbound symbol a and the huge number meet first
+        _assert_same(tree, {b: 1.0})
+
+    def test_huge_constant_raises_a_typed_error_every_call(self):
+        tree = E.Gamma(E.Const(Q(10 ** 400)))
+        for _ in range(3):
+            with pytest.raises(NonFiniteParameter):
+                E.eval_expr(tree, {})
+
+    def test_pickle_after_evaluation(self):
+        point = {a: 0.25, b: 0.5, n: 3}
+        for tree, _ in _node_trees():
+            first = _outcome(E.eval_expr, tree, point, _fake_watson)
+            back = pickle.loads(pickle.dumps(tree))
+            assert back == tree and hash(back) == hash(tree)
+            assert vars(back) == vars(tree)  # the program is not on the node
+            assert _outcome(E.eval_expr, back, point, _fake_watson) == first
+
+    def test_unknown_node(self):
+        with pytest.raises(TypeError, match="unknown node"):
+            E.eval_expr(E.LinExpr.of(a), {a: 1.0})
+
+    def test_seed_db_compiles_nothing(self, monkeypatch):
+        monkeypatch.setattr(E, "_PROGRAMS", {})
+        monkeypatch.setattr(database, "_SEED_CACHE", None)
+        seed_db()
+        assert E._PROGRAMS == {}
+
+    def test_program_cache_is_bounded(self):
+        trees = [E.Lin(E.LinExpr.of(a) + k) for k in range(E._MAX_PROGRAMS + 5)]
+        for k, tree in enumerate(trees):
+            assert E.eval_expr(tree, {a: 0.5}) == 0.5 + k
+            assert len(E._PROGRAMS) <= E._MAX_PROGRAMS
+        assert id(trees[0]) not in E._PROGRAMS  # the oldest went first
+        assert E.eval_expr(trees[0], {a: 0.5}) == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ class TestCompiledUnify:
         db = seed_db()
         hits = pairs = 0
         for query_entry in db[::STRIDE]:
-            for _, img in _images_of(_renamed(query_entry.lhs)):
+            for _, img, _ in _images_of(_renamed(query_entry.lhs)):
                 for entry in db:
                     pairs += 1
                     hits += bool(_assert_matches_reference(entry.lhs, img))

@@ -3,14 +3,18 @@
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
+from typing import Optional
 
+import numpy as np
 import pytest
 
 from hyp321 import expr as E
-from hyp321.errors import (DivergentSeries, LowerPole, NoConvergence,
-                           NonFiniteParameter, UnboundSymbol)
-from hyp321.series import (DIRECT_BUDGET, ParamSet, excess,
+from hyp321 import series
+from hyp321.errors import (DivergentSeries, Hyp321Error, LowerPole,
+                           NoConvergence, NonFiniteParameter, UnboundSymbol)
+from hyp321.series import (DIRECT_BUDGET, MAX_TERMS, ParamSet, excess,
                            is_karlsson_minton, is_terminating, series_pfq,
                            sum_series_numeric)
 
@@ -252,6 +256,135 @@ class TestHardInputs:
         r = sum_series_numeric([0.5, 0.5], [2e6 + 1.0])
         assert r.representation == "direct"
         assert abs(r.value - 1.0 - 0.25 / (2e6 + 1.0)) < 1e-12
+
+
+# The two functions below are the summation loop as it was before the ratio
+# table: every doubling computes the ratios of its own block.  Each result
+# of the oracle must equal theirs bit for bit.
+
+def ref_block_terms(upper, lower, t_start: complex, k_start: int,
+                    k_stop: int) -> np.ndarray:
+    k = np.arange(k_start, k_stop - 1, dtype=np.float64)
+    num = np.ones_like(k, dtype=np.complex128)
+    for u in upper:
+        num *= u + k
+    den = (k + 1.0).astype(np.complex128)
+    for l in lower:
+        den *= l + k
+    ratios = num / den
+    terms = np.empty(k_stop - k_start, dtype=np.complex128)
+    terms[0] = t_start
+    if k_stop - k_start > 1:
+        terms[1:] = t_start * np.cumprod(ratios)
+    return terms
+
+
+def ref_doublings(upper, lower, s: Optional[complex], track_abs: bool = False):
+    checkpoint = 64
+    k_next = 0
+    t_next = 1.0 + 0.0j
+    partial = 0.0 + 0.0j
+    abs_sum = 0.0
+    rows: list[list[complex]] = []
+    best_prev: Optional[complex] = None
+    if s is not None:
+        p = s.real + 1.0 if s.imag == 0 else s + 1.0
+    while checkpoint <= MAX_TERMS:
+        terms = ref_block_terms(upper, lower, t_next, k_next, checkpoint + 1)
+        partial += complex(np.sum(terms[:-1]))
+        if track_abs:
+            abs_sum += float(np.sum(np.abs(terms[:-1])))
+        t_cp = complex(terms[-1])
+        k_next = checkpoint
+        t_next = t_cp
+        if s is None:
+            yield checkpoint, partial, abs(t_cp), abs_sum
+            checkpoint *= 2
+            continue
+        tail = t_cp * (checkpoint / s + 0.5)
+        v = partial + tail
+        if not rows:
+            rows.append([v])
+        else:
+            rows[0].append(v)
+            level = 0
+            cur = v
+            while level + 1 < min(len(rows[0]), series._RICHARDSON_DEPTH):
+                prev = rows[level][-2]
+                q = p + level
+                if q.real <= series._MAX_RICHARDSON_EXP:
+                    cur = cur + (cur - prev) / (2.0 ** q - 1.0)
+                level += 1
+                if level == len(rows):
+                    rows.append([])
+                rows[level].append(cur)
+            best = cur
+            if best_prev is not None:
+                yield checkpoint, best, abs(best - best_prev), abs_sum
+            best_prev = best
+        checkpoint *= 2
+
+
+def _result(up, lo) -> str:
+    try:
+        r = sum_series_numeric(up, lo, rel_tol=1e-10)
+        return repr((r.value, r.abs_error_estimate, r.terms_used,
+                     r.terminated, r.representation))
+    except Hyp321Error as exc:
+        return repr((type(exc).__name__, str(exc)))
+
+
+def _draws():
+    """Complex and large-parameter draws, the regimes the golden oracle
+    corpus leaves out."""
+    rng = random.Random(46)
+    out = []
+    for _ in range(12):
+        out.append(([complex(rng.uniform(0.1, 2), rng.uniform(-1, 1))
+                     for _ in range(3)],
+                    [complex(rng.uniform(0.5, 3), rng.uniform(-1, 1))
+                     for _ in range(2)]))
+        out.append(([rng.uniform(1, 300) for _ in range(3)],
+                    [rng.uniform(1, 400) for _ in range(2)]))
+    return out
+
+
+#: past DIRECT_BUDGET: direct to 2^19 terms, direct after the Thomae images
+#: fail, a Thomae image at 16,640 terms, and two sums stopped at MAX_TERMS
+_LONG = [([40.5, 60.25], [101.3]), ([5000.5, 1.5, 1], [5001, 3.25]),
+         ([20.5, 30.5, 0.5], [40.3, 12.1]), ([1e6, 1, 1], [1e6 + 1, 2.5]),
+         ([1000.5, 900.25], [1901.9])]
+
+
+class TestRatioTable:
+    """The oracle against its loop before the ratio table, bit for bit."""
+
+    @pytest.mark.parametrize("up, lo", [(u, l) for u, l, _ in _COMPLEX]
+                             + [(u, l) for u, l, _, _ in _LARGE] + _LONG
+                             + _draws())
+    def test_same_result_as_block_terms(self, up, lo, monkeypatch):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _result(up, lo)
+            monkeypatch.setattr(series, "_doublings", ref_doublings)
+            assert _result(up, lo) == got
+
+    def test_peak_memory_of_a_full_length_sum(self):
+        """No more than five arrays of the last block's 2^20 terms at once
+        (the loop before the ratio table held six)."""
+        block = MAX_TERMS // 2 * np.dtype(np.complex128).itemsize
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(NoConvergence, match=f"within {MAX_TERMS} "):
+                sum_series_numeric([1e6, 1, 1], [1e6 + 1, 2.5])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert block < peak <= block * 5
 
 
 class TestSeriesPfq:
