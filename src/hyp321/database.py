@@ -363,10 +363,10 @@ def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
     tol = entry.rel_tol if rel_tol is None else rel_tol
     series_tol = min(1e-10, tol / 100.0)
     resolver = watson if watson is not None else default_watson
+    ranges = [(s, int_range(cs, s.name)) for s, cs in entry.int_symbols]
 
     def draw(rng):
-        ints = {s: rng.randint(*int_range(cs, s.name))
-                for s, cs in entry.int_symbols}
+        ints = {s: rng.randint(*r) for s, r in ranges}
         if not constraints_hold(entry, ints):
             return "constraints"
         full = repaired_assignment(entry, ints | {

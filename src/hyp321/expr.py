@@ -13,6 +13,8 @@ function nodes of the grammar.  Every walk of a tree goes through these two
 tables.  ``eval_expr`` compiles a tree once, through ``SHAPES``, into a
 program of nested tuples, with each linear form's coefficients as floats and
 each Γ of a linear form one step, and keeps a bounded number of programs.
+A form whose values are all real is summed in floats, which is the real
+part of its complex sum bit for bit, and Γ of it is ``math.gamma``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (IndexCapture, NonFiniteParameter, NonIntegerSumBound,
@@ -445,13 +447,10 @@ def cgamma(z: complex) -> complex:
     integer, OverflowError where a real Γ overflows or underflows to 0.
     """
     z = complex(z)
+    if z.imag == 0:
+        return complex(_real_gamma(z.real))
     if is_near_nonpositive_integer(z):
         raise PoleError(f"gamma pole at {z}")
-    if z.imag == 0:
-        g = math.gamma(z.real)
-        if g == 0:
-            raise OverflowError(f"gamma underflows at {z.real}")
-        return complex(g)
     if z.real < 0.5:
         # reflection: Gamma(z) = pi / (sin(pi z) * Gamma(1 - z))
         return math.pi / (cmath.sin(math.pi * z) * cgamma(1.0 - z))
@@ -461,6 +460,16 @@ def cgamma(z: complex) -> complex:
         x += _LANCZOS_COEF[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     return _SQRT_2PI * t ** (z + 0.5) * cmath.exp(-t) * x
+
+
+def _real_gamma(x: float) -> float:
+    """``math.gamma`` after the pole test; raises as ``cgamma`` does."""
+    if is_near_nonpositive_integer(x):
+        raise PoleError(f"gamma pole at {complex(x)}")
+    g = math.gamma(x)
+    if g == 0:
+        raise OverflowError(f"gamma underflows at {x}")
+    return g
 
 
 #: coefficients B_{2j} / (2j (2j - 1)) of Stirling's series, j = 1..8
@@ -561,9 +570,9 @@ def _compile(e: Expr) -> tuple:
     if node is Lin or node is Const:
         return operands[0]
     if node is Pi:
-        return (_lin, complex(math.pi), (), None, None)
-    if node is Gamma and operands[0][0] is _lin and operands[0][-1] is None:
-        return (*operands[0][:-1], cgamma)  # Γ of a linear form: one step
+        return (_lin, math.pi, (), None, False)
+    if node is Gamma and operands[0][0] is _lin and not operands[0][-1]:
+        return (*operands[0][:-1], True)  # Γ of a linear form: one step
     if node in _FUNCTIONS:
         return (_apply, _FUNCTIONS[node], *operands)
     return (_STEPS[node], *operands)
@@ -571,35 +580,59 @@ def _compile(e: Expr) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _term(s: Optional[Symbol], num: int, den: int) -> tuple:
-    """``(s, complex(num / den))``, shared by every program that uses it."""
-    return s, complex(num / den)
+    """``(s, num / den)``, shared by every program that uses it."""
+    return s, num / den
 
 
 def _compile_lin(form: LinExpr) -> tuple:
-    """``(_lin, const, ((symbol, coefficient), ...), form, None)``; a form
-    too large for a float is left to ``LinExpr.eval``, which raises."""
+    """``(_lin, const, ((symbol, coefficient), ...), form, False)`` in
+    floats; a form too large for a float is left to ``LinExpr.eval``."""
     try:
         return (_lin, _term(None, form.const.numerator,
                             form.const.denominator)[1],
                 tuple([_term(s, c.numerator, c.denominator)
-                       for s, c in form.terms]), form, None)
+                       for s, c in form.terms]), form, False)
     except OverflowError:
         return (lambda p, assignment, watson: p[1].eval(assignment), form)
 
 
 def _lin(p, assignment, watson):
-    """The linear form's value, passed to ``then`` (Γ) unless None."""
-    _, total, terms, form, then = p
+    """The linear form's value, or Γ of it when ``gamma``: in floats while
+    every value is real and the sum finite, else by ``LinExpr.eval``."""
+    _, total, terms, form, gamma = p
     try:
         for s, c in terms:
-            total += c * complex(assignment[s])
+            x = assignment[s]
+            if type(x) is complex:
+                if x.imag:
+                    total = None
+                    break
+                x = x.real
+            total += c * x
     except (KeyError, OverflowError):
+        total = None
+    if type(total) is not float or total - total != 0:
         total = form.eval(assignment)  # raises UnboundSymbol or NonFiniteParameter
-    return total if then is None else then(total)
+        return cgamma(total) if gamma else total
+    return complex(_real_gamma(total) if gamma else total)
 
 
 def _apply(p, assignment, watson):
     return p[1](*[x[0](x, assignment, watson) for x in p[2:]])
+
+
+def _add(p, assignment, watson):
+    total = 0j
+    for x in [x[0](x, assignment, watson) for x in p[1:]]:
+        total += x
+    return total
+
+
+def _mul(p, assignment, watson):
+    out = 1.0
+    for x in [x[0](x, assignment, watson) for x in p[1:]]:
+        out *= x
+    return out
 
 
 def _recip(v: complex) -> complex:
@@ -653,17 +686,15 @@ def _watson_ref(p, assignment, watson):
 
 
 #: what each node type computes from the values of its fields
-_FUNCTIONS = {Add: lambda *xs: sum(xs, 0j),
-              Mul: lambda *xs: reduce(operator.mul, xs, 1.0),
-              Neg: operator.neg, Recip: _recip, Pow: _power, Gamma: cgamma,
+_FUNCTIONS = {Neg: operator.neg, Recip: _recip, Pow: _power, Gamma: cgamma,
               Sin: cmath.sin, Cos: cmath.cos, Polygamma: cpolygamma,
               Pochhammer: _pochhammer}
 #: the steps of the node types that evaluate their fields themselves
-_STEPS = {FiniteSum: _finite_sum, WatsonRef: _watson_ref}
+_STEPS = {Add: _add, Mul: _mul, FiniteSum: _finite_sum, WatsonRef: _watson_ref}
 #: a number is a linear program without terms
 _COMPILE_FIELD = {EXPR: _compile, LIN: _compile_lin, INDEX: lambda v: v,
                   FRAC: lambda v: _compile_lin(LinExpr((), v)),
-                  INT: lambda v: (_lin, v, (), None, None)}
+                  INT: lambda v: (lambda p, assignment, watson: p[1], v)}
 
 
 def as_real(value: complex, rel: float = 1e-9) -> complex:

@@ -10,19 +10,25 @@ error expansion is in K^{-(s+j)}, so the extrapolation uses the exponent
 s + 1, complex when s is; a step whose exponent exceeds the float range is
 skipped, as it changes nothing.  The reported error bound is the difference
 of the last two extrapolated values.  The ratios come from one table for
-k < 1024, then one per doubling block, never longer than that block.
+k < 1024, then one per doubling block, never longer than that block.  With
+real parameters the table is float64, each ratio num * (1/den): numpy
+divides complex numbers by Smith's method, which for a real divisor
+multiplies by 1/den, so each ratio is the real part of the complex one bit
+for bit.  The terms and sums stay complex128: a float64 sum pairs the terms
+differently and changes the last digits.
 
 A non-terminating 3F2 that has not converged within ``DIRECT_BUDGET`` terms
 (large parameters make the tail expansion valid only for K far beyond
-them) is summed through a Thomae image instead: F = Γ(e)Γ(f)Γ(s) /
-(Γ(e')Γ(f')Γ(s')) * F', trying the images in falling Re(excess), where the
-series decays fastest.  The prefactor is computed in log-gamma form, so that
-Γ(451) does not overflow.  An image is used only when its sum converges
-within the same budget with a rounding error EPS * sum |t_k| (tracked while
-summing) plus EPS * sum |log Γ| of the prefactor, relative to F, of at most
-half the tolerance; its reported error is the image's own estimate scaled by
-|prefactor| plus that rounding.  When no image qualifies the direct sum
-continues up to ``MAX_TERMS``.  ``SeriesResult.representation`` names what
+them), or that overflows before, is summed through a Thomae image instead:
+F = Γ(e)Γ(f)Γ(s) / (Γ(e')Γ(f')Γ(s')) * F', trying the images in falling
+Re(excess), where the series decays fastest.  The prefactor is computed in
+log-gamma form, so that Γ(451) does not overflow.  An image is used only
+when its sum converges within the same budget with a rounding error
+EPS * sum |t_k| (tracked while summing) plus EPS * sum |log Γ| of the
+prefactor, relative to F, of at most half the tolerance; its reported error
+is the image's own estimate scaled by |prefactor| plus that rounding.  When
+no image qualifies the direct sum continues up to ``MAX_TERMS``, or raises
+NoConvergence if it overflows.  ``SeriesResult.representation`` names what
 was summed.
 
 A terminating sum is exact up to rounding; its bound is EPS * sum (k+1) |t_k|,
@@ -164,13 +170,11 @@ def sum_series_numeric(upper: Sequence[complex], lower: Sequence[complex],
         if not cmath.isfinite(x):
             raise NonFiniteParameter(f"parameter {x} is not finite")
 
-    term_counts = [_nonpos_int_index(u) for u in upper]
-    term_counts = [k for k in term_counts if k is not None]
-    n_term = min(term_counts) if term_counts else None
+    term_counts = [k for k in map(_nonpos_int_index, upper) if k is not None]
+    n_term = min(term_counts, default=None)
 
-    lower_poles = [_nonpos_int_index(l) for l in lower]
-    lower_poles = [k for k in lower_poles if k is not None]
-    k_pole = min(lower_poles) if lower_poles else None
+    lower_poles = [k for k in map(_nonpos_int_index, lower) if k is not None]
+    k_pole = min(lower_poles, default=None)
 
     if n_term is not None:
         if k_pole is not None and k_pole < n_term:
@@ -219,15 +223,16 @@ def _sum_terminating(upper, lower, n_term: int) -> SeriesResult:
 
 
 def _ratios(upper, lower, k_start: int, k_stop: int) -> np.ndarray:
-    """The term ratios t_{k+1} / t_k for k in [k_start, k_stop)."""
+    """The term ratios t_{k+1} / t_k for k in [k_start, k_stop), float64 if real."""
     k = np.arange(k_start, k_stop, dtype=np.float64)
-    num = np.ones_like(k, dtype=np.complex128)
+    real = not any(x.imag for x in upper + lower)
+    num = np.ones_like(k, dtype=np.float64 if real else np.complex128)
     for u in upper:
-        num *= u + k
-    den = (k + 1.0).astype(np.complex128)
+        num *= (u.real if real else u) + k
+    den = (k + 1.0).astype(num.dtype, copy=False)
     for l in lower:
-        den *= l + k
-    return num / den
+        den *= (l.real if real else l) + k
+    return num * (1.0 / den) if real else num / den
 
 
 #: the ratio table first covers k < max(checkpoint, _FIRST_TABLE)
@@ -262,12 +267,12 @@ def _doublings(upper, lower, s: Optional[complex], track_abs: bool = False):
             ratios = _ratios(upper, lower, table_start, table_stop)
         terms = np.empty(checkpoint + 1 - k_next, dtype=np.complex128)
         terms[0] = t_next
-        terms[1:] = t_next * np.cumprod(
-            ratios[k_next - table_start:checkpoint - table_start])
+        block = ratios[k_next - table_start:checkpoint - table_start]
+        np.multiply(t_next, block.cumprod(), out=terms[1:])
         # terms covers indices k_next .. checkpoint; keep t_checkpoint for the tail
-        partial += complex(np.sum(terms[:-1]))
+        partial += complex(terms[:-1].sum())
         if track_abs:
-            abs_sum += float(np.sum(np.abs(terms[:-1])))
+            abs_sum += float(np.abs(terms[:-1]).sum())
         t_cp = complex(terms[-1])
         k_next = checkpoint
         t_next = t_cp
@@ -307,18 +312,23 @@ def _converged(best: complex, err: float, rel_tol: float) -> bool:
 
 def _sum_infinite(upper, lower, s: Optional[complex], rel_tol: float) -> SeriesResult:
     """Direct summation; a 3F2 that has not converged after DIRECT_BUDGET
-    terms is summed through a Thomae image when one qualifies."""
+    terms, or that overflows, is summed through a Thomae image if one fits."""
     spent = 0
     err = math.inf
     no_image = ""
-    for k, best, err, _ in _doublings(upper, lower, s):
-        if _converged(best, err, rel_tol):
-            return SeriesResult(best, err, spent + k, False)
-        if k == DIRECT_BUDGET and len(upper) == 3 and len(lower) == 2:
-            res, spent = _thomae_sum(upper, lower, s, rel_tol)
-            if res is not None:
-                return replace(res, terms_used=res.terms_used + k)
-            no_image = "; no well-conditioned Thomae image of larger excess"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, best, err, _ in _doublings(upper, lower, s):
+            finite = cmath.isfinite(best)
+            if finite and _converged(best, err, rel_tol):
+                return SeriesResult(best, err, spent + k, False)
+            if (k == DIRECT_BUDGET or not finite) and not no_image \
+                    and len(upper) == 3 and len(lower) == 2:
+                res, spent = _thomae_sum(upper, lower, s, rel_tol)
+                if res is not None:
+                    return replace(res, terms_used=res.terms_used + k)
+                no_image = "; no well-conditioned Thomae image of larger excess"
+            if not finite:
+                raise NoConvergence(f"direct terms overflow by term {k}{no_image}")
     raise NoConvergence(
         f"no convergence to rel_tol={rel_tol} within {MAX_TERMS} terms "
         f"(last delta {err:.3g}){no_image}")
@@ -370,12 +380,10 @@ def _thomae_sum(upper, lower, s: complex, rel_tol: float
 def _sum_image(upper, lower, s: complex, rel_tol: float) -> tuple:
     """``(K, estimate, error, sum |t_k|)`` of a direct sum stopped at
     convergence, at DIRECT_BUDGET terms or when its terms overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, best, err, abs_sum in _doublings(upper, lower, s,
-                                                track_abs=True):
-            if _converged(best, err, rel_tol) or k >= DIRECT_BUDGET \
-                    or not math.isfinite(abs_sum):
-                return k, best, err, abs_sum
+    for k, best, err, abs_sum in _doublings(upper, lower, s, track_abs=True):
+        if _converged(best, err, rel_tol) or k >= DIRECT_BUDGET \
+                or not math.isfinite(abs_sum):
+            return k, best, err, abs_sum
 
 
 def series_pfq(p: ParamSet, assignment: Mapping[Symbol, complex],
