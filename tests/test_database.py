@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from hyp321 import database
 from hyp321 import expr as E
 from hyp321.database import (constraints_hold, converges_at, db_from_json,
                              db_to_json, dumps_db, entry_from_json,
@@ -154,6 +155,18 @@ class TestConstraints:
     ])
     def test_int_range_reads_the_parsed_constraints(self, constraints, lo):
         assert int_range(constraints, "n") == (lo, 4)
+
+    def test_verify_entry_computes_each_range_once(self, monkeypatch):
+        entry = get_entry(seed_db(), "B.1")  # integer symbols m and n
+        want = verify_entry(entry, trials=5, seed=3)
+        calls = []
+
+        def counted(constraints, name):
+            calls.append(name)
+            return int_range(constraints, name)
+        monkeypatch.setattr(database, "int_range", counted)
+        assert verify_entry(entry, trials=5, seed=3) == want
+        assert calls == ["m", "n"]  # not once per draw
 
 
 class TestSerialization:

@@ -621,6 +621,54 @@ class TestEvaluatorDifferential:
         for z in points:
             assert _outcome(E.cgamma, z) == _outcome(ref_cgamma, z), z
 
+    def test_real_forms_at_the_edges_of_gamma(self):
+        """Real values (float, int, complex with imaginary part ±0.0) take
+        the float path; compared with the complex reference by repr, so
+        signed zeros, NaN and every exception type count."""
+        la, lb = E.LinExpr.of(a), E.LinExpr.of(b)
+        trees = [E.Gamma(E.Lin(la)), E.Gamma(E.Lin(la * Q(1, 2) + lb - 1)),
+                 E.Lin(la * Q(-1, 3) + 2), E.Lin(la - lb),
+                 E.Mul((E.Gamma(E.Lin(la + lb)), E.Recip(E.Gamma(E.Lin(lb))))),
+                 E.Add((E.Lin(la), E.Gamma(E.Lin(lb - la)), E.PI_CONST))]
+        edges = [1e-13, -1e-13, 5e-13, -3 + 5e-13, -3 - 5e-13, -3 + 2e-12,
+                 171.6, 171.7, -178.5, -180.5, 0.0, -0.0, 0.5, -0.5, 1e308,
+                 math.nan, math.inf, -math.inf, 0, -3, 7, 10 ** 400]
+        for x in edges:
+            values = [x] if isinstance(x, int) and abs(x) > 1e300 else \
+                [x, complex(x), complex(x, -0.0)]
+            for value in values:
+                for tree in trees:
+                    _assert_same(tree, {a: value, b: 0.5})
+                    _assert_same(tree, {a: 0.25, b: value})
+                    _assert_same(tree, {a: value, b: value})
+
+    def test_int_sum_index_and_mixed_assignments(self):
+        k = E.sym("k")
+        la = E.LinExpr.of(a)
+        total = E.FiniteSum(k, E.LinExpr.of(0), E.LinExpr.of(n),
+                            E.Mul((E.Gamma(E.Lin(la + k)),
+                                   E.Lin(E.LinExpr.of(k) * Q(1, 2) - la))))
+        trees = [total, E.Gamma(E.Lin(la + b)), E.Lin(la * 3 - b + 1),
+                 E.Add((E.Gamma(E.Lin(la)), E.Gamma(E.Lin(E.LinExpr.of(b)))))]
+        for assignment in ({a: 0.25, b: 0.5, n: 3}, {a: -2.5, b: 0, n: 4},
+                           {a: 0.3, b: 0.2 + 0.1j, n: 2},
+                           {a: 0.3 - 0.25j, b: 0.2, n: 1},
+                           {a: complex(0.3, -0.0), b: 0.2 + 0j, n: 2 + 0j}):
+            for tree in trees:
+                _assert_same(tree, assignment)
+
+    def test_real_values_never_reach_cgamma(self, monkeypatch):
+        tree = E.Mul((E.Gamma(E.Lin(E.LinExpr.of(a) + b)), E.Gamma(E.ONE)))
+        want = E.eval_expr(tree, {a: 0.25, b: 0.5})
+
+        def refuse(z):
+            raise AssertionError(f"cgamma({z})")
+        monkeypatch.setattr(E, "cgamma", refuse)
+        for b_value in (0.5, 0.5 + 0j, complex(0.5, -0.0)):
+            assert E.eval_expr(tree, {a: 0.25, b: b_value}) == want
+        with pytest.raises(AssertionError, match="cgamma"):
+            E.eval_expr(tree, {a: 0.25, b: 0.5 + 1e-3j})
+
     def test_lin_eval_matches_complex_of_fraction(self):
         """n / d is complex(Fraction) bit for bit, int constants included."""
         rng = random.Random(45)

@@ -251,6 +251,26 @@ class TestHardInputs:
         with pytest.raises(NoConvergence, match="well-conditioned"):
             sum_series_numeric([1e6, 1, 1], [1e6 + 1, 2.5])
 
+    def test_direct_sum_that_overflows_is_typed_and_silent(self, capfd):
+        # a 2F1 has no Thomae image; its terms pass 1e308 before term 1024
+        with pytest.raises(NoConvergence, match="overflow by term 1024$"):
+            sum_series_numeric([1000.5, 900.25], [1901.9])
+        # an entire series: its overflowing estimate must not pass as a
+        # converged value of -inf
+        with pytest.raises(NoConvergence, match="overflow"):
+            sum_series_numeric([385932.0, -0.359, 0.382, 1.618],
+                               [7.245, 3.902, 4.615, 5.541])
+        assert capfd.readouterr().err == ""
+
+    def test_3f2_that_overflows_goes_to_a_thomae_image_at_once(self, capfd):
+        # alternating terms above 1e308 that cancel to 3.6e-78; the image
+        # is tried at the overflow, not after DIRECT_BUDGET terms
+        r = sum_series_numeric([-536.166, 577.96, 0.651], [22.803, 20.208])
+        assert r.representation == "Thomae base 1 (excess 0.651)"
+        assert abs(r.value - 3.587098738933789e-78) <= 1e-12 * 3.6e-78
+        assert r.terms_used == 4096
+        assert capfd.readouterr().err == ""
+
     def test_richardson_exponent_beyond_float_range(self):
         # excess 2e6: 2.0 ** (s + 1) overflows a float
         r = sum_series_numeric([0.5, 0.5], [2e6 + 1.0])
@@ -258,20 +278,25 @@ class TestHardInputs:
         assert abs(r.value - 1.0 - 0.25 / (2e6 + 1.0)) < 1e-12
 
 
-# The two functions below are the summation loop as it was before the ratio
-# table: every doubling computes the ratios of its own block.  Each result
-# of the oracle must equal theirs bit for bit.
+# The functions below are the summation loop as it was before the ratio
+# table: every doubling computes the ratios of its own block, as complex
+# numbers.  Each result of the oracle must equal theirs bit for bit, and a
+# real ratio table the real part of ``ref_ratios``.
 
-def ref_block_terms(upper, lower, t_start: complex, k_start: int,
-                    k_stop: int) -> np.ndarray:
-    k = np.arange(k_start, k_stop - 1, dtype=np.float64)
+def ref_ratios(upper, lower, k_start: int, k_stop: int) -> np.ndarray:
+    k = np.arange(k_start, k_stop, dtype=np.float64)
     num = np.ones_like(k, dtype=np.complex128)
     for u in upper:
         num *= u + k
     den = (k + 1.0).astype(np.complex128)
     for l in lower:
         den *= l + k
-    ratios = num / den
+    return num / den
+
+
+def ref_block_terms(upper, lower, t_start: complex, k_start: int,
+                    k_stop: int) -> np.ndarray:
+    ratios = ref_ratios(upper, lower, k_start, k_stop - 1)
     terms = np.empty(k_stop - k_start, dtype=np.complex128)
     terms[0] = t_start
     if k_stop - k_start > 1:
@@ -350,10 +375,41 @@ def _draws():
 
 
 #: past DIRECT_BUDGET: direct to 2^19 terms, direct after the Thomae images
-#: fail, a Thomae image at 16,640 terms, and two sums stopped at MAX_TERMS
+#: fail, a Thomae image at 16,640 terms, a sum stopped at MAX_TERMS, and a
+#: 2F1 whose terms overflow by term 1024
 _LONG = [([40.5, 60.25], [101.3]), ([5000.5, 1.5, 1], [5001, 3.25]),
          ([20.5, 30.5, 0.5], [40.3, 12.1]), ([1e6, 1, 1], [1e6 + 1, 2.5]),
          ([1000.5, 900.25], [1901.9])]
+
+
+#: real parameters for the float64 table: negative non-integers, lower
+#: parameters 1e-9 from a pole, parameters near 1e6, an imaginary part -0.0
+_REAL = [([-2.5, 0.3, -7.25], [1.5, -3.75]), ([-0.5, -11.75], [-4.5]),
+         ([0.5, 0.25, 0.75], [-2 + 1e-9, 1.5]),
+         ([1.25, 0.5, -0.3], [-7 + 1e-9, -1e-9]),
+         ([1e6 + 0.5, 0.25, 1.5], [1e6 + 1.25, 2.75]),
+         ([999999.3, 1000000.7], [2000001.9]),
+         ([complex(0.5, -0.0), 0.25, 0.75], [1.5, complex(2.5, -0.0)]),
+         ([-3.5], [0.25]), ([0.3, 0.6], [])]
+
+
+def _peak_over_block(up, lo) -> float:
+    """Peak traced memory of a full-length sum, in arrays of the last
+    block's 2^20 complex terms."""
+    block = MAX_TERMS // 2 * np.dtype(np.complex128).itemsize
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(NoConvergence, match=f"within {MAX_TERMS} "):
+            sum_series_numeric(up, lo)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak / block
 
 
 class TestRatioTable:
@@ -361,30 +417,40 @@ class TestRatioTable:
 
     @pytest.mark.parametrize("up, lo", [(u, l) for u, l, _ in _COMPLEX]
                              + [(u, l) for u, l, _, _ in _LARGE] + _LONG
-                             + _draws())
+                             + _draws() + _REAL)
     def test_same_result_as_block_terms(self, up, lo, monkeypatch):
         with np.errstate(over="ignore", invalid="ignore"):
             got = _result(up, lo)
             monkeypatch.setattr(series, "_doublings", ref_doublings)
             assert _result(up, lo) == got
 
+    @pytest.mark.parametrize("up, lo", _REAL)
+    def test_real_table_is_the_real_part_of_the_complex_one(self, up, lo):
+        """Compared as bytes: bit for bit, signed zeros included."""
+        up, lo = [complex(u) for u in up], [complex(l) for l in lo]
+        for k_start, k_stop in ((0, 1024), (1024, 4096), (2 ** 20, 2 ** 21)):
+            got = series._ratios(up, lo, k_start, k_stop)
+            want = ref_ratios(up, lo, k_start, k_stop)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.real.tobytes()
+            assert not want.imag.any()  # the parts dropped are all zero
+
+    def test_complex_table_is_unchanged(self):
+        up, lo = [0.5 + 0.25j, 0.3, -1.5], [1.25, 2.5 - 0.5j]
+        got, want = series._ratios(up, lo, 0, 4096), ref_ratios(up, lo, 0, 4096)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+
     def test_peak_memory_of_a_full_length_sum(self):
+        """No more than three arrays of the last block's 2^20 complex terms
+        at once for real parameters, whose ratio table is float64 (a
+        complex table takes 4.5)."""
+        assert 1 < _peak_over_block([1e6, 1, 1], [1e6 + 1, 2.5]) <= 3
+
+    def test_peak_memory_of_a_full_length_complex_sum(self):
         """No more than five arrays of the last block's 2^20 terms at once
         (the loop before the ratio table held six)."""
-        block = MAX_TERMS // 2 * np.dtype(np.complex128).itemsize
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            with pytest.raises(NoConvergence, match=f"within {MAX_TERMS} "):
-                sum_series_numeric([1e6, 1, 1], [1e6 + 1, 2.5])
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert block < peak <= block * 5
+        assert 1 < _peak_over_block([1e6, 1, 1 + 0.5j], [1e6 + 1, 2.5]) <= 5
 
 
 class TestSeriesPfq:
