@@ -7,13 +7,13 @@ elements shift the parameters by integers:
     Dixon    X_{m,n}(a,b,c) = ₃F₂(a, b, c; 1+m+a−b, 1+m+n+a−c; 1)
     Whipple  P_{m,n}(a,b,c) = ₃F₂(a, b, 1−b+m+n; c, 1+2a+m−c; 1)
 
-``watson_element`` reaches any (m, n) by walking a lattice of two
-three-term recursions (one stepping m by 2 at fixed n, one stepping n by 1
-at fixed m) from eight closed-form anchors.  Dixon and Whipple elements are
-Watson elements at shifted arguments times an explicit gamma quotient; the
-symbolic maps (``x_to_w``, ``w_to_x``, ``p_from_w``, ``p_from_x``) expose
-those shifts and prefactors, and ``dixon_element`` / ``whipple_element``
-apply them numerically.
+``watson_element`` reaches any (m, n) from eight closed-form anchors
+(``anchor_value``, from the database entries of ``anchor_entries``) by one
+three-term stencil: the n-recursion (n by 1) in the anchored columns
+m = −1…2, the m-recursion (m by 2) outside them, run forward above the
+seeds and solved for its lowest term below them.  Dixon and Whipple
+elements are W at shifted arguments times a gamma quotient; the symbolic
+maps (``x_to_w``, ``w_to_x``, ``p_from_w``, ``p_from_x``) expose both.
 
 One unknown remains after the anchors are consumed: the two recursions
 leave W(2, 1) undetermined (the even-m, n≠0 sublattice is not reachable
@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .errors import (AnchorPole, DivergentSeries, ExceptionalCase, GammaPole,
@@ -40,7 +41,7 @@ from .parser import parse_expr
 from .series import sum_series_numeric
 
 __all__ = [
-    "FAMILIES", "ContigQuery", "AnchorTable", "default_anchor_table",
+    "FAMILIES", "ContigQuery", "anchor_entries", "anchor_value",
     "watson_element", "dixon_element", "whipple_element",
     "x_to_w", "w_to_x", "p_from_w", "p_from_x", "dixon_swap",
 ]
@@ -52,8 +53,6 @@ SINGULAR_TOL = 1e-9
 
 _A, _B, _C = sym("a"), sym("b"), sym("c")
 _M, _N = sym("m"), sym("n")
-_LA, _LB, _LC = LinExpr.of(_A), LinExpr.of(_B), LinExpr.of(_C)
-_LM, _LN = LinExpr.of(_M), LinExpr.of(_N)
 
 Numeric = complex
 
@@ -88,7 +87,7 @@ class ContigQuery:
 
 
 # ---------------------------------------------------------------------------
-# Anchors
+# The Watson lattice
 # ---------------------------------------------------------------------------
 
 #: (m, n) -> (entry id, permutation sending (a, b, c) of the query to the
@@ -106,52 +105,36 @@ _ANCHOR_SPEC: dict[tuple[int, int], tuple[str, tuple[int, int, int]]] = {
 }
 
 
-@dataclass(frozen=True)
-class AnchorTable:
-    """The eight Watson starting closed forms, as database entries.
-
-    ``entries`` maps an offset pair to the entry holding its closed form
-    plus the argument permutation under which the entry's left-hand side is
-    exactly W_{m,n}.
-    """
-
-    entries: dict  # (m, n) -> (DbEntry, permutation)
-
-    def value(self, m: int, n: int, a: Numeric, b: Numeric, c: Numeric) -> Numeric:
-        entry, perm = self.entries[(m, n)]
-        triple = (a, b, c)
-        assignment = {_A: triple[perm[0]], _B: triple[perm[1]], _C: triple[perm[2]]}
-        try:
-            return eval_expr(entry.rhs, assignment)
-        except PoleError as exc:
-            raise AnchorPole(
-                f"anchor W({m},{n}) ({entry.id}) hits a gamma pole: {exc}") from exc
+@lru_cache(maxsize=1)
+def anchor_entries() -> dict:
+    """(m, n) -> (database entry, permutation) of the eight anchors, read
+    from the built-in database on first use; see ``_ANCHOR_SPEC``."""
+    from .database import get_entry, seed_db
+    db = seed_db()
+    return {key: (get_entry(db, eid), perm)
+            for key, (eid, perm) in _ANCHOR_SPEC.items()}
 
 
-_ANCHOR_CACHE: Optional[AnchorTable] = None
+def anchor_value(m: int, n: int, a: Numeric, b: Numeric, c: Numeric) -> Numeric:
+    """The anchor W_{m,n}(a, b, c) from its closed form; a gamma pole in it
+    raises ``AnchorPole``."""
+    entry, perm = anchor_entries()[(m, n)]
+    triple = (a, b, c)
+    assignment = {_A: triple[perm[0]], _B: triple[perm[1]], _C: triple[perm[2]]}
+    try:
+        return eval_expr(entry.rhs, assignment)
+    except PoleError as exc:
+        raise AnchorPole(
+            f"anchor W({m},{n}) ({entry.id}) hits a gamma pole: {exc}") from exc
 
-
-def default_anchor_table() -> AnchorTable:
-    """Anchor table backed by the built-in database (cached)."""
-    global _ANCHOR_CACHE
-    if _ANCHOR_CACHE is None:
-        from .database import get_entry, seed_db
-        db = seed_db()
-        _ANCHOR_CACHE = AnchorTable(entries={
-            key: (get_entry(db, eid), perm)
-            for key, (eid, perm) in _ANCHOR_SPEC.items()})
-    return _ANCHOR_CACHE
-
-
-# ---------------------------------------------------------------------------
-# The Watson lattice
-# ---------------------------------------------------------------------------
-
-#: seed n-range (inclusive) available per anchored column m
-_COLUMN_SEEDS = {-1: (0, 1), 0: (-1, 1), 1: (-1, 0), 2: (0, 1)}
 
 #: the free lattice unknown: u = W(2, 1)
 _FREE_NODE = (2, 1)
+
+
+def _forward(c1: complex, c2: complex, w1: tuple, w2: tuple) -> tuple:
+    """c1·W₁ + c2·W₂ on (p, q) pairs."""
+    return c1 * w1[0] + c2 * w2[0], c1 * w1[1] + c2 * w2[1]
 
 
 class _WatsonLattice:
@@ -162,17 +145,12 @@ class _WatsonLattice:
     condition in the m = −2 column.
     """
 
-    def __init__(self, a: Numeric, b: Numeric, c: Numeric,
-                 anchors: Optional[AnchorTable] = None):
-        self.a = complex(a)
-        self.b = complex(b)
-        self.c = complex(c)
-        self.anchors = anchors if anchors is not None else default_anchor_table()
+    def __init__(self, a: Numeric, b: Numeric, c: Numeric):
+        self.a, self.b, self.c = complex(a), complex(b), complex(c)
         self.memo: dict[tuple[int, int], tuple[complex, complex]] = {}
         self.u: Optional[complex] = None
         self.scale = 1.0 + abs(self.a) + abs(self.b) + abs(self.c)
 
-    # -- recursion coefficients -------------------------------------------
     def _check_denominator(self, d: complex, where: str) -> complex:
         if abs(d) < SINGULAR_TOL * self.scale ** 3:
             raise SingularRecursionPath(
@@ -205,43 +183,40 @@ class _WatsonLattice:
         cb = -(a + b + m - 3) * (a + b + m - 1) * (a + b - 2 * c + 3 - m - 2 * n) / d
         return ca, cb
 
-    # -- lattice traversal --------------------------------------------------
     def pair(self, m: int, n: int) -> tuple[complex, complex]:
         key = (m, n)
         if key in self.memo:
             return self.memo[key]
         if key in _ANCHOR_SPEC:
-            val = (self.anchors.value(m, n, self.a, self.b, self.c), 0j)
+            val = (anchor_value(m, n, self.a, self.b, self.c), 0j)
         elif key == _FREE_NODE:
             val = (0j, 1 + 0j)
-        elif -1 <= m <= 2:
-            lo, hi = _COLUMN_SEEDS[m]
-            if n > hi:
-                c1, c2 = self._n_step(m, n)
-                w1, w2 = self.pair(m, n - 1), self.pair(m, n - 2)
-                val = (c1 * w1[0] + c2 * w2[0], c1 * w1[1] + c2 * w2[1])
-            else:  # n < lo: solve the stencil at n + 2 for its lowest term
-                c1, c2 = self._n_step(m, n + 2)
-                if abs(c2) < SINGULAR_TOL:
-                    raise SingularRecursionPath(
-                        f"n-step at (m,n)=({m},{n + 2}) cannot be inverted")
-                w0, w1 = self.pair(m, n + 2), self.pair(m, n + 1)
-                val = ((w0[0] - c1 * w1[0]) / c2, (w0[1] - c1 * w1[1]) / c2)
-        elif m >= 3:
-            ca, cb = self._m_step(m, n)
-            w1, w2 = self.pair(m - 2, n), self.pair(m - 4, n)
-            val = (ca * w1[0] + cb * w2[0], ca * w1[1] + cb * w2[1])
-        else:  # m <= -2: solve the stencil at m + 4 for its lowest term
-            ca, cb = self._m_step(m + 4, n)
-            if abs(cb) < SINGULAR_TOL:
-                raise SingularRecursionPath(
-                    f"m-step at (m,n)=({m + 4},{n}) cannot be inverted")
-            w0, w1 = self.pair(m + 4, n), self.pair(m + 2, n)
-            val = ((w0[0] - ca * w1[0]) / cb, (w0[1] - ca * w1[1]) / cb)
+        else:
+            val = self._stencil(m, n)
         self.memo[key] = val
         return val
 
-    # -- resolving the free unknown ----------------------------------------
+    def _stencil(self, m: int, n: int) -> tuple[complex, complex]:
+        """A non-seed node from the two before it on its axis: the n-step in
+        the anchored columns −1…2, the m-step (stride 2) outside them.  The
+        seeds lie at n = −1…1 of those columns, so a node at negative n in
+        them, or at negative m outside them, is below the seeds: it solves
+        the stencil two strides up for its lowest term."""
+        if -1 <= m <= 2:
+            step, axis, dm, dn, below = self._n_step, "n", 0, 1, n < 0
+        else:
+            step, axis, dm, dn, below = self._m_step, "m", 2, 0, m < 0
+        if not below:
+            return _forward(*step(m, n), self.pair(m - dm, n - dn),
+                            self.pair(m - 2 * dm, n - 2 * dn))
+        top = (m + 2 * dm, n + 2 * dn)
+        c1, c2 = step(*top)
+        if abs(c2) < SINGULAR_TOL:
+            raise SingularRecursionPath(
+                f"{axis}-step at (m,n)=({top[0]},{top[1]}) cannot be inverted")
+        w0, w1 = self.pair(*top), self.pair(m + dm, n + dn)
+        return (w0[0] - c1 * w1[0]) / c2, (w0[1] - c1 * w1[1]) / c2
+
     def _resolve_u(self) -> complex:
         """Fix u = W(2, 1) so the n-recursion holds in the m = −2 column."""
         if self.u is not None:
@@ -249,9 +224,8 @@ class _WatsonLattice:
         for probe in (1, 2):
             c1, c2 = self._n_step(-2, probe)
             lp, lq = self.pair(-2, probe)
-            w1, w2 = self.pair(-2, probe - 1), self.pair(-2, probe - 2)
-            rp = c1 * w1[0] + c2 * w2[0]
-            rq = c1 * w1[1] + c2 * w2[1]
+            rp, rq = _forward(c1, c2, self.pair(-2, probe - 1),
+                              self.pair(-2, probe - 2))
             den = lq - rq
             mag = max(1.0, abs(lq), abs(rq))
             if abs(den) > SINGULAR_TOL * mag:
@@ -380,8 +354,7 @@ def _checked(query: ContigQuery, value: complex,
 
 
 def watson_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
-                   rel_tol: Optional[float] = None,
-                   anchors: Optional[AnchorTable] = None) -> complex:
+                   rel_tol: Optional[float] = None) -> complex:
     """W_{m,n}(a, b, c) by lattice recursion from the eight anchors.
 
     When ``rel_tol`` is given the result is cross-checked against direct
@@ -391,30 +364,30 @@ def watson_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
     """
     m, n = int(m), int(n)
     return _checked(ContigQuery("watson", a, b, c, m, n),
-                    _WatsonLattice(a, b, c, anchors).value(m, n), rel_tol)
+                    _WatsonLattice(a, b, c).value(m, n), rel_tol)
 
 
-def _prefactor_value(pref: Expr, a, b, c, m, n) -> complex:
-    assignment = {_A: a, _B: b, _C: c, _M: m, _N: n}
+def _via_watson(family: str, mapped_args, prefactor: Expr, a, b, c,
+                m: int, n: int, rel_tol: Optional[float]) -> complex:
+    """W at ``mapped_args(a, b, c, m, n)`` times the gamma quotient
+    ``prefactor``, in that order."""
+    value = watson_element(*mapped_args(a, b, c, m, n))
     try:
-        return eval_expr(pref, assignment)
+        value *= eval_expr(prefactor, {_A: a, _B: b, _C: c, _M: m, _N: n})
     except PoleError as exc:
         raise GammaPole(f"gamma quotient pole: {exc}") from exc
+    return _checked(ContigQuery(family, a, b, c, m, n), value, rel_tol)
 
 
 def dixon_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
-                  rel_tol: Optional[float] = None,
-                  anchors: Optional[AnchorTable] = None) -> complex:
+                  rel_tol: Optional[float] = None) -> complex:
     """X_{m,n}(a, b, c) via the Watson lattice at shifted arguments."""
-    m, n = int(m), int(n)
-    value = (watson_element(*_x_to_w_args(a, b, c, m, n), anchors=anchors)
-             * _prefactor_value(_X_TO_W_PREF, a, b, c, m, n))
-    return _checked(ContigQuery("dixon", a, b, c, m, n), value, rel_tol)
+    return _via_watson("dixon", _x_to_w_args, _X_TO_W_PREF, a, b, c,
+                       int(m), int(n), rel_tol)
 
 
 def whipple_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
-                    rel_tol: Optional[float] = None,
-                    anchors: Optional[AnchorTable] = None) -> complex:
+                    rel_tol: Optional[float] = None) -> complex:
     """P_{m,n}(a, b, c) via the Watson lattice at shifted arguments.
 
     Raises ``ExceptionalCase`` for m = n = 0 with ``a`` a non-positive
@@ -427,6 +400,5 @@ def whipple_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
         raise ExceptionalCase(
             "the Whipple conversion fails at m = n = 0 when a is a "
             "non-positive integer and b is not an integer")
-    value = (watson_element(*_p_from_w_args(a, b, c, m, n), anchors=anchors)
-             * _prefactor_value(_P_FROM_W_PREF, a, b, c, m, n))
-    return _checked(ContigQuery("whipple", a, b, c, m, n), value, rel_tol)
+    return _via_watson("whipple", _p_from_w_args, _P_FROM_W_PREF, a, b, c,
+                       m, n, rel_tol)

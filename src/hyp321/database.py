@@ -396,11 +396,10 @@ def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
 
 def verify_all(entries: Sequence[DbEntry], trials: int = 5, seed: int = 0,
                rel_tol: Optional[float] = None,
-               watson: Optional[Callable] = None,
-               skip_status: Sequence[str] = ()) -> dict[str, VerificationReport]:
+               watson: Optional[Callable] = None
+               ) -> dict[str, VerificationReport]:
     return {e.id: verify_entry(e, trials=trials, seed=seed, rel_tol=rel_tol,
-                               watson=watson)
-            for e in entries if e.status not in skip_status}
+                               watson=watson) for e in entries}
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,9 @@ Q = Fraction
 #: Reserved names that always denote non-negative integer symbols.
 INTEGER_SYMBOL_NAMES = frozenset({"n", "m", "L", "k", "N", "M"})
 
-#: Distance from a non-positive integer below which gamma/polygamma raise PoleError.
+#: Distance within which a value counts as an integer: gamma/polygamma raise
+#: PoleError this close to a non-positive one, and the oracle's termination,
+#: lower-pole and Karlsson–Minton tests use it too.
 POLE_TOL = 1e-12
 
 
@@ -432,11 +434,12 @@ _LANCZOS_COEF = (
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def is_near_nonpositive_integer(z: complex, tol: float = POLE_TOL) -> bool:
-    if abs(z.imag) > tol:
+def is_near_nonpositive_integer(z: complex) -> bool:
+    """True when ``z`` is within POLE_TOL of a non-positive integer."""
+    if abs(z.imag) > POLE_TOL:
         return False
     r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= tol
+    return r <= 0 and abs(z.real - r) <= POLE_TOL
 
 
 def cgamma(z: complex) -> complex:

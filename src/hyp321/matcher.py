@@ -30,7 +30,8 @@ from .database import (DbEntry, SampleRecord, constraints_hold,
 from .errors import Hyp321Error, ShapeError
 from .expr import (Expr, LinExpr, Mul, Symbol, combine_rows, eval_expr,
                    free_symbols, int_rows, rename_indices, row_lin, substitute)
-from .series import ParamSet, excess, sample_continuous, series_pfq
+from .series import (KARLSSON_MINTON_KMAX, ParamSet, excess,
+                     sample_continuous, series_pfq)
 from .thomae import (CLASS_REPRESENTATIVES, DOUBLED_FORMS, IDENTITY_VARIANT,
                      LOWER_PERMS, UPPER_PERMS, ThomaeVariant, apply_variant,
                      distinct_images)
@@ -318,8 +319,7 @@ def identify(entries: Sequence[DbEntry], query: ParamSet, *,
     variant name, and each instantiated closed form evaluates to the query's
     own value.
     """
-    images = [(v, img, int_rows(img.upper + img.lower))
-              for v, img in distinct_images(query, _IMAGE_VARIANTS)]
+    images = _images_of(query.upper, query.lower)
     taken = query.free_symbols()
     results: list[MatchResult] = []
     for entry in sorted(entries, key=lambda e: e.id):
@@ -465,11 +465,13 @@ def _kinds_preserved(e2: DbEntry, sub: Substitution) -> bool:
 # The bounds of both caches hold about 150 entries with ten images each:
 # cull(seed_db()) and a pool of the seed entries with 50 planted images.
 @lru_cache(maxsize=256)
-def _images_of(q: ParamSet) -> tuple:
+def _images_of(upper: tuple[LinExpr, ...], lower: tuple[LinExpr, ...]
+               ) -> tuple:
     """Distinct Thomae images of a parameter set, identity first, each with
-    its slots' ``int_rows`` (cached)."""
-    return tuple((v, img, int_rows(img.upper + img.lower))
-                 for v, img in distinct_images(q, _IMAGE_VARIANTS))
+    its slots' ``int_rows`` (cached).  Keyed on the slot order, never on the
+    multiset-equal ``ParamSet``: each image's variant name depends on it."""
+    return tuple((v, img, int_rows(img.upper + img.lower)) for v, img
+                 in distinct_images(ParamSet(upper, lower), _IMAGE_VARIANTS))
 
 
 def _witness_samples(e1: DbEntry, v: ThomaeVariant, tries: int) -> Iterator:
@@ -493,17 +495,17 @@ def _witness_samples(e1: DbEntry, v: ThomaeVariant, tries: int) -> Iterator:
 
 
 @lru_cache(maxsize=2048)
-def _witness_sound(e1: DbEntry, v: ThomaeVariant, tries: int = 24) -> bool:
+def _witness_sound(e1: DbEntry, v: ThomaeVariant) -> bool:
     """Check numerically that the connecting Thomae relation is non-degenerate.
 
     A formal parameter-multiset witness can exist even though the relation
     linking the two evaluations breaks down on the whole legal domain (gamma
     poles in the prefactor at integer parameters).  The witness is accepted
-    only if F(lhs) = prefactor * F(image) verifies at some legal assignment;
+    only if F(lhs) = prefactor * F(image) verifies at one of 24 legal draws;
     a relation with no usable draw is treated as degenerate.
     """
     return v == IDENTITY_VARIANT or next(
-        (o.rel_err < 1e-6 for o in _witness_samples(e1, v, tries)
+        (o.rel_err < 1e-6 for o in _witness_samples(e1, v, 24)
          if isinstance(o, SampleRecord)), False)
 
 
@@ -522,7 +524,7 @@ def equivalent(e1: DbEntry, e2: DbEntry
         *(free_symbols(d) for _, d in e1.derived))
     rename_fwd = {s: LinExpr.of(_qsym(s)) for s in rename_syms}
 
-    for v, img, encoded in _images_of(q):
+    for v, img, encoded in _images_of(q.upper, q.lower):
         for sub in unify(e2.lhs, img, encoded):
             if _invertible(sub) and \
                _kinds_preserved(e2, sub) and \
@@ -565,11 +567,12 @@ def _terminating_template(entry: DbEntry) -> bool:
     return False
 
 
-def _karlsson_minton_template(entry: DbEntry, kmax: int = 3) -> bool:
+def _karlsson_minton_template(entry: DbEntry) -> bool:
     for u in entry.lhs.upper:
         for l in entry.lhs.lower:
             k = u.const - l.const
-            if u.terms == l.terms and k.denominator == 1 and 1 <= k <= kmax:
+            if u.terms == l.terms and k.denominator == 1 and \
+                    1 <= k <= KARLSSON_MINTON_KMAX:
                 return True
     return False
 

@@ -47,9 +47,12 @@ import numpy as np
 
 from .errors import (DivergentSeries, LowerPole, NoConvergence,
                      NonFiniteParameter, PoleError)
-from .expr import LinExpr, Symbol, combine, loggamma, sym
+from .expr import (POLE_TOL, LinExpr, Symbol, combine,
+                   is_near_nonpositive_integer, loggamma, sym)
 
-INT_TOL = 1e-12
+#: largest positive integer upper-minus-lower difference that makes a sum
+#: Karlsson–Minton
+KARLSSON_MINTON_KMAX = 3
 
 #: hard cap on the number of summed terms
 MAX_TERMS = 2 ** 21  # slightly above 2e6
@@ -128,31 +131,22 @@ def excess(p: ParamSet) -> LinExpr:
                    p.upper + p.lower)
 
 
-def _nonpos_int_index(value: complex, tol: float = INT_TOL) -> Optional[int]:
-    """Return k >= 0 when value is (numerically) the non-positive integer -k."""
-    if abs(value.imag) > tol:
-        return None
-    r = round(value.real)
-    if r <= 0 and abs(value.real - r) <= tol:
-        return -r
-    return None
-
-
 def is_terminating(p: ParamSet, assignment: Mapping[Symbol, complex]) -> bool:
     """True iff some upper parameter evaluates to a non-positive integer."""
     up, _ = p.eval(assignment)
-    return any(_nonpos_int_index(u) is not None for u in up)
+    return any(map(is_near_nonpositive_integer, up))
 
 
-def is_karlsson_minton(p: ParamSet, assignment: Mapping[Symbol, complex], kmax: int = 3) -> bool:
-    """True iff some upper minus some lower parameter is an integer in 1..kmax."""
+def is_karlsson_minton(p: ParamSet, assignment: Mapping[Symbol, complex]) -> bool:
+    """True iff some upper minus some lower parameter is an integer in
+    1..KARLSSON_MINTON_KMAX."""
     up, lo = p.eval(assignment)
     for u in up:
         for l in lo:
             d = u - l
-            if abs(d.imag) <= INT_TOL:
+            if abs(d.imag) <= POLE_TOL:
                 r = round(d.real)
-                if 1 <= r <= kmax and abs(d.real - r) <= INT_TOL:
+                if 1 <= r <= KARLSSON_MINTON_KMAX and abs(d.real - r) <= POLE_TOL:
                     return True
     return False
 
@@ -170,11 +164,10 @@ def sum_series_numeric(upper: Sequence[complex], lower: Sequence[complex],
         if not cmath.isfinite(x):
             raise NonFiniteParameter(f"parameter {x} is not finite")
 
-    term_counts = [k for k in map(_nonpos_int_index, upper) if k is not None]
-    n_term = min(term_counts, default=None)
-
-    lower_poles = [k for k in map(_nonpos_int_index, lower) if k is not None]
-    k_pole = min(lower_poles, default=None)
+    n_term = min((-round(u.real) for u in upper
+                  if is_near_nonpositive_integer(u)), default=None)
+    k_pole = min((-round(l.real) for l in lower
+                  if is_near_nonpositive_integer(l)), default=None)
 
     if n_term is not None:
         if k_pole is not None and k_pole < n_term:
@@ -354,7 +347,7 @@ def _thomae_sum(upper, lower, s: complex, rel_tol: float
     real = not any(x.imag for x in upper + lower)
     spent = 0
     for s_img, base, img, num, den in images:
-        if any(_nonpos_int_index(x) is not None for x in img):
+        if any(map(is_near_nonpositive_integer, img)):
             continue  # a lower pole, or an image that terminates
         try:
             logs = [loggamma(x) for x in num] + [-loggamma(x) for x in den]

@@ -161,17 +161,19 @@ def all_variants() -> list[ThomaeVariant]:
             for lo in LOWER_PERMS]
 
 
-def _class_representatives() -> tuple[ThomaeVariant, ...]:
+def _class_representatives() -> dict[frozenset, ThomaeVariant]:
     firsts: dict[frozenset, ThomaeVariant] = {}
     for v in all_variants():
         firsts.setdefault(frozenset(_form_perm(v)[3:]), v)
-    return tuple(firsts.values())
+    return firsts
 
 
 #: The first variant of each generic image class (the pair of input forms
-#: made lower), in ``all_variants()`` order.  Every other variant gives, as a
-#: polynomial identity, the same image as the representative of its class.
-CLASS_REPRESENTATIVES = _class_representatives()
+#: made lower), in ``all_variants()`` order, keyed by that pair.  Every other
+#: variant gives, as a polynomial identity, the same image as the
+#: representative of its class.
+_REPRESENTATIVE_OF = _class_representatives()
+CLASS_REPRESENTATIVES = tuple(_REPRESENTATIVE_OF.values())
 
 
 def distinct_images(p: ParamSet,
@@ -211,11 +213,8 @@ def inverse_of(v: ThomaeVariant) -> ThomaeVariant:
     """A variant ``w`` with ``w(v(P))`` equal to ``P`` for generic ``P``.
 
     The first in ``all_variants()`` whose composition with ``v`` brings the
-    input forms e and f (3 and 4) back to the lower positions.
+    input forms e and f (3 and 4) back to the lower positions: the class
+    representative that makes lower the image positions holding them.
     """
     pv = _form_perm(v)
-    for w in all_variants():
-        pw = _form_perm(w)
-        if {pv[pw[3]], pv[pw[4]]} == {3, 4}:
-            return w
-    raise ValueError(f"no inverse found for {v.name}")  # pragma: no cover
+    return _REPRESENTATIVE_OF[frozenset(k for k in range(5) if pv[k] >= 3)]

@@ -585,7 +585,7 @@ class TestEvaluatorDifferential:
     def test_anchors_and_prefactors(self):
         """The eight Watson anchors and the four conversion prefactors."""
         rng = random.Random(42)
-        anchors = contiguous.default_anchor_table().entries
+        anchors = contiguous.anchor_entries()
         assert len(anchors) == 8
         prefactors = (contiguous._X_TO_W_PREF, contiguous._W_TO_X_PREF,
                       contiguous._P_FROM_W_PREF, contiguous._P_FROM_X_PREF)

@@ -5,6 +5,7 @@ import random
 import zlib
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 import pytest
@@ -34,9 +35,12 @@ def _const_paramset(upper, lower):
                          [E.LinExpr.of(Q(x)) for x in lower])
 
 
-def _image_entry(entry, base, new_id):
-    """A new entry whose lhs is a Thomae image of ``entry``'s lhs."""
-    img, pref = apply_variant(ThomaeVariant(base), entry.lhs)
+def _image_entry(entry, variant, new_id):
+    """A new entry whose lhs is the image of ``entry``'s lhs under
+    ``variant``, a ThomaeVariant or the number of a base relation."""
+    if isinstance(variant, int):
+        variant = ThomaeVariant(variant)
+    img, pref = apply_variant(variant, entry.lhs)
     rhs = E.Mul((E.Recip(pref), entry.rhs))
     return dataclasses.replace(entry, id=new_id, lhs=img, rhs=rhs,
                                excess=excess(img))
@@ -54,27 +58,29 @@ def _planted_pool():
 
 
 def _reference_solve(rows, rhs, nsym):
-    """Gauss-Jordan over Fraction with LinExpr right-hand sides, per system."""
-    m = [row[:] for row in rows]
-    r = list(rhs)
+    """Gauss-Jordan, per system, on each row augmented with its right-hand
+    side, a Fraction vector over the query's symbols and a constant.  Each
+    row is scaled to integers and rows are combined by cross-multiplication,
+    so the loop runs on ints; the solution's vectors are Fractions again,
+    or None."""
+    m = []
+    for row in (t + r for t, r in zip(rows, rhs)):
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
     for col in range(nsym):
-        piv = next((i for i in range(col, len(m)) if m[i][col] != 0), None)
+        piv = next((i for i in range(col, len(m)) if m[i][col]), None)
         if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
-        r[col], r[piv] = r[piv], r[col]
-        inv = Q(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        r[col] = r[col] * inv
+        p = m[col][col]
         for i in range(len(m)):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-                r[i] = r[i] - r[col] * f
-    for i in range(nsym, len(m)):
-        if r[i] != E.LIN_ZERO:
-            return None
-    return r[:nsym]
+            f = m[i][col]
+            if i != col and f:
+                m[i] = [p * x - f * y for x, y in zip(m[i], m[col])]
+    if any(x for row in m[nsym:] for x in row):
+        return None
+    return [[Q(x, row[col]) for x in row[nsym:]]
+            for col, row in enumerate(m[:nsym])]
 
 
 def _reference_integer_ok(lin):
@@ -97,15 +103,21 @@ def _reference_unify(template, query):
                 if t not in pool[side]:
                     return []
                 pool[side].remove(t)
+    qsyms = sorted(query.free_symbols(), key=lambda s: s.name)
+    vecs = {side: [[q.coeff(s) for s in qsyms] + [q.const] for q in qside]
+            for side, qside in (("upper", query.upper),
+                                ("lower", query.lower))}
     out, seen = [], set()
     for up in UPPER_PERMS:
         for lp in LOWER_PERMS:
-            qs = [query.upper[i] for i in up] + [query.lower[i] for i in lp]
-            rhs = [q - E.LinExpr.of(p.const) for p, q in zip(tparams, qs)]
+            qs = [vecs["upper"][i] for i in up] + \
+                [vecs["lower"][i] for i in lp]
+            rhs = [q[:-1] + [q[-1] - p.const] for p, q in zip(tparams, qs)]
             sol = _reference_solve(rows, rhs, len(tsyms))
             if sol is None:
                 continue
-            mapping = dict(zip(tsyms, sol))
+            mapping = {s: E.LinExpr.make(dict(zip(qsyms, v)), v[-1])
+                       for s, v in zip(tsyms, sol)}
             if not all(_reference_integer_ok(lin)
                        for s, lin in mapping.items() if s.kind == "integer"):
                 continue
@@ -133,7 +145,8 @@ class TestCompiledUnify:
         db = seed_db()
         hits = pairs = 0
         for query_entry in db[::STRIDE]:
-            for _, img, _ in _images_of(_renamed(query_entry.lhs)):
+            q = _renamed(query_entry.lhs)
+            for _, img, _ in _images_of(q.upper, q.lower):
                 for entry in db:
                     pairs += 1
                     hits += bool(_assert_matches_reference(entry.lhs, img))
@@ -420,6 +433,30 @@ class TestEquivalent:
         v = CLASS_REPRESENTATIVES[0]
         assert list(_witness_samples(e, v, 24)) == []
         assert not _witness_sound(e, v)
+
+    def test_witness_independent_of_earlier_calls(self):
+        # two images with one parameter multiset in different slot orders:
+        # the witness for the second must not depend on the first's images
+        db = seed_db()
+        target = get_entry(db, "B.22")
+        first, second = (
+            next(_image_entry(get_entry(db, pid), v, f"{pid}|{v.name}")
+                 for v in CLASS_REPRESENTATIVES if v.name == name)
+            for pid, name in (("B.10", "T1·(abc|fe)"),
+                              ("B.22", "T3·(bac|ef)")))
+        assert first.lhs == second.lhs
+        assert first.lhs.upper != second.lhs.upper
+        _images_of.cache_clear()
+        fresh = equivalent(second, target)
+        _images_of.cache_clear()
+        equivalent(first, target)
+        warm = equivalent(second, target)
+        assert warm == fresh
+        variant, sub = warm
+        image, _ = apply_variant(variant, _renamed(second.lhs))
+        smap = sub.as_dict()
+        assert ParamSet(tuple(u.subs(smap) for u in target.lhs.upper),
+                        tuple(l.subs(smap) for l in target.lhs.lower)) == image
 
     def test_self_witness(self):
         e = get_entry(seed_db(), "B.37")
