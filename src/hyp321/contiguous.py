@@ -31,9 +31,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .errors import (AnchorPole, DivergentSeries, ExceptionalCase, GammaPole,
-                     Hyp321Error, LowerPole, NoConvergence, NoConvergentCheck,
-                     NonFiniteValue, PoleError, ShapeError,
+from .errors import (AnchorPole, DivergentSeries, ExceptionalCase, Hyp321Error,
+                     LowerPole, NoConvergence, NoConvergentCheck,
+                     NonFiniteParameter, NonFiniteValue, PoleError, ShapeError,
                      SingularRecursionPath)
 from .expr import (Expr, LinExpr, eval_expr, is_near_nonpositive_integer,
                    substitute, sym)
@@ -75,6 +75,9 @@ class ContigQuery:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ShapeError(f"unknown family {self.family!r}")
+        for x in (self.a, self.b, self.c):
+            if not cmath.isfinite(x):
+                raise NonFiniteParameter(f"parameter {x} is not finite")
 
     def series_params(self) -> tuple[tuple[Numeric, ...], tuple[Numeric, ...]]:
         """Upper/lower parameters of the defining ₃F₂."""
@@ -362,28 +365,29 @@ def watson_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
     if no convergent check exists.  All three elements raise
     ``NonFiniteValue`` for a NaN or infinite value.
     """
-    m, n = int(m), int(n)
-    return _checked(ContigQuery("watson", a, b, c, m, n),
-                    _WatsonLattice(a, b, c).value(m, n), rel_tol)
+    query = ContigQuery("watson", a, b, c, int(m), int(n))
+    return _checked(query, _WatsonLattice(a, b, c).value(query.m, query.n),
+                    rel_tol)
 
 
-def _via_watson(family: str, mapped_args, prefactor: Expr, a, b, c,
-                m: int, n: int, rel_tol: Optional[float]) -> complex:
+def _via_watson(query: ContigQuery, mapped_args, prefactor: Expr,
+                rel_tol: Optional[float]) -> complex:
     """W at ``mapped_args(a, b, c, m, n)`` times the gamma quotient
     ``prefactor``, in that order."""
+    a, b, c, m, n = query.a, query.b, query.c, query.m, query.n
     value = watson_element(*mapped_args(a, b, c, m, n))
     try:
         value *= eval_expr(prefactor, {_A: a, _B: b, _C: c, _M: m, _N: n})
     except PoleError as exc:
-        raise GammaPole(f"gamma quotient pole: {exc}") from exc
-    return _checked(ContigQuery(family, a, b, c, m, n), value, rel_tol)
+        raise PoleError(f"gamma quotient pole: {exc}") from exc
+    return _checked(query, value, rel_tol)
 
 
 def dixon_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
                   rel_tol: Optional[float] = None) -> complex:
     """X_{m,n}(a, b, c) via the Watson lattice at shifted arguments."""
-    return _via_watson("dixon", _x_to_w_args, _X_TO_W_PREF, a, b, c,
-                       int(m), int(n), rel_tol)
+    return _via_watson(ContigQuery("dixon", a, b, c, int(m), int(n)),
+                       _x_to_w_args, _X_TO_W_PREF, rel_tol)
 
 
 def whipple_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
@@ -393,12 +397,12 @@ def whipple_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
     Raises ``ExceptionalCase`` for m = n = 0 with ``a`` a non-positive
     integer and ``b`` non-integer, where both conversion routes break down.
     """
-    m, n = int(m), int(n)
-    if (m == 0 and n == 0 and is_near_nonpositive_integer(complex(a))
+    query = ContigQuery("whipple", a, b, c, int(m), int(n))
+    if (query.m == 0 and query.n == 0
+            and is_near_nonpositive_integer(complex(a))
             and abs(complex(b).imag) < 1e-9
             and abs(complex(b).real - round(complex(b).real)) > 1e-9):
         raise ExceptionalCase(
             "the Whipple conversion fails at m = n = 0 when a is a "
             "non-positive integer and b is not an integer")
-    return _via_watson("whipple", _p_from_w_args, _P_FROM_W_PREF, a, b, c,
-                       m, n, rel_tol)
+    return _via_watson(query, _p_from_w_args, _P_FROM_W_PREF, rel_tol)

@@ -137,28 +137,27 @@ def _build_entry(raw: dict) -> DbEntry:
 def _contiguous_transplants(by_id: dict[str, DbEntry]) -> list[DbEntry]:
     """Dixon-family elements obtained by transplanting Watson closed forms.
 
-    The Dixon element with offsets (m, n) equals the Watson element with
-    offsets (m, n) at shifted arguments times a gamma quotient; applying the
-    shift ``a -> 1+m+a-2b, b -> a, c -> 1+m+a-b-c`` to the closed forms of
-    B.47 (offsets (1,0)) and B.43 (offsets (0,-1)) yields two further members
-    of the Dixon lattice.
+    The Dixon element X_{m,n} is the Watson element W_{m,n} at the arguments
+    of ``contiguous.x_to_w`` times its gamma quotient; applying that map to
+    the closed forms of B.47 (offsets (1,0)) and B.43 (offsets (0,-1))
+    yields two further members of the Dixon lattice.
     """
+    from .contiguous import x_to_w
+
     a, b, c = sym("a"), sym("b"), sym("c")
     A, B, C = LinExpr.of(a), LinExpr.of(b), LinExpr.of(c)
     out = []
-    for new_id, lower, base_id, shift, pref, prov in (
-            ("EXT.X10", [A - B + 2, A - C + 2], "B.47",
-             {a: A - B * 2 + 2, b: A, c: A - B - C + 2},
-             "G(a-2*b-2*c+4)*G(2+a-c)/(G(2-c)*G(2*a-2*b-2*c+4))",
+    for new_id, base_id, m, n, prov in (
+            ("EXT.X10", "B.47", 1, 0,
              "Prudnikov 7.4.4.22 : T1, transplanted to the Dixon "
              "lattice (m=1, n=0)"),
-            ("EXT.X0M1", [A - B + 1, A - C], "B.43",
-             {a: A - B * 2 + 1, b: A, c: A - B - C + 1},
-             "G(a-2*b-2*c+1)*G(a-c)/(G(-c)*G(2*a-2*b-2*c+1))",
+            ("EXT.X0M1", "B.43", 0, -1,
              "Prudnikov 7.4.4.20 : T1, transplanted to the Dixon "
              "lattice (m=0, n=-1)")):
-        lhs = ParamSet.make([a, b, c], lower)
-        rhs = Mul((parse_expr(pref), substitute(by_id[base_id].rhs, shift)))
+        args, pref = x_to_w(A, B, C, m, n)
+        lhs = ParamSet.make([a, b, c], [A - B + 1 + m, A - C + 1 + m + n])
+        rhs = Mul((pref, substitute(by_id[base_id].rhs,
+                                    {a: args[0], b: args[1], c: args[2]})))
         out.append(DbEntry(id=new_id, lhs=lhs, rhs=rhs, int_symbols=(),
                            derived=(), excess=excess(lhs), provenance=prov))
     return out
@@ -350,8 +349,7 @@ def default_watson(a: complex, b: complex, c: complex,
 
 
 def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
-                 rel_tol: Optional[float] = None,
-                 watson: Optional[Callable] = None) -> VerificationReport:
+                 rel_tol: Optional[float] = None) -> VerificationReport:
     """Check an entry numerically at ``trials`` (at least 3) random points.
 
     Draw integer symbols small, continuous symbols from the sampling box,
@@ -362,7 +360,6 @@ def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
     """
     tol = entry.rel_tol if rel_tol is None else rel_tol
     series_tol = min(1e-10, tol / 100.0)
-    resolver = watson if watson is not None else default_watson
     ranges = [(s, int_range(cs, s.name)) for s, cs in entry.int_symbols]
 
     def draw(rng):
@@ -377,7 +374,7 @@ def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
     for out in sample_checks(
             entry_rng(entry.id, seed), 100 * trials, draw,
             lambda full: series_pfq(entry.lhs, full, rel_tol=series_tol).value,
-            lambda full: eval_expr(entry.rhs, full, watson=resolver)):
+            lambda full: eval_expr(entry.rhs, full, watson=default_watson)):
         if isinstance(out, str):
             discarded[out] += 1
         else:
@@ -395,11 +392,10 @@ def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
 
 
 def verify_all(entries: Sequence[DbEntry], trials: int = 5, seed: int = 0,
-               rel_tol: Optional[float] = None,
-               watson: Optional[Callable] = None
+               rel_tol: Optional[float] = None
                ) -> dict[str, VerificationReport]:
-    return {e.id: verify_entry(e, trials=trials, seed=seed, rel_tol=rel_tol,
-                               watson=watson) for e in entries}
+    return {e.id: verify_entry(e, trials=trials, seed=seed, rel_tol=rel_tol)
+            for e in entries}
 
 
 # ---------------------------------------------------------------------------

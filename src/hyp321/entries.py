@@ -16,7 +16,8 @@ the text grammar of :mod:`hyp321.parser`:
 ``note``      transcription remarks
 
 Two further entries (X10, X0M1) are assembled programmatically in
-:mod:`hyp321.database` by parameter substitution into B.47 and B.43.
+:mod:`hyp321.database` by applying the Dixon-to-Watson map
+``contiguous.x_to_w`` (arguments and gamma quotient) to B.47 and B.43.
 """
 
 RAW_ENTRIES = [

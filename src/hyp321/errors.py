@@ -14,8 +14,8 @@ class PoleError(Hyp321Error):
     """A gamma/polygamma argument landed (numerically) on a non-positive integer."""
 
 
-# Gamma-quotient poles raised while assembling contiguous elements.
-GammaPole = PoleError
+class GammaOverflow(Hyp321Error, OverflowError):
+    """A gamma value overflows a float, or a real one underflows to 0."""
 
 
 class UnboundSymbol(Hyp321Error):
@@ -39,7 +39,7 @@ class LowerPole(Hyp321Error):
 
 
 class NonFiniteParameter(Hyp321Error):
-    """A numeric series parameter is NaN or infinite."""
+    """A numeric series or contiguous-element parameter is NaN or infinite."""
 
 
 class NonFiniteValue(Hyp321Error):

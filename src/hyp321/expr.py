@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import (IndexCapture, NonFiniteParameter, NonIntegerSumBound,
-                     ParseError, PoleError, UnboundSymbol)
+from .errors import (GammaOverflow, IndexCapture, NonFiniteParameter,
+                     NonIntegerSumBound, ParseError, PoleError, UnboundSymbol)
 
 Q = Fraction
 
@@ -419,21 +419,6 @@ def free_symbols(e: Expr) -> frozenset[Symbol]:
 # Numeric kernels
 # ---------------------------------------------------------------------------
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
 def is_near_nonpositive_integer(z: complex) -> bool:
     """True when ``z`` is within POLE_TOL of a non-positive integer."""
     if abs(z.imag) > POLE_TOL:
@@ -444,34 +429,31 @@ def is_near_nonpositive_integer(z: complex) -> bool:
 
 def cgamma(z: complex) -> complex:
     """Complex gamma: ``math.gamma`` on the real axis (imaginary part +0.0),
-    a 9-term Lanczos approximation with reflection off it.
+    ``exp(loggamma(z))`` off it.
 
     Raises PoleError when ``z`` is within POLE_TOL of a non-positive
-    integer, OverflowError where a real Γ overflows or underflows to 0.
+    integer, GammaOverflow where Γ overflows or a real Γ underflows to 0.
     """
     z = complex(z)
     if z.imag == 0:
         return complex(_real_gamma(z.real))
-    if is_near_nonpositive_integer(z):
-        raise PoleError(f"gamma pole at {z}")
-    if z.real < 0.5:
-        # reflection: Gamma(z) = pi / (sin(pi z) * Gamma(1 - z))
-        return math.pi / (cmath.sin(math.pi * z) * cgamma(1.0 - z))
-    z -= 1.0
-    x = complex(_LANCZOS_COEF[0])
-    for i in range(1, len(_LANCZOS_COEF)):
-        x += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * cmath.exp(-t) * x
+    log = loggamma(z)
+    try:
+        return cmath.exp(log)
+    except OverflowError:
+        raise GammaOverflow(f"gamma overflows at {z}") from None
 
 
 def _real_gamma(x: float) -> float:
     """``math.gamma`` after the pole test; raises as ``cgamma`` does."""
     if is_near_nonpositive_integer(x):
         raise PoleError(f"gamma pole at {complex(x)}")
-    g = math.gamma(x)
+    try:
+        g = math.gamma(x)
+    except OverflowError:
+        raise GammaOverflow(f"gamma overflows at {x}") from None
     if g == 0:
-        raise OverflowError(f"gamma underflows at {x}")
+        raise GammaOverflow(f"gamma underflows at {x}")
     return g
 
 

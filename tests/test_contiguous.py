@@ -14,7 +14,8 @@ from hyp321.contiguous import (ContigQuery, anchor_entries, anchor_value,
                                _WatsonLattice)
 from hyp321.database import get_entry, seed_db, verify_entry
 from hyp321.errors import (ExceptionalCase, Hyp321Error, NoConvergentCheck,
-                           NonFiniteValue, SingularRecursionPath)
+                           NonFiniteParameter, NonFiniteValue,
+                           SingularRecursionPath)
 from hyp321.series import sum_series_numeric
 
 a_s, b_s, c_s = E.sym("a"), E.sym("b"), E.sym("c")
@@ -272,3 +273,25 @@ class TestNonFinite:
         query = ContigQuery("watson", 0.3, 0.2, 0.4, 0, 0)
         with pytest.raises(Hyp321Error, match="disagrees"):
             contiguous._cross_check(query, complex(value), 1e-7)
+
+
+def test_wide_parameters_raise_only_typed_errors():
+    """Elements at a, b, c in [-3, 120] and |m|, |n| <= 8 return a value or
+    raise a Hyp321Error (Γ overflow included); a NaN or infinite a, b or c
+    raises NonFiniteParameter."""
+    elements = (watson_element, dixon_element, whipple_element)
+    rng = random.Random(11)
+    for k in range(1200):
+        a, b, c = (rng.uniform(-3, 120) for _ in range(3))
+        m, n = rng.randint(-8, 8), rng.randint(-8, 8)
+        try:
+            elements[k % 3](a, b, c, m, n)
+        except Hyp321Error:
+            pass
+    nan, inf = float("nan"), float("inf")
+    for fn, slot, bad in itertools.product(
+            elements, range(3), (nan, inf, -inf, complex(0.3, nan))):
+        args = [0.3, 0.2, 0.4]
+        args[slot] = bad
+        with pytest.raises(NonFiniteParameter, match="not finite"):
+            fn(*args, 0, 0)
