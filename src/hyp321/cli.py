@@ -25,13 +25,11 @@ import sys
 from typing import Optional, Sequence
 
 from . import contiguous, matcher
-from .database import (DbEntry, get_entry, load_db, save_db, seed_db,
-                       verify_entry)
-from .errors import (AnchorPole, DivergentSeries, ExceptionalCase, Hyp321Error,
-                     InsufficientSamples, LowerPole, NoConvergence,
-                     NoConvergentCheck, NonFiniteParameter,
-                     NonFiniteValue, NonIntegerSumBound, ParseError,
-                     PoleError, SchemaVersionMismatch, SingularRecursionPath)
+from .database import (RECOVERABLE, DbEntry, get_entry, load_db, save_db,
+                       seed_db, verify_entry)
+from .errors import (ExceptionalCase, Hyp321Error, InsufficientSamples,
+                     NoConvergentCheck, NonFiniteValue, ParseError,
+                     SchemaVersionMismatch)
 from .expr import as_real, eval_expr, expr_str
 from .parser import parse_linexpr, parse_param_list
 from .series import ParamSet, sum_series_numeric
@@ -43,10 +41,8 @@ EXIT_NO_MATCH = 3
 EXIT_NUMERIC = 4
 
 _USAGE_ERRORS = (ParseError, SchemaVersionMismatch)
-_NUMERIC_ERRORS = (PoleError, AnchorPole, DivergentSeries, LowerPole,
-                   NoConvergence, NonIntegerSumBound, SingularRecursionPath,
-                   InsufficientSamples, ExceptionalCase, NonFiniteParameter,
-                   NonFiniteValue, OverflowError)
+_NUMERIC_ERRORS = RECOVERABLE + (InsufficientSamples, ExceptionalCase,
+                                 NonFiniteValue)
 
 
 def _fmt(z: complex) -> str:

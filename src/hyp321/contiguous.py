@@ -36,7 +36,7 @@ from .errors import (AnchorPole, DivergentSeries, ExceptionalCase, Hyp321Error,
                      NonFiniteParameter, NonFiniteValue, PoleError, ShapeError,
                      SingularRecursionPath)
 from .expr import (Expr, LinExpr, eval_expr, is_near_nonpositive_integer,
-                   substitute, sym)
+                   nearest_integer, substitute, sym)
 from .parser import parse_expr
 from .series import sum_series_numeric
 
@@ -401,7 +401,7 @@ def whipple_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
     if (query.m == 0 and query.n == 0
             and is_near_nonpositive_integer(complex(a))
             and abs(complex(b).imag) < 1e-9
-            and abs(complex(b).real - round(complex(b).real)) > 1e-9):
+            and nearest_integer(complex(b), 1e-9) is None):
         raise ExceptionalCase(
             "the Whipple conversion fails at m = n = 0 when a is a "
             "non-positive integer and b is not an integer")

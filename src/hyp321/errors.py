@@ -15,7 +15,7 @@ class PoleError(Hyp321Error):
 
 
 class GammaOverflow(Hyp321Error, OverflowError):
-    """A gamma value overflows a float, or a real one underflows to 0."""
+    """A gamma value overflows a float or underflows to 0."""
 
 
 class UnboundSymbol(Hyp321Error):

@@ -11,10 +11,10 @@ Each node type is described once, by its dataclass: ``SHAPES`` reads its
 fields and their kinds from the annotations, and ``CALL_NAMES`` names the
 function nodes of the grammar.  Every walk of a tree goes through these two
 tables.  ``eval_expr`` compiles a tree once, through ``SHAPES``, into a
-program of nested tuples, with each linear form's coefficients as floats and
-each Γ of a linear form one step, and keeps a bounded number of programs.
-A form whose values are all real is summed in floats, which is the real
-part of its complex sum bit for bit, and Γ of it is ``math.gamma``.
+program of nested tuples, each Γ of a linear form one step, and keeps a
+bounded number of programs.  ``LinExpr.eval`` is the one evaluator of a
+linear form: it sums in floats while its values are real, which is the real
+part of the complex sum bit for bit, and Γ of such a sum is ``math.gamma``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (GammaOverflow, IndexCapture, NonFiniteParameter,
@@ -153,7 +153,36 @@ class LinExpr:
         return all(s.kind == "integer" and c.denominator == 1 for s, c in self.terms)
 
     # -- evaluation / substitution ----------------------------------------
+    @cached_property
+    def floats(self) -> Optional[tuple]:
+        """``(const, ((symbol, coefficient), ...))`` in floats, or None when
+        a number is too large for a float; built on first use, not pickled."""
+        try:  # n / d is float(Fraction) without its two ABC dispatches
+            return (self.const.numerator / self.const.denominator,
+                    tuple([(s, c.numerator / c.denominator) for s, c in self.terms]))
+        except OverflowError:
+            return None
+
+    def real_sum(self, assignment: Mapping[Symbol, complex]) -> Optional[float]:
+        """The value in floats while every value is real (a float, an int or
+        a complex with imaginary part ±0.0) and the sum finite, else None."""
+        try:
+            total, terms = self.floats  # a TypeError when it is None
+            for s, c in terms:
+                x = assignment[s]
+                if type(x) is complex and not x.imag:
+                    x = x.real
+                elif type(x) is not float and type(x) is not int:
+                    return None
+                total += c * x
+        except (KeyError, OverflowError, TypeError):
+            return None
+        return total if type(total) is float and total - total == 0 else None
+
     def eval(self, assignment: Mapping[Symbol, complex]) -> complex:
+        total = self.real_sum(assignment)  # the complex sum's real part, bit for bit
+        if total is not None:
+            return complex(total)
         # n / d is complex(Fraction) without its two ABC dispatches
         try:
             total = complex(self.const.numerator / self.const.denominator)
@@ -166,29 +195,21 @@ class LinExpr:
                 f"parameter {self} is too large for a float") from None
         return total
 
+    def __getstate__(self):  # without the float form
+        return {"terms": self.terms, "const": self.const}
+
     def subs(self, mapping: Mapping[Symbol, "LinExpr"]) -> "LinExpr":
         return combine([c for _, c in self.terms],
                        [mapping.get(s, LinExpr.of(s)) for s, _ in self.terms],
                        -self.const)
 
     def __str__(self) -> str:
-        parts = []
-        for s, c in self.terms:
-            if c == 1:
-                parts.append(s.name)
-            elif c == -1:
-                parts.append(f"-{s.name}")
-            else:
-                parts.append(f"{c}*{s.name}")
+        parts = [s.name if c == 1 else f"-{s.name}" if c == -1 else f"{c}*{s.name}"
+                 for s, c in self.terms]
         if self.const != 0 or not parts:
             parts.append(str(self.const))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-
-LIN_ZERO = LinExpr.of(0)
+        return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+                                  for p in parts[1:])
 
 
 def combine(row: Sequence[Scalar], forms: Sequence[LinExpr],
@@ -427,21 +448,32 @@ def is_near_nonpositive_integer(z: complex) -> bool:
     return r <= 0 and abs(z.real - r) <= POLE_TOL
 
 
+def nearest_integer(v: complex, tol: float, strict: bool = False) -> Optional[int]:
+    """The integer nearest ``v`` when ``v.imag`` and the distance to it are
+    both at most ``tol`` (below it when ``strict``), else None."""
+    within = operator.lt if strict else operator.le
+    r = round(v.real) if within(abs(v.imag), tol) else None
+    return r if r is not None and within(abs(v.real - r), tol) else None
+
+
 def cgamma(z: complex) -> complex:
     """Complex gamma: ``math.gamma`` on the real axis (imaginary part +0.0),
     ``exp(loggamma(z))`` off it.
 
     Raises PoleError when ``z`` is within POLE_TOL of a non-positive
-    integer, GammaOverflow where Γ overflows or a real Γ underflows to 0.
+    integer, GammaOverflow where Γ overflows or underflows to 0.
     """
     z = complex(z)
     if z.imag == 0:
         return complex(_real_gamma(z.real))
     log = loggamma(z)
     try:
-        return cmath.exp(log)
+        g = cmath.exp(log)
     except OverflowError:
-        raise GammaOverflow(f"gamma overflows at {z}") from None
+        g = 0j
+    if g == 0:
+        raise GammaOverflow(f"gamma out of range at {z}")
+    return g
 
 
 def _real_gamma(x: float) -> float:
@@ -451,9 +483,9 @@ def _real_gamma(x: float) -> float:
     try:
         g = math.gamma(x)
     except OverflowError:
-        raise GammaOverflow(f"gamma overflows at {x}") from None
+        g = 0.0
     if g == 0:
-        raise GammaOverflow(f"gamma underflows at {x}")
+        raise GammaOverflow(f"gamma out of range at {x}")
     return g
 
 
@@ -476,9 +508,13 @@ def loggamma(z: complex) -> complex:
         x = z.real
         return complex(math.lgamma(x),
                        math.pi if x < 0 and math.floor(x) % 2 else 0.0)
-    if z.real < 0.5:
-        return (cmath.log(math.pi / cmath.sin(math.pi * z))
-                - loggamma(1.0 - z))
+    if z.real < 0.5 and abs(z.imag) <= 1:
+        return cmath.log(math.pi / cmath.sin(math.pi * z)) - loggamma(1.0 - z)
+    if z.real < 0.5:  # sin(πz) overflows at large |Im z|, so log sin(πz) is
+        # taken as -iπz + log((e^{2iπz} - 1) / 2i), conjugated below the axis
+        i = 1j if z.imag > 0 else -1j
+        return (math.log(math.pi) + i * math.pi * z - loggamma(1.0 - z)
+                - cmath.log((cmath.exp(2 * i * math.pi * z) - 1) / (2 * i)))
     shift = 0j
     while abs(z) < 10.0:
         shift += cmath.log(z)
@@ -492,25 +528,18 @@ def loggamma(z: complex) -> complex:
 def cpolygamma(order: int, z: complex) -> complex:
     """Polygamma of arbitrary non-negative order at a complex point (mpmath)."""
     import mpmath
-
     z = complex(z)
     if is_near_nonpositive_integer(z):
         raise PoleError(f"polygamma pole at {z}")
-    v = mpmath.psi(order, mpmath.mpc(z))
-    return complex(v)
+    return complex(mpmath.psi(order, mpmath.mpc(z)))
 
 
 def rising_factorial(x: complex, count: int) -> complex:
     """(x)_count as a literal product; negative counts use (x)_{-k} = 1/(x-k)_k."""
     if count >= 0:
-        out: complex = 1.0
-        for j in range(count):
-            out *= x + j
-        return out
+        return math.prod((x + j for j in range(count)), start=1.0)
     k = -count
-    denom: complex = 1.0
-    for j in range(k):
-        denom *= x - k + j
+    denom = math.prod((x - k + j for j in range(k)), start=1.0)
     if denom == 0:
         raise PoleError(f"Pochhammer pole: ({x})_{count}")
     return 1.0 / denom
@@ -555,51 +584,26 @@ def _compile(e: Expr) -> tuple:
     if node is Lin or node is Const:
         return operands[0]
     if node is Pi:
-        return (_lin, math.pi, (), None, False)
-    if node is Gamma and operands[0][0] is _lin and not operands[0][-1]:
-        return (*operands[0][:-1], True)  # Γ of a linear form: one step
+        return (_constant, complex(math.pi))
+    if node is Gamma and operands[0][0] is _lin:
+        return (_gamma_lin, operands[0][1])  # Γ of a linear form: one step
     if node in _FUNCTIONS:
         return (_apply, _FUNCTIONS[node], *operands)
     return (_STEPS[node], *operands)
 
 
-@lru_cache(maxsize=1024)
-def _term(s: Optional[Symbol], num: int, den: int) -> tuple:
-    """``(s, num / den)``, shared by every program that uses it."""
-    return s, num / den
-
-
-def _compile_lin(form: LinExpr) -> tuple:
-    """``(_lin, const, ((symbol, coefficient), ...), form, False)`` in
-    floats; a form too large for a float is left to ``LinExpr.eval``."""
-    try:
-        return (_lin, _term(None, form.const.numerator,
-                            form.const.denominator)[1],
-                tuple([_term(s, c.numerator, c.denominator)
-                       for s, c in form.terms]), form, False)
-    except OverflowError:
-        return (lambda p, assignment, watson: p[1].eval(assignment), form)
-
-
 def _lin(p, assignment, watson):
-    """The linear form's value, or Γ of it when ``gamma``: in floats while
-    every value is real and the sum finite, else by ``LinExpr.eval``."""
-    _, total, terms, form, gamma = p
-    try:
-        for s, c in terms:
-            x = assignment[s]
-            if type(x) is complex:
-                if x.imag:
-                    total = None
-                    break
-                x = x.real
-            total += c * x
-    except (KeyError, OverflowError):
-        total = None
-    if type(total) is not float or total - total != 0:
-        total = form.eval(assignment)  # raises UnboundSymbol or NonFiniteParameter
-        return cgamma(total) if gamma else total
-    return complex(_real_gamma(total) if gamma else total)
+    return p[1].eval(assignment)
+
+
+def _gamma_lin(p, assignment, watson):
+    """Γ of a linear form: ``math.gamma`` of its ``real_sum`` if it has one."""
+    x = p[1].real_sum(assignment)
+    return cgamma(p[1].eval(assignment)) if x is None else complex(_real_gamma(x))
+
+
+def _constant(p, assignment, watson):
+    return p[1]
 
 
 def _apply(p, assignment, watson):
@@ -614,10 +618,7 @@ def _add(p, assignment, watson):
 
 
 def _mul(p, assignment, watson):
-    out = 1.0
-    for x in [x[0](x, assignment, watson) for x in p[1:]]:
-        out *= x
-    return out
+    return math.prod([x[0](x, assignment, watson) for x in p[1:]], start=1.0)
 
 
 def _recip(v: complex) -> complex:
@@ -635,18 +636,17 @@ def _power(b: complex, e: complex) -> complex:
 
 
 def _pochhammer(x: complex, cnt: complex) -> complex:
-    if abs(cnt.imag) < 1e-12 and abs(cnt.real - round(cnt.real)) < 1e-12:
-        return rising_factorial(x, int(round(cnt.real)))
-    return cgamma(x + cnt) / cgamma(x)
+    count = nearest_integer(cnt, 1e-12, strict=True)
+    return cgamma(x + cnt) / cgamma(x) if count is None else rising_factorial(x, count)
 
 
 def _integers(forms, assignment, watson, what: str) -> list[int]:
     """The linear programs ``forms`` evaluated, then checked integers."""
     values = [f[0](f, assignment, watson) for f in forms]
     for v in values:
-        if abs(v.imag) > 1e-9 or abs(v.real - round(v.real)) > 1e-9:
+        if nearest_integer(v, 1e-9) is None:
             raise NonIntegerSumBound(f"{what} {v} is not an integer")
-    return [int(round(v.real)) for v in values]
+    return [nearest_integer(v, 1e-9) for v in values]
 
 
 def _finite_sum(p, assignment, watson):
@@ -677,9 +677,9 @@ _FUNCTIONS = {Neg: operator.neg, Recip: _recip, Pow: _power, Gamma: cgamma,
 #: the steps of the node types that evaluate their fields themselves
 _STEPS = {Add: _add, Mul: _mul, FiniteSum: _finite_sum, WatsonRef: _watson_ref}
 #: a number is a linear program without terms
-_COMPILE_FIELD = {EXPR: _compile, LIN: _compile_lin, INDEX: lambda v: v,
-                  FRAC: lambda v: _compile_lin(LinExpr((), v)),
-                  INT: lambda v: (lambda p, assignment, watson: p[1], v)}
+_COMPILE_FIELD = {EXPR: _compile, LIN: lambda v: (_lin, v), INDEX: lambda v: v,
+                  FRAC: lambda v: (_lin, LinExpr((), v)),
+                  INT: lambda v: (_constant, v)}
 
 
 def as_real(value: complex, rel: float = 1e-9) -> complex:

@@ -29,7 +29,8 @@ from .database import (DbEntry, SampleRecord, constraints_hold,
                        repaired_assignment, sample_checks)
 from .errors import Hyp321Error, ShapeError
 from .expr import (Expr, LinExpr, Mul, Symbol, combine_rows, eval_expr,
-                   free_symbols, int_rows, rename_indices, row_lin, substitute)
+                   free_symbols, int_rows, nearest_integer, rename_indices,
+                   row_lin, substitute)
 from .series import (KARLSSON_MINTON_KMAX, ParamSet, excess,
                      sample_continuous, series_pfq)
 from .thomae import (CLASS_REPRESENTATIVES, DOUBLED_FORMS, IDENTITY_VARIANT,
@@ -269,10 +270,10 @@ def _spot_samples(query: ParamSet, match: MatchResult, entry: DbEntry,
         for s, d in match.derived:
             full[s] = eval_expr(d, full)
         # respect the entry's own integer constraints at this draw
-        ivals = {s: submap[s].eval(full) for s, _ in entry.int_symbols}
-        if any(abs(v.imag) > 1e-9 or abs(v.real - round(v.real)) > 1e-9
-               for v in ivals.values()) or not constraints_hold(
-                entry, {s: complex(round(v.real)) for s, v in ivals.items()}):
+        ivals = {s: nearest_integer(submap[s].eval(full), 1e-9)
+                 for s, _ in entry.int_symbols}
+        if None in ivals.values() or not constraints_hold(
+                entry, {s: complex(v) for s, v in ivals.items()}):
             return "constraints"
         return full if converges_at(query, excess(query), full) else "excess"
 

@@ -48,7 +48,7 @@ import numpy as np
 from .errors import (DivergentSeries, LowerPole, NoConvergence,
                      NonFiniteParameter, PoleError)
 from .expr import (POLE_TOL, LinExpr, Symbol, combine,
-                   is_near_nonpositive_integer, loggamma, sym)
+                   is_near_nonpositive_integer, loggamma, nearest_integer, sym)
 
 #: largest positive integer upper-minus-lower difference that makes a sum
 #: Karlsson–Minton
@@ -143,11 +143,9 @@ def is_karlsson_minton(p: ParamSet, assignment: Mapping[Symbol, complex]) -> boo
     up, lo = p.eval(assignment)
     for u in up:
         for l in lo:
-            d = u - l
-            if abs(d.imag) <= POLE_TOL:
-                r = round(d.real)
-                if 1 <= r <= KARLSSON_MINTON_KMAX and abs(d.real - r) <= POLE_TOL:
-                    return True
+            r = nearest_integer(u - l, POLE_TOL)
+            if r is not None and 1 <= r <= KARLSSON_MINTON_KMAX:
+                return True
     return False
 
 

@@ -30,6 +30,18 @@ class TestEval:
         assert code == 0
         assert "1.64493406685" in out
 
+    def test_every_recoverable_error_exits_4(self, capsys, monkeypatch):
+        """The CLI's numeric errors are the library's recoverable ones and
+        three of its own, so a ZeroDivisionError exits 4 too."""
+        from hyp321.database import RECOVERABLE
+        assert set(RECOVERABLE) <= set(hyp321.cli._NUMERIC_ERRORS)
+
+        def divide(*args, **kwargs):
+            raise ZeroDivisionError("complex division by zero")
+        monkeypatch.setattr(hyp321.cli, "sum_series_numeric", divide)
+        code, _, err = run(capsys, "eval", "--upper", "1,1,1", "--lower", "2,2")
+        assert code == 4 and "numeric error" in err
+
     def test_thomae_image_named_only_when_used(self, capsys):
         code, out, _ = run(capsys, "eval", "--upper", "300,300,300",
                            "--lower", "451,451")

@@ -175,6 +175,31 @@ class TestGamma:
                 E.cgamma(x)
             assert isinstance(info.value, Hyp321Error)
 
+    def test_far_from_the_real_axis(self):
+        """Left of Re z = 1/2 at |Im z| >= 230, where sin(πz) overflows a
+        float: within 1e-12 of 30-digit mpmath, or GammaOverflow where Γ
+        is below the smallest normal float."""
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        for x in (-1, -0.5, 0.3):
+            for y in (230, -230, 300, -300, 600, -600):
+                z = complex(x, y)
+                ref = mp.gamma(mp.mpc(z))
+                if abs(ref) < sys.float_info.min:
+                    with pytest.raises(GammaOverflow):
+                        E.cgamma(z)
+                    continue
+                assert abs((mp.mpc(E.cgamma(z)) - ref) / ref) <= 1e-12, z
+
+    def test_complex_underflow_is_typed(self):
+        """Γ(-200 + 0.5i) underflows to 0: GammaOverflow, as on the real
+        axis, also through 1/Γ and a Pochhammer symbol."""
+        with pytest.raises(GammaOverflow):
+            E.cgamma(-200 + 0.5j)
+        for text in ("1/G(a)", "poch(a, 1/2)"):
+            with pytest.raises(GammaOverflow):
+                E.eval_expr(parse_expr(text), {a: -200 + 0.5j})
+
     def test_real_input_has_positive_zero_imaginary_part(self):
         for z in (2.5, -2.5, -7.5, 1e-9, complex(3.25, -0.0)):
             assert math.copysign(1.0, E.cgamma(z).imag) == 1.0, z
@@ -200,6 +225,30 @@ class TestPolygamma:
     def test_pole(self):
         with pytest.raises(PoleError):
             E.cpolygamma(0, -3.0)
+
+
+class TestNearestInteger:
+    def test_tolerance_and_strictness(self):
+        assert E.nearest_integer(3.25 + 0.25j, 0.25) == 3
+        assert E.nearest_integer(3.25 + 0j, 0.25, strict=True) is None
+        assert E.nearest_integer(complex(-2, 0.25), 0.25, strict=True) is None
+        assert E.nearest_integer(-2.125 - 0.125j, 0.25, strict=True) == -2
+        assert E.nearest_integer(2.5 + 0j, 0.4) is None
+        assert E.nearest_integer(4, 0) == 4
+        assert E.nearest_integer(complex(7, 2), 1e-9) is None
+
+    def test_callers_keep_their_comparison(self):
+        """An imaginary part of exactly 1e-12 sends a count through Γ; one
+        of exactly 1e-9 leaves a sum bound an integer."""
+        tree = E.Pochhammer(E.Lin(E.LinExpr.of(a)), E.LinExpr.of(b))
+        assert E.eval_expr(tree, {a: 1.5, b: complex(2, 1e-12)}) == \
+            E.cgamma(complex(3.5, 1e-12)) / E.cgamma(1.5)
+        assert E.eval_expr(tree, {a: 1.5, b: complex(2, 5e-13)}) == 1.5 * 2.5
+        k = E.sym("k")
+        total = E.FiniteSum(k, E.LinExpr.of(0), E.LinExpr.of(b), E.ONE)
+        assert E.eval_expr(total, {b: complex(3, 1e-9)}) == 4
+        with pytest.raises(NonIntegerSumBound):
+            E.eval_expr(total, {b: complex(3, 2e-9)})
 
 
 class TestPochhammer:
@@ -684,6 +733,22 @@ class TestEvaluatorDifferential:
                             rng.randint(-5, 5), -0.0))
             assert repr(E.LinExpr((), q).eval({})) == repr(complex(q))
             assert repr(lin.eval({a: x})) == repr(ref_lin_eval(lin, {a: x}))
+        # several terms, non-finite and huge values, numpy floats and an
+        # unbound symbol: the value's repr or the exception's type
+        import numpy
+        la, lb, lc = E.LinExpr.of(a), E.LinExpr.of(b), E.LinExpr.of(c)
+        forms = [la * Q(-1, 3) + lb * Q(5, 2) - lc + Q(7, 11), la - lb,
+                 lb * 2 + lc * Q(1, 10 ** 30), la * Q(10 ** 40, 3) + b - Q(1, 2)]
+        values = [0.25, -0.0, complex(-1.5, -0.0), 2 + 0j, 0.5 + 1e-300j, 3,
+                  math.nan, math.inf, -math.inf, complex(math.inf, 0.0),
+                  10 ** 400, numpy.float64(0.3), numpy.float64(-2.5),
+                  numpy.float64(math.nan)]
+        for form in forms:
+            for x, y in ((x, y) for x in values for y in values[:6] + values[-3:]):
+                for point in ({a: x, b: y, c: 0.75}, {a: y, b: x, c: x},
+                              {a: x, c: y}):
+                    assert _outcome(form.eval, point) == \
+                        _outcome(ref_lin_eval, form, point), (form, point)
 
     def test_huge_coefficient_raises_every_call(self):
         huge = 10 ** 400
@@ -733,6 +798,31 @@ class TestEvaluatorDifferential:
             assert back == tree and hash(back) == hash(tree)
             assert vars(back) == vars(tree)  # the program is not on the node
             assert _outcome(E.eval_expr, back, point, _fake_watson) == first
+
+    def test_lin_pickled_after_evaluation(self):
+        """The float form is not pickled: an evaluated LinExpr pickles as a
+        fresh one, and loads equal, with the same hash and value."""
+        point = {a: 0.25, b: -1.5, c: 2 + 0.5j}
+        for form in (E.LinExpr.of(a) * Q(2, 3) - b + 1, E.LinExpr.of(Q(-7, 4)),
+                     E.LinExpr.of(c) - a, E.LinExpr.of(a) * 10 ** 400):
+            first = _outcome(form.eval, point)
+            assert _outcome(form.eval, point) == first
+            fresh = E.LinExpr(form.terms, form.const)
+            assert pickle.dumps(form) == pickle.dumps(fresh)
+            back = pickle.loads(pickle.dumps(form))
+            assert back == form and hash(back) == hash(form)
+            assert _outcome(back.eval, point) == first
+
+    def test_seed_db_computes_no_float_form(self, monkeypatch):
+        """Import and ``seed_db()`` are what a fresh process pays for
+        before its first evaluation: no linear form is evaluated there."""
+        def refuse(form):
+            raise AssertionError(f"float form of {form}")
+        monkeypatch.setattr(E.LinExpr, "floats", property(refuse))
+        monkeypatch.setattr(database, "_SEED_CACHE", None)
+        seed_db()
+        with pytest.raises(AssertionError, match="float form"):
+            E.LinExpr.of(a).eval({a: 1.0})
 
     def test_unknown_node(self):
         with pytest.raises(TypeError, match="unknown node"):
