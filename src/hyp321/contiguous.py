@@ -1,4 +1,4 @@
-"""Generalized Watson, Dixon, and Whipple elements at arbitrary offsets.
+"""Generalized Watson, Dixon, and Whipple elements at integer offsets.
 
 The three classical theorems evaluate one ₃F₂(1) each; their *contiguous*
 elements shift the parameters by integers:
@@ -7,13 +7,13 @@ elements shift the parameters by integers:
     Dixon    X_{m,n}(a,b,c) = ₃F₂(a, b, c; 1+m+a−b, 1+m+n+a−c; 1)
     Whipple  P_{m,n}(a,b,c) = ₃F₂(a, b, 1−b+m+n; c, 1+2a+m−c; 1)
 
-``watson_element`` reaches any (m, n) from eight closed-form anchors
-(``anchor_value``, from the database entries of ``anchor_entries``) by one
-three-term stencil: the n-recursion (n by 1) in the anchored columns
-m = −1…2, the m-recursion (m by 2) outside them, run forward above the
-seeds and solved for its lowest term below them.  Dixon and Whipple
-elements are W at shifted arguments times a gamma quotient; the symbolic
-maps (``x_to_w``, ``w_to_x``, ``p_from_w``, ``p_from_x``) expose both.
+``watson_element`` reaches any (m, n) with |m|, |n| <= ``MAX_OFFSET`` from
+eight closed-form anchors (``anchor_value``, from the entries of
+``anchor_entries``) by one three-term stencil: the n-recursion (n by 1) in
+the anchored columns m = −1…2, the m-recursion (m by 2) outside them, run
+forward above the seeds and solved for its lowest term below them.  Dixon
+and Whipple elements are W at shifted arguments times a gamma quotient; the
+symbolic maps (``x_to_w``, ``w_to_x``, ``p_from_w``, ``p_from_x``) expose both.
 
 One unknown remains after the anchors are consumed: the two recursions
 leave W(2, 1) undetermined (the even-m, n≠0 sublattice is not reachable
@@ -41,7 +41,7 @@ from .parser import parse_expr
 from .series import sum_series_numeric
 
 __all__ = [
-    "FAMILIES", "ContigQuery", "anchor_entries", "anchor_value",
+    "FAMILIES", "MAX_OFFSET", "ContigQuery", "anchor_entries", "anchor_value",
     "watson_element", "dixon_element", "whipple_element",
     "x_to_w", "w_to_x", "p_from_w", "p_from_x", "dixon_swap",
 ]
@@ -50,6 +50,10 @@ FAMILIES = ("watson", "dixon", "whipple")
 
 #: relative threshold below which a recursion denominator is treated as zero
 SINGULAR_TOL = 1e-9
+
+#: the largest |m| and |n| of an element: the lattice stores every node from
+#: the anchors to the target (about |m|/2 + 2|n|), so a larger one is refused
+MAX_OFFSET = 10_000
 
 _A, _B, _C = sym("a"), sym("b"), sym("c")
 _M, _N = sym("m"), sym("n")
@@ -78,6 +82,9 @@ class ContigQuery:
         for x in (self.a, self.b, self.c):
             if not cmath.isfinite(x):
                 raise NonFiniteParameter(f"parameter {x} is not finite")
+        if max(abs(self.m), abs(self.n)) > MAX_OFFSET:
+            raise ShapeError(f"offset ({self.m},{self.n}) is beyond "
+                             f"|m|, |n| <= {MAX_OFFSET}")
 
     def series_params(self) -> tuple[tuple[Numeric, ...], tuple[Numeric, ...]]:
         """Upper/lower parameters of the defining ₃F₂."""
@@ -140,6 +147,11 @@ def _forward(c1: complex, c2: complex, w1: tuple, w2: tuple) -> tuple:
     return c1 * w1[0] + c2 * w2[0], c1 * w1[1] + c2 * w2[1]
 
 
+def _backward(c1: complex, c2: complex, w0: tuple, w1: tuple) -> tuple:
+    """W₂ from W₀ = c1·W₁ + c2·W₂ on (p, q) pairs."""
+    return (w0[0] - c1 * w1[0]) / c2, (w0[1] - c1 * w1[1]) / c2
+
+
 class _WatsonLattice:
     """Affine-in-u lattice of W values at fixed numeric (a, b, c).
 
@@ -150,7 +162,8 @@ class _WatsonLattice:
 
     def __init__(self, a: Numeric, b: Numeric, c: Numeric):
         self.a, self.b, self.c = complex(a), complex(b), complex(c)
-        self.memo: dict[tuple[int, int], tuple[complex, complex]] = {}
+        self.memo: dict[tuple[int, int], tuple[complex, complex]] = {
+            _FREE_NODE: (0j, 1 + 0j)}
         self.u: Optional[complex] = None
         self.scale = 1.0 + abs(self.a) + abs(self.b) + abs(self.c)
 
@@ -187,38 +200,46 @@ class _WatsonLattice:
         return ca, cb
 
     def pair(self, m: int, n: int) -> tuple[complex, complex]:
-        key = (m, n)
-        if key in self.memo:
-            return self.memo[key]
-        if key in _ANCHOR_SPEC:
-            val = (anchor_value(m, n, self.a, self.b, self.c), 0j)
-        elif key == _FREE_NODE:
-            val = (0j, 1 + 0j)
-        else:
-            val = self._stencil(m, n)
-        self.memo[key] = val
-        return val
+        """W(m, n) as (p, q).  Pending nodes wait on a stack, not in Python
+        recursion, so the depth does not grow with the offset.  A node's
+        stencil is set up (its denominators checked) before its operands
+        are computed, the first operand first, as in a recursion."""
+        memo, stack = self.memo, [((m, n), None)]
+        while stack:
+            key, stencil = stack.pop()
+            if stencil is not None:
+                formula, c1, c2, (first, second) = stencil
+                memo[key] = formula(c1, c2, memo[first], memo[second])
+            elif key in memo:
+                continue
+            elif key in _ANCHOR_SPEC:
+                memo[key] = (anchor_value(*key, self.a, self.b, self.c), 0j)
+            else:
+                stencil = self._stencil(*key)
+                first, second = stencil[3]
+                stack += ((key, stencil), (second, None), (first, None))
+        return memo[(m, n)]
 
-    def _stencil(self, m: int, n: int) -> tuple[complex, complex]:
-        """A non-seed node from the two before it on its axis: the n-step in
-        the anchored columns −1…2, the m-step (stride 2) outside them.  The
-        seeds lie at n = −1…1 of those columns, so a node at negative n in
-        them, or at negative m outside them, is below the seeds: it solves
-        the stencil two strides up for its lowest term."""
+    def _stencil(self, m: int, n: int) -> tuple:
+        """``(formula, c1, c2, operands)`` of a non-seed node, from the two
+        nodes before it on its axis: the n-step in the anchored columns
+        −1…2, the m-step (stride 2) outside them.  The seeds lie at n = −1…1
+        of those columns, so a node at negative n in them, or at negative m
+        outside them, is below the seeds: it solves the stencil two strides
+        up for its lowest term."""
         if -1 <= m <= 2:
             step, axis, dm, dn, below = self._n_step, "n", 0, 1, n < 0
         else:
             step, axis, dm, dn, below = self._m_step, "m", 2, 0, m < 0
         if not below:
-            return _forward(*step(m, n), self.pair(m - dm, n - dn),
-                            self.pair(m - 2 * dm, n - 2 * dn))
+            return (_forward, *step(m, n),
+                    ((m - dm, n - dn), (m - 2 * dm, n - 2 * dn)))
         top = (m + 2 * dm, n + 2 * dn)
         c1, c2 = step(*top)
         if abs(c2) < SINGULAR_TOL:
             raise SingularRecursionPath(
                 f"{axis}-step at (m,n)=({top[0]},{top[1]}) cannot be inverted")
-        w0, w1 = self.pair(*top), self.pair(m + dm, n + dn)
-        return (w0[0] - c1 * w1[0]) / c2, (w0[1] - c1 * w1[1]) / c2
+        return _backward, c1, c2, (top, (m + dm, n + dn))
 
     def _resolve_u(self) -> complex:
         """Fix u = W(2, 1) so the n-recursion holds in the m = −2 column."""

@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 from .database import (DbEntry, SampleRecord, constraints_hold,
                        converges_at, default_watson, entry_rng, int_range,
                        repaired_assignment, sample_checks)
-from .errors import Hyp321Error, ShapeError
+from .errors import Hyp321Error, IndexCapture, ShapeError
 from .expr import (Expr, LinExpr, Mul, Symbol, combine_rows, eval_expr,
                    free_symbols, int_rows, nearest_integer, rename_indices,
                    row_lin, substitute)
@@ -186,7 +186,8 @@ def unify(template: ParamSet, query: ParamSet,
     solution is kept when it is unique and exact, and integer-kind symbols
     bind to non-negative integer constants or to integer-valued affine
     forms; a consistent alignment reproduces the query as a multiset.
-    Template symbols must be disjoint from query symbols.  ``encoded``, when
+    Template and query may share symbol names: the substitution is applied
+    simultaneously, so ``{a -> b, b -> a}`` swaps them.  ``encoded``, when
     given, is ``int_rows`` of the query's slots, made once for many calls.
     """
     if any(len(p.upper) != 3 or len(p.lower) != 2 for p in (template, query)):
@@ -350,21 +351,6 @@ def identify(entries: Sequence[DbEntry], query: ParamSet, *,
 # Equivalence and culling
 # ---------------------------------------------------------------------------
 
-def _qsym(s: Symbol) -> Symbol:
-    return Symbol("q*" + s.name, s.kind)
-
-
-def _renamed(p: ParamSet) -> ParamSet:
-    """Rename every symbol so the set is disjoint from any template.
-
-    The common prefix of ``_qsym`` keeps the terms sorted by name.
-    """
-    def rename(lin: LinExpr) -> LinExpr:
-        return LinExpr(tuple((_qsym(s), c) for s, c in lin.terms), lin.const)
-
-    return ParamSet(tuple(map(rename, p.upper)), tuple(map(rename, p.lower)))
-
-
 def _int_grid(entry: DbEntry) -> list[dict[Symbol, int]]:
     """The legal small integer assignments for an entry's integer symbols."""
     syms = [s for s, _ in entry.int_symbols]
@@ -386,14 +372,13 @@ def _int_ranges_ok(e1: DbEntry, e2: DbEntry, sub: Substitution) -> bool:
     if not any(s in smap for s in tints):
         return True
     for g in _int_grid(e1):
-        qassign = {_qsym(s): complex(v) for s, v in g.items()}
         t_assign: dict[Symbol, complex] = {}
         for s in tints:
             lin = smap.get(s)
             if lin is None:
                 continue
             try:
-                v = lin.eval(qassign)
+                v = lin.eval(g)
             except Hyp321Error:
                 return False  # binding leaks a continuous symbol
             if v.real < -1e-9:
@@ -404,32 +389,32 @@ def _int_ranges_ok(e1: DbEntry, e2: DbEntry, sub: Substitution) -> bool:
     return True
 
 
-def _derived_ok(e1: DbEntry, e2: DbEntry, sub: Substitution,
-                rename_fwd: Mapping[Symbol, LinExpr]) -> bool:
+def _derived_ok(e1: DbEntry, e2: DbEntry, sub: Substitution) -> bool:
     """Bound helper symbols must stand for structurally identical helpers.
 
     Derived symbols denote nonlinear functions of the base symbols, so the
     identity attached to a template only holds on that variety.  A witness
-    binding a template derived symbol is accepted only when the binding is a
-    plain query derived symbol whose definition, after the base-symbol
-    substitution, is structurally equal to the template's own definition.
+    may bind a template derived symbol only to a plain query derived symbol
+    whose definition equals the template's once the witness substitutes the
+    template base symbols, and only when every symbol of the template's
+    definition is such a base symbol, bound by the witness: EQ.14's
+    ``d = s*b`` matches nothing, whatever names the two entries share.
     """
     if not e2.derived:
         return True
     smap = sub.as_dict()
     tder = dict(e2.derived)
-    qder = {_qsym(s): d for s, d in e1.derived}
+    qder = {LinExpr.of(s): d for s, d in e1.derived}
     base_map = {s: lin for s, lin in smap.items() if s not in tder}
     for s, d in e2.derived:
-        lin = smap.get(s)
-        if lin is None:
+        if s not in smap:
             continue
-        if lin.const != 0 or len(lin.terms) != 1:
+        if smap[s] not in qder or free_symbols(d) - base_map.keys():
             return False
-        (qs, coef), = lin.terms
-        if coef != 1 or qs not in qder:
-            return False
-        if substitute(d, base_map) != substitute(qder[qs], rename_fwd):
+        try:
+            if substitute(d, base_map) != qder[smap[s]]:
+                return False
+        except IndexCapture:  # a bound index of d meets a symbol of e1
             return False
     return True
 
@@ -495,7 +480,6 @@ def _witness_samples(e1: DbEntry, v: ThomaeVariant, tries: int) -> Iterator:
         * eval_expr(pref, full))
 
 
-@lru_cache(maxsize=2048)
 def _witness_sound(e1: DbEntry, v: ThomaeVariant) -> bool:
     """Check numerically that the connecting Thomae relation is non-degenerate.
 
@@ -515,22 +499,18 @@ def equivalent(e1: DbEntry, e2: DbEntry
     """Witness that ``e2``'s parameter set is a Thomae image of ``e1``'s.
 
     Returns ``(variant, substitution)`` such that substituting into ``e2``'s
-    template reproduces the variant-image of ``e1``'s parameters, or None.
-    A witness must respect integer-symbol ranges and derived-symbol
-    definitions on both sides, and the connecting Thomae relation must hold
-    numerically at a legal assignment.
+    template reproduces the variant-image of ``e1``'s parameters, written in
+    ``e1``'s own symbols, or None.  A witness must respect integer-symbol
+    ranges and derived-symbol definitions on both sides (``_derived_ok``:
+    every symbol of an ``e2`` definition must be a base symbol it binds),
+    and the connecting Thomae relation must hold numerically at a legal draw.
     """
-    q = _renamed(e1.lhs)
-    rename_syms = set(e1.lhs.free_symbols()).union(
-        *(free_symbols(d) for _, d in e1.derived))
-    rename_fwd = {s: LinExpr.of(_qsym(s)) for s in rename_syms}
-
-    for v, img, encoded in _images_of(q.upper, q.lower):
+    for v, img, encoded in _images_of(e1.lhs.upper, e1.lhs.lower):
         for sub in unify(e2.lhs, img, encoded):
             if _invertible(sub) and \
                _kinds_preserved(e2, sub) and \
                _int_ranges_ok(e1, e2, sub) and \
-               _derived_ok(e1, e2, sub, rename_fwd) and \
+               _derived_ok(e1, e2, sub) and \
                _witness_sound(e1, v):
                 return v, sub
     return None

@@ -215,6 +215,37 @@ class TestElements:
         assert code == 0
         assert "not convergent" in out
 
+    def test_far_offset(self, capsys):
+        code, out, _ = run(capsys, "watson", "--a", "0.3", "--b", "0.2",
+                           "--c", "0.4", "--m", "1000", "--n", "0")
+        assert code == 0
+        assert "watson(1000,0) = 1.00005998278" in out
+
+    def test_far_offset_overflow_is_numeric_error(self, capsys):
+        code, _, err = run(capsys, "dixon", "--a", "0.3", "--b", "0.2",
+                           "--c", "0.4", "--m", "0", "--n", "1000")
+        assert code == 4
+        assert err.startswith("numeric error:")
+
+    def test_offset_beyond_bound_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "whipple", "--a", "0.3", "--b", "0.2",
+                             "--c", "0.4", "--m", "0", "--n", "-10001")
+        assert code == 2 and not out
+        assert err == "error: offset (0,-10001) is beyond |m|, |n| <= 10000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--upper", "1,1,1", "--lower", "2,2"),
+    ("identify", "--upper", "1,1,1", "--lower", "2,2"),
+    ("verify", "--entry", "B.1")] + [
+    (family, "--a", "0.3", "--b", "0.2", "--c", "0.4", "--m", "0", "--n", "0")
+    for family in ("watson", "dixon", "whipple")])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_bad_tol_is_usage_error(capsys, argv, tol):
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert code == 2 and not out
+    assert f"--tol: needs a finite positive number, got {tol}" in err
+
 
 class TestDbAndCull:
     def test_list_and_show(self, capsys):

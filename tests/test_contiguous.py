@@ -1,5 +1,6 @@
 """Contiguous-element engine: recursions, anchors, and conversion formulas."""
 
+import cmath
 import itertools
 import random
 from types import SimpleNamespace
@@ -8,13 +9,14 @@ import pytest
 
 from hyp321 import contiguous
 from hyp321 import expr as E
-from hyp321.contiguous import (ContigQuery, anchor_entries, anchor_value,
-                               dixon_element, dixon_swap, p_from_w, p_from_x,
-                               watson_element, whipple_element, w_to_x, x_to_w,
-                               _WatsonLattice)
+from hyp321.contiguous import (MAX_OFFSET, ContigQuery, anchor_entries,
+                               anchor_value, dixon_element, dixon_swap,
+                               p_from_w, p_from_x, watson_element,
+                               whipple_element, w_to_x, x_to_w, _WatsonLattice)
 from hyp321.database import get_entry, seed_db, verify_entry
-from hyp321.errors import (ExceptionalCase, Hyp321Error, NoConvergentCheck,
-                           NonFiniteParameter, NonFiniteValue,
+from hyp321.errors import (ExceptionalCase, GammaOverflow, Hyp321Error,
+                           NoConvergentCheck, NonFiniteParameter,
+                           NonFiniteValue, ShapeError,
                            SingularRecursionPath)
 from hyp321.series import sum_series_numeric
 
@@ -242,6 +244,38 @@ class TestDatabaseClosure:
         entry = get_entry(seed_db(), eid)
         report = verify_entry(entry, trials=5, seed=0, rel_tol=1e-7)
         assert report.passed, report.max_rel_err
+
+
+class TestLargeOffsets:
+    """The lattice keeps its pending nodes on a stack, so no offset within
+    ``MAX_OFFSET`` exhausts Python's recursion limit."""
+
+    @pytest.mark.parametrize("fn, m, n, error", [
+        (watson_element, 1000, 0, None), (watson_element, 0, 800, None),
+        (watson_element, -4000, 0, None), (watson_element, 0, -2000, None),
+        (watson_element, MAX_OFFSET, 0, None),
+        (watson_element, -MAX_OFFSET, -MAX_OFFSET, None),
+        (whipple_element, 0, 600, GammaOverflow),
+        (dixon_element, 0, 1000, GammaOverflow),
+        (whipple_element, 1000, 1, GammaOverflow)])
+    def test_value_or_typed_error(self, fn, m, n, error):
+        if error is None:
+            assert cmath.isfinite(fn(0.3, 0.2, 0.4, m, n))
+        else:
+            with pytest.raises(error):
+                fn(0.3, 0.2, 0.4, m, n)
+
+    def test_far_element_cross_checks(self):
+        w = watson_element(0.3, 0.2, 0.4, 1000, 0, rel_tol=1e-7)
+        assert w == pytest.approx(1.00005998278, rel=1e-10)
+
+    @pytest.mark.parametrize("fn", [watson_element, dixon_element,
+                                    whipple_element])
+    @pytest.mark.parametrize("m, n", [(MAX_OFFSET + 1, 0),
+                                      (0, -MAX_OFFSET - 1), (10 ** 30, 5)])
+    def test_beyond_the_bound(self, fn, m, n):
+        with pytest.raises(ShapeError, match="beyond"):
+            fn(0.3, 0.2, 0.4, m, n)
 
 
 def test_unknown_family_is_a_typed_error():

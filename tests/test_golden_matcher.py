@@ -11,6 +11,11 @@ It must not depend on PYTHONHASHSEED.
 Regenerate, after a change that is meant to alter these outputs, with::
 
     PYTHONPATH=src python tests/test_golden_matcher.py --write
+
+and review the change first with ``--diff``: per section, the ``identify``
+hits added, removed and changed, the survivors added and removed, and the
+closure witnesses whose variant changed against those whose substitution
+text alone changed.
 """
 
 import dataclasses
@@ -18,6 +23,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -107,8 +113,79 @@ def test_corpus_independent_of_hash_seed():
     assert out == GOLDEN.read_text(encoding="utf-8")
 
 
+def test_diff_summary_counts_changes():
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert diff_summary(old, old).splitlines()[-1] == (
+        f"closure witnesses: 0 of {len(old['closure']['witnesses'])} changed"
+        " variant, 0 changed substitution text only, 0 found or lost")
+    assert diff_summary(old, old).count(" 0 removed") == 4
+    new = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    hits = new["identify"]["numeric"]
+    hits[0] = dict(hits[0], rhs=hits[0]["rhs"] + " + 0")
+    del hits[1]
+    new["cull_survivors"].append("X.1")
+    new["closure"]["survivors"].pop()
+    witnesses = new["closure"]["witnesses"]
+    first, second, third = sorted(k for k, w in witnesses.items() if w)[:3]
+    witnesses[first] = ["another", witnesses[first][1]]
+    witnesses[second] = [witnesses[second][0], "{a -> b}"]
+    witnesses[third] = None
+    assert diff_summary(old, new).splitlines() == [
+        "identify numeric: 0 hits added, 1 removed, 1 changed",
+        "identify symbolic: 0 hits added, 0 removed, 0 changed",
+        "cull survivors: 1 added, 0 removed",
+        "closure survivors: 0 added, 1 removed",
+        f"closure witnesses: 1 of {len(witnesses)} changed variant,"
+        " 1 changed substitution text only, 1 found or lost"]
+
+
+def _hit_changes(old: list, new: list) -> str:
+    """Hits added, removed and changed: a hit found in only one list is
+    changed when the other has one of the same entry and variant that it
+    lacks."""
+    def unmatched(hits, other):
+        left = Counter(json.dumps(h, sort_keys=True) for h in hits)
+        left -= Counter(json.dumps(h, sort_keys=True) for h in other)
+        return Counter((json.loads(h)["entry"], json.loads(h)["variant"])
+                       for h in left.elements())
+
+    gone, came = unmatched(old, new), unmatched(new, old)
+    changed = sum((gone & came).values())
+    return (f"{sum(came.values()) - changed} hits added, "
+            f"{sum(gone.values()) - changed} removed, {changed} changed")
+
+
+def _set_changes(old: list, new: list) -> str:
+    return (f"{len(set(new) - set(old))} added, "
+            f"{len(set(old) - set(new))} removed")
+
+
+def diff_summary(old: dict, new: dict) -> str:
+    """A per-section summary of how ``new`` differs from ``old``."""
+    lines = [f"identify {q}: {_hit_changes(old['identify'][q], hits)}"
+             for q, hits in sorted(new["identify"].items())]
+    lines.append("cull survivors: " + _set_changes(old["cull_survivors"],
+                                                   new["cull_survivors"]))
+    lines.append("closure survivors: " + _set_changes(
+        old["closure"]["survivors"], new["closure"]["survivors"]))
+    pairs = [(w, new["closure"]["witnesses"].get(k))
+             for k, w in old["closure"]["witnesses"].items()]
+    variant = sum(bool(o and w) and o[0] != w[0] for o, w in pairs)
+    text = sum(bool(o and w) and o[0] == w[0] and o[1] != w[1]
+               for o, w in pairs)
+    lost = sum((o is None) != (w is None) for o, w in pairs)
+    lines.append(f"closure witnesses: {variant} of {len(pairs)} changed"
+                 f" variant, {text} changed substitution text only,"
+                 f" {lost} found or lost")
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_golden_matcher.py --write")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(build_corpus(), encoding="utf-8")
+    if sys.argv[1:] == ["--diff"]:
+        print(diff_summary(json.loads(GOLDEN.read_text(encoding="utf-8")),
+                           json.loads(build_corpus())))
+    elif sys.argv[1:] == ["--write"]:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(build_corpus(), encoding="utf-8")
+    else:
+        sys.exit("usage: test_golden_matcher.py --diff | --write")

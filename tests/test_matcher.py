@@ -14,7 +14,7 @@ from hyp321 import expr as E
 from hyp321.database import get_entry, seed_db, _build_entry
 from hyp321.errors import Hyp321Error
 from hyp321.matcher import (Substitution, _eliminate, _images_of, _invertible,
-                            _orbit_key, _renamed, _spot_check,
+                            _orbit_key, _spot_check,
                             _spot_samples, _witness_samples, _witness_sound,
                             cull, equivalent, identify, unify)
 from hyp321.series import ParamSet, excess
@@ -33,6 +33,16 @@ STRIDE = 31
 def _const_paramset(upper, lower):
     return ParamSet.make([E.LinExpr.of(Q(x)) for x in upper],
                          [E.LinExpr.of(Q(x)) for x in lower])
+
+
+def _renamed(p):
+    """``p`` with every symbol renamed ``q*<name>``; the common prefix keeps
+    the terms sorted by name."""
+    def rename(lin):
+        return E.LinExpr(tuple((E.Symbol("q*" + s.name, s.kind), c)
+                               for s, c in lin.terms), lin.const)
+
+    return ParamSet(tuple(map(rename, p.upper)), tuple(map(rename, p.lower)))
 
 
 def _image_entry(entry, variant, new_id):
@@ -151,6 +161,20 @@ class TestCompiledUnify:
                     pairs += 1
                     hits += bool(_assert_matches_reference(entry.lhs, img))
         assert pairs > 2000 and hits > 50
+
+    def test_template_and_query_share_names(self):
+        # the query is B.37's lhs with a and b swapped
+        lhs = get_entry(seed_db(), "B.37").lhs
+        swap = {a: E.LinExpr.of(b), b: E.LinExpr.of(a)}
+        query = ParamSet(tuple(u.subs(swap) for u in lhs.upper),
+                         tuple(l.subs(swap) for l in lhs.lower))
+        subs = unify(lhs, query)
+        assert sorted(map(str, subs)) == ["{a -> a, b -> b, c -> c}",
+                                          "{a -> b, b -> a, c -> c}"]
+        for sub in subs:
+            smap = sub.as_dict()
+            assert ParamSet(tuple(u.subs(smap) for u in lhs.upper),
+                            tuple(l.subs(smap) for l in lhs.lower)) == query
 
     def test_rank_deficient_template(self):
         # a and b only enter as a+b: rank 2 for three symbols
@@ -453,7 +477,7 @@ class TestEquivalent:
         warm = equivalent(second, target)
         assert warm == fresh
         variant, sub = warm
-        image, _ = apply_variant(variant, _renamed(second.lhs))
+        image, _ = apply_variant(variant, second.lhs)
         smap = sub.as_dict()
         assert ParamSet(tuple(u.subs(smap) for u in target.lhs.upper),
                         tuple(l.subs(smap) for l in target.lhs.lower)) == image
@@ -474,6 +498,28 @@ class TestEquivalent:
     def test_unrelated_entries(self):
         db = seed_db()
         assert equivalent(get_entry(db, "B.1"), get_entry(db, "B.37")) is None
+
+    def test_derived_definition_with_unbound_symbol(self):
+        # d = s*b names s, which neither lhs binds: compared by name, the
+        # two definitions would be equal and the identity a witness
+        first, second = (_build_entry(dict(
+            id=i, upper="a, d, 1/3", lower="b + 2, c", rhs="G(a)*G(d)",
+            derived=[("d", "s*b")])) for i in ("T.D1", "T.D2"))
+        assert equivalent(first, second) is None
+        assert equivalent(second, first) is None
+
+    def test_derived_definition_capturing_a_symbol(self):
+        # substituting n -> L into the template's Sum over L would capture
+        # the query's L: the definitions differ, and nothing raises
+        template = _build_entry(dict(
+            id="T.S1", upper="a, d, -n", lower="b + 2, c", rhs="G(a)",
+            derived=[("d", "Sum(L, 0, 2, n*b)")]))
+        query = _build_entry(dict(
+            id="T.S2", upper="a, d, -L", lower="b + 2, c", rhs="G(a)",
+            derived=[("d", "Sum(k, 0, 2, L*b)")]))
+        assert equivalent(query, template) is None
+        assert equivalent(template, query) is None
+        assert equivalent(query, query) is not None
 
 
 class TestCull:
