@@ -29,7 +29,7 @@ from .database import (RECOVERABLE, DbEntry, get_entry, load_db, save_db,
                        seed_db, verify_entry)
 from .errors import (ExceptionalCase, Hyp321Error, InsufficientSamples,
                      NoConvergentCheck, NonFiniteValue, ParseError,
-                     SchemaVersionMismatch, ShapeError)
+                     SchemaVersionMismatch, ShapeError, UnknownEntry)
 from .expr import as_real, eval_expr, expr_str
 from .parser import parse_linexpr, parse_param_list
 from .series import ParamSet, sum_series_numeric
@@ -302,7 +302,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except KeyError as exc:
+    except UnknownEntry as exc:
         print(f"error: no such entry {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _NUMERIC_ERRORS as exc:

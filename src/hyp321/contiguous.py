@@ -273,7 +273,8 @@ class _WatsonLattice:
 def _coerce(x) -> LinExpr:
     if isinstance(x, complex):
         if abs(x.imag) > 1e-12 * max(1.0, abs(x.real)):
-            raise TypeError("symbolic maps take real or exact-rational arguments")
+            raise ShapeError("symbolic maps take real or exact-rational "
+                             "arguments")
         x = x.real
     if isinstance(x, float):
         x = Fraction(x)

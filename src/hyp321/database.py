@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import operator
+import random
 import re
 import zlib
 from collections import Counter
@@ -24,11 +25,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
+from .contiguous import watson_element, x_to_w
 from .entries import RAW_ENTRIES
 from .errors import (AnchorPole, DivergentSeries, Hyp321Error,
                      InsufficientSamples, LowerPole, NoConvergence,
                      NonFiniteParameter, NonIntegerSumBound, ParseError,
-                     PoleError, SchemaVersionMismatch, SingularRecursionPath)
+                     PoleError, SchemaVersionMismatch, SingularRecursionPath,
+                     UnknownEntry)
 from .expr import (Expr, LinExpr, Mul, Symbol, eval_expr, expr_from_json,
                    expr_to_json, free_symbols, lin_from_json, lin_to_json,
                    sym, substitute)
@@ -142,8 +145,6 @@ def _contiguous_transplants(by_id: dict[str, DbEntry]) -> list[DbEntry]:
     the closed forms of B.47 (offsets (1,0)) and B.43 (offsets (0,-1))
     yields two further members of the Dixon lattice.
     """
-    from .contiguous import x_to_w
-
     a, b, c = sym("a"), sym("b"), sym("c")
     A, B, C = LinExpr.of(a), LinExpr.of(b), LinExpr.of(c)
     out = []
@@ -181,7 +182,7 @@ def get_entry(entries: Sequence[DbEntry], entry_id: str) -> DbEntry:
     for e in entries:
         if e.id == entry_id:
             return e
-    raise KeyError(entry_id)
+    raise UnknownEntry(entry_id)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +311,6 @@ def repaired_assignment(entry: DbEntry, base: dict[Symbol, complex],
 
 def entry_rng(key: str, seed: int):
     """The rng of every numeric check: seeded by ``seed`` and ``key``."""
-    import random
-
     return random.Random((seed << 32) ^ zlib.crc32(key.encode()))
 
 
@@ -340,14 +339,6 @@ def sample_checks(rng, tries: int, draw: Callable, lhs: Callable,
                            lv, rv, err)
 
 
-def default_watson(a: complex, b: complex, c: complex,
-                   m: int, n: int) -> complex:
-    """The resolver of ``WatsonRef`` nodes: the Watson lattice element."""
-    from .contiguous import watson_element
-
-    return watson_element(a, b, c, m, n)
-
-
 def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
                  rel_tol: Optional[float] = None) -> VerificationReport:
     """Check an entry numerically at ``trials`` (at least 3) random points.
@@ -374,7 +365,7 @@ def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
     for out in sample_checks(
             entry_rng(entry.id, seed), 100 * trials, draw,
             lambda full: series_pfq(entry.lhs, full, rel_tol=series_tol).value,
-            lambda full: eval_expr(entry.rhs, full, watson=default_watson)):
+            lambda full: eval_expr(entry.rhs, full, watson=watson_element)):
         if isinstance(out, str):
             discarded[out] += 1
         else:
@@ -453,7 +444,10 @@ def db_from_json(doc: Mapping) -> list[DbEntry]:
         raise SchemaVersionMismatch(
             f"expected schema {SCHEMA!r}, got {doc.get('schema')!r}"
             if isinstance(doc, Mapping) else "document is not an object")
-    return [entry_from_json(d) for d in doc["entries"]]
+    entries = doc.get("entries")
+    if not isinstance(entries, list):
+        raise ParseError("a database file needs an 'entries' list")
+    return [entry_from_json(d) for d in entries]
 
 
 def dumps_db(entries: Sequence[DbEntry]) -> str:

@@ -16,7 +16,8 @@ class PoleError(Hyp321Error):
 
 
 class GammaOverflow(Hyp321Error, OverflowError):
-    """A gamma value overflows a float or underflows to 0."""
+    """A gamma value overflows a float or underflows to 0, or a power
+    overflows a complex float."""
 
 
 class UnboundSymbol(Hyp321Error):
@@ -25,10 +26,6 @@ class UnboundSymbol(Hyp321Error):
 
 class NonIntegerSumBound(Hyp321Error):
     """A finite-sum bound did not bind to an integer."""
-
-
-class IndexCapture(Hyp321Error):
-    """A substitution target mentions a symbol bound by an enclosing finite sum."""
 
 
 class DivergentSeries(Hyp321Error):
@@ -57,6 +54,10 @@ class ParseError(Hyp321Error):
     def __init__(self, message, position=None):
         super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
+
+
+class UnknownEntry(Hyp321Error, KeyError):
+    """No database entry has the requested id."""
 
 
 class SchemaVersionMismatch(Hyp321Error):

@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import (GammaOverflow, IndexCapture, NonFiniteParameter,
-                     NonIntegerSumBound, ParseError, PoleError, UnboundSymbol)
+from .errors import (GammaOverflow, NonFiniteParameter, NonIntegerSumBound,
+                     ParseError, PoleError, UnboundSymbol)
 
 Q = Fraction
 
@@ -412,14 +412,6 @@ def _index(e: Expr) -> Optional[Symbol]:
     return next((v for kind, v in _fields(e) if kind == INDEX), None)
 
 
-def _rebuild(e: Expr, sub: Callable[[Expr], Expr],
-             lin: Callable[[LinExpr], LinExpr] = lambda form: form) -> Expr:
-    """``e`` with ``sub`` applied to each subtree, ``lin`` to each LinExpr."""
-    step = {EXPR: sub, EXPRS: lambda xs: tuple(map(sub, xs)), LIN: lin}
-    return type(e)(*(step[kind](v) if kind in step else v
-                     for kind, v in _fields(e)))
-
-
 def free_symbols(e: Expr) -> frozenset[Symbol]:
     """Free symbols of a tree (a sum index is bound in its body only)."""
     body, bounds, index = frozenset(), frozenset(), None
@@ -629,7 +621,10 @@ def _recip(v: complex) -> complex:
 
 def _power(b: complex, e: complex) -> complex:
     if b != 0:
-        return cmath.exp(e * cmath.log(b))
+        try:
+            return cmath.exp(e * cmath.log(b))
+        except OverflowError:
+            raise GammaOverflow(f"power {b}^{e} overflows a float") from None
     if e.real > 0:
         return 0.0
     raise PoleError("0 raised to a non-positive power")
@@ -696,35 +691,26 @@ def as_real(value: complex, rel: float = 1e-9) -> complex:
 def substitute(e: Expr, mapping: Mapping[Symbol, LinExpr]) -> Expr:
     """Rewrite every Lin leaf (and LinExpr slot) by exact linear substitution.
 
-    A sum's index shadows ``mapping`` in its body.  IndexCapture when a
-    symbol free in the body maps to a target that mentions the index.
+    A sum's index shadows ``mapping`` in its body.  Where a symbol free in
+    the body maps to a target that mentions the index, the index is renamed
+    first, so that no target is captured: to its name with ``_`` appended
+    until the name is free in neither the body nor a target.
     """
-    index = _index(e)
-    inner = mapping
+    index, inner = _index(e), mapping
     if index is not None:
         inner = {s: t for s, t in mapping.items() if s != index}
         body = frozenset().union(*map(free_symbols, _subtrees(e)))
-        for s, target in inner.items():
-            if s in body and target.coeff(index):
-                raise IndexCapture(
-                    f"substitution target {target} mentions a bound index")
-    return _rebuild(e, lambda x: substitute(x, inner),
-                    lambda form: form.subs(mapping))
-
-
-def rename_indices(e: Expr, taken: frozenset[Symbol]) -> Expr:
-    """Alpha-rename each sum index of ``e`` that is in ``taken``, so that
-    substituting targets over ``taken`` captures no index."""
-    index = _index(e)
-    if index not in taken:
-        return _rebuild(e, lambda x: rename_indices(x, taken))
-    body = frozenset().union(*map(free_symbols, _subtrees(e)))
-    fresh = Symbol(index.name + "_", "integer")
-    while fresh in taken or fresh in body:  # renaming keeps free symbols
-        fresh = Symbol(fresh.name + "_", "integer")
-    to_fresh = {index: LinExpr.of(fresh)}
-    e = _rebuild(e, lambda x: substitute(rename_indices(x, taken), to_fresh))
-    return type(e)(*(fresh if kind == INDEX else v for kind, v in _fields(e)))
+        if any(s in body and t.coeff(index) for s, t in inner.items()):
+            taken = body.union(*(t.free_symbols() for t in mapping.values()))
+            fresh = Symbol(index.name + "_", "integer")
+            while fresh in taken:
+                fresh = Symbol(fresh.name + "_", "integer")
+            inner[index], index = LinExpr.of(fresh), fresh
+    step = {EXPR: lambda x: substitute(x, inner),
+            EXPRS: lambda xs: tuple(substitute(x, inner) for x in xs),
+            LIN: lambda form: form.subs(mapping), INDEX: lambda _: index}
+    return type(e)(*(step[kind](v) if kind in step else v
+                     for kind, v in _fields(e)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, product
 from math import gcd
 from operator import itemgetter, mul
 from typing import Iterator, Mapping, Optional, Sequence
 
+from .contiguous import watson_element
 from .database import (DbEntry, SampleRecord, constraints_hold,
-                       converges_at, default_watson, entry_rng, int_range,
+                       converges_at, entry_rng, int_range,
                        repaired_assignment, sample_checks)
-from .errors import Hyp321Error, IndexCapture, ShapeError
+from .errors import Hyp321Error, ShapeError
 from .expr import (Expr, LinExpr, Mul, Symbol, combine_rows, eval_expr,
-                   free_symbols, int_rows, nearest_integer, rename_indices,
-                   row_lin, substitute)
+                   free_symbols, int_rows, nearest_integer, row_lin,
+                   substitute)
 from .series import (KARLSSON_MINTON_KMAX, ParamSet, excess,
                      sample_continuous, series_pfq)
 from .thomae import (CLASS_REPRESENTATIVES, DOUBLED_FORMS, IDENTITY_VARIANT,
@@ -282,7 +283,7 @@ def _spot_samples(query: ParamSet, match: MatchResult, entry: DbEntry,
         entry_rng(match.entry_id + "|" + match.variant.name, seed), 30, draw,
         lambda full: series_pfq(query, full, rel_tol=1e-10).value,
         lambda full: eval_expr(match.instantiated_rhs, full,
-                               watson=default_watson))
+                               watson=watson_element))
 
 
 def _spot_check(query: ParamSet, match: MatchResult, entry: DbEntry,
@@ -292,11 +293,6 @@ def _spot_check(query: ParamSet, match: MatchResult, entry: DbEntry,
     return next((o.rel_err < rel_tol for o in
                  _spot_samples(query, match, entry, seed) or ()
                  if isinstance(o, SampleRecord)), True)
-
-
-def _substitute_capture_free(e: Expr, smap: Mapping[Symbol, LinExpr]) -> Expr:
-    taken = frozenset().union(*(t.free_symbols() for t in smap.values()))
-    return substitute(rename_indices(e, taken), smap)
 
 
 def _bound_apart(s: Symbol, d: Expr, taken: frozenset[Symbol]
@@ -310,8 +306,8 @@ def _bound_apart(s: Symbol, d: Expr, taken: frozenset[Symbol]
 
 
 def identify(entries: Sequence[DbEntry], query: ParamSet, *,
-             include_conjectures: bool = False, numeric_check: bool = True,
-             seed: int = 0, rel_tol: float = 1e-6) -> list[MatchResult]:
+             include_conjectures: bool = False, seed: int = 0,
+             rel_tol: float = 1e-6) -> list[MatchResult]:
     """Look a ₃F₂(1) parameter set up in the database.
 
     Each of the query's distinct Thomae images (the 120 formal variants
@@ -322,6 +318,7 @@ def identify(entries: Sequence[DbEntry], query: ParamSet, *,
     own value.
     """
     images = _images_of(query.upper, query.lower)
+    prefactor = cache(lambda v: apply_variant(v, query)[1])  # once per image
     taken = query.free_symbols()
     results: list[MatchResult] = []
     for entry in sorted(entries, key=lambda e: e.id):
@@ -334,13 +331,11 @@ def identify(entries: Sequence[DbEntry], query: ParamSet, *,
                 smap = sub.as_dict()
                 if not _entry_constraints_ok(entry, smap):
                     continue
-                inst_rhs = Mul((apply_variant(v, query)[1],
-                                _substitute_capture_free(entry.rhs, smap)))
-                derived = tuple(_bound_apart(s, _substitute_capture_free(
-                    d, smap), taken) for s, d in entry.derived)
+                inst_rhs = Mul((prefactor(v), substitute(entry.rhs, smap)))
+                derived = tuple(_bound_apart(s, substitute(d, smap), taken)
+                                for s, d in entry.derived)
                 match = MatchResult(entry.id, v, sub, inst_rhs, derived)
-                if numeric_check and not _spot_check(query, match, entry,
-                                                     seed, rel_tol):
+                if not _spot_check(query, match, entry, seed, rel_tol):
                     continue
                 results.append(match)
     results.sort(key=lambda r: (r.entry_id, r.variant.name))
@@ -409,27 +404,29 @@ def _derived_ok(e1: DbEntry, e2: DbEntry, sub: Substitution) -> bool:
     for s, d in e2.derived:
         if s not in smap:
             continue
-        if smap[s] not in qder or free_symbols(d) - base_map.keys():
-            return False
-        try:
-            if substitute(d, base_map) != qder[smap[s]]:
-                return False
-        except IndexCapture:  # a bound index of d meets a symbol of e1
+        if smap[s] not in qder or free_symbols(d) - base_map.keys() or \
+                substitute(d, base_map) != qder[smap[s]]:
             return False
     return True
 
 
-def _invertible(sub: Substitution) -> bool:
-    """True when the witness substitution is an invertible affine map.
+def _invertible_pair(e1: DbEntry, e2: DbEntry) -> bool:
+    """True when every witness carrying ``e2`` onto an image of ``e1`` is an
+    invertible affine map.
 
     Equivalence is symmetric up to inversion; a substitution that collapses
     symbols (e.g. binds an integer symbol to the constant 1) witnesses a
     specialization, not an equivalence, and specialization detection is out
-    of scope for the automated cull.
+    of scope for the automated cull.  A witness S solves ``M S = Q`` for
+    ``e2``'s full-rank slot matrix M and an image's matrix Q, which has
+    ``e1``'s rank, so S has that rank too: it is square and invertible
+    exactly when ``e1``'s slot matrix has full column rank and both entries
+    have as many symbols.
     """
-    qsyms, rows, _ = int_rows([lin for _, lin in sub.mapping])
-    return len(qsyms) == len(rows) and \
-        _eliminate(rows, len(qsyms)) is not None
+    first = _compile(e1.lhs.upper, e1.lhs.lower)
+    second = _compile(e2.lhs.upper, e2.lhs.lower)
+    return first is not None and second is not None and \
+        len(first.syms) == len(second.syms)
 
 
 def _kinds_preserved(e2: DbEntry, sub: Substitution) -> bool:
@@ -500,15 +497,17 @@ def equivalent(e1: DbEntry, e2: DbEntry
 
     Returns ``(variant, substitution)`` such that substituting into ``e2``'s
     template reproduces the variant-image of ``e1``'s parameters, written in
-    ``e1``'s own symbols, or None.  A witness must respect integer-symbol
+    ``e1``'s own symbols, or None.  A witness must be an invertible affine
+    map (``_invertible_pair``, decided once per pair), respect integer-symbol
     ranges and derived-symbol definitions on both sides (``_derived_ok``:
     every symbol of an ``e2`` definition must be a base symbol it binds),
     and the connecting Thomae relation must hold numerically at a legal draw.
     """
+    if not _invertible_pair(e1, e2):
+        return None
     for v, img, encoded in _images_of(e1.lhs.upper, e1.lhs.lower):
         for sub in unify(e2.lhs, img, encoded):
-            if _invertible(sub) and \
-               _kinds_preserved(e2, sub) and \
+            if _kinds_preserved(e2, sub) and \
                _int_ranges_ok(e1, e2, sub) and \
                _derived_ok(e1, e2, sub) and \
                _witness_sound(e1, v):

@@ -90,7 +90,7 @@ def base_relation(base: int, a: LinExpr, b: LinExpr, c: LinExpr,
     Semantics: F([a,b,c],[f,e]; 1) = prefactor * F(image; 1).
     """
     if base not in _BASES:
-        raise ValueError(f"base relation index {base} outside 1..10")
+        raise ShapeError(f"base relation index {base} outside 1..10")
     _, _, num, den = _BASES[base]
     slots = (a, b, c, f, e)
     factors = [Gamma(Lin(combine(row, slots))) for row in num] + \

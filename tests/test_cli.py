@@ -166,6 +166,17 @@ class TestVerify:
     def test_unknown_entry(self, capsys):
         code, _, _ = run(capsys, "verify", "--entry", "B.999")
         assert code == 2
+        code, out, err = run(capsys, "db", "show", "B.999")
+        assert code == 2 and not out
+        assert err == "error: no such entry 'B.999'\n"
+
+    def test_other_key_error_is_not_an_unknown_entry(self, monkeypatch):
+        def broken(args):
+            raise KeyError("entries")
+
+        monkeypatch.setattr(hyp321.cli, "_cmd_db", broken)
+        with pytest.raises(KeyError):
+            main(["db", "list"])
 
     def test_failing_database_exits_nonzero(self, capsys, tmp_path):
         raw = dict(next(r for r in RAW_ENTRIES if r["id"] == "B.37"))
@@ -274,6 +285,16 @@ class TestDbAndCull:
         code, out, err = run(capsys, "--db", str(path), "db", "list")
         assert code == 2 and not out
         assert "coeffs: expected Mapping" in err
+
+    @pytest.mark.parametrize("entries", [{}, {"entries": 3},
+                                         {"entries": {"B.37": {}}}])
+    def test_database_without_an_entries_list(self, capsys, tmp_path,
+                                              entries):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"schema": "hyp321/1", **entries}))
+        code, out, err = run(capsys, "--db", str(path), "db", "list")
+        assert code == 2 and not out
+        assert err == "error: a database file needs an 'entries' list\n"
 
     def test_env_var_database(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "mini.json"

@@ -219,6 +219,14 @@ class TestConversions:
             p2 = dixon_element(xa, xb, xc, m, n) * E.eval_expr(xpref, {})
             assert abs(p1 - p2) <= 1e-8 * max(1.0, abs(p1))
 
+    @pytest.mark.parametrize("conversion", [x_to_w, w_to_x, p_from_w,
+                                            p_from_x])
+    def test_complex_argument_refused(self, conversion):
+        with pytest.raises(ShapeError, match="real or exact-rational"):
+            conversion(0.3 + 1j, 0.2, 0.4, 0, 0)
+        args, _ = conversion(0.3 + 0j, 0.2, 0.4, 0, 0)  # a zero imaginary part
+        assert all(t.is_constant for t in args)
+
     def test_recursion_derived_anchor_from_conversion(self):
         # the W(-1,0) closed form equals the conversion map applied to the
         # Dixon (-1,0) closed form
@@ -311,8 +319,9 @@ class TestNonFinite:
 
 def test_wide_parameters_raise_only_typed_errors():
     """Elements at a, b, c in [-3, 120] and |m|, |n| <= 8 return a value or
-    raise a Hyp321Error (Γ overflow included); a NaN or infinite a, b or c
-    raises NonFiniteParameter."""
+    raise a Hyp321Error (Γ overflow included); an anchor's power out of
+    float range raises GammaOverflow; a NaN or infinite a, b or c raises
+    NonFiniteParameter."""
     elements = (watson_element, dixon_element, whipple_element)
     rng = random.Random(11)
     for k in range(1200):
@@ -322,6 +331,12 @@ def test_wide_parameters_raise_only_typed_errors():
             elements[k % 3](a, b, c, m, n)
         except Hyp321Error:
             pass
+    # EQ.15's 2^(a + b) overflows, directly or at the mapped arguments
+    for fn, args in ((watson_element, (1200.9, 0.3, 0.5, 0, 1)),
+                     (dixon_element, (0.3, 0.2, 0.4, 1200, 1)),
+                     (whipple_element, (0.3, 0.2, 0.4, 1200, 1))):
+        with pytest.raises(GammaOverflow, match="power"):
+            fn(*args)
     nan, inf = float("nan"), float("inf")
     for fn, slot, bad in itertools.product(
             elements, range(3), (nan, inf, -inf, complex(0.3, nan))):

@@ -14,9 +14,9 @@ from hyp321.database import (constraints_hold, converges_at, db_from_json,
                              parse_constraint, sample_checks, save_db,
                              seed_db, verify_all, verify_entry, _build_entry)
 from hyp321.entries import RAW_ENTRIES
-from hyp321.errors import (AnchorPole, InsufficientSamples, ParseError,
-                           PoleError, SchemaVersionMismatch,
-                           SingularRecursionPath, UnboundSymbol)
+from hyp321.errors import (AnchorPole, Hyp321Error, InsufficientSamples,
+                           ParseError, PoleError, SchemaVersionMismatch,
+                           SingularRecursionPath, UnboundSymbol, UnknownEntry)
 from hyp321.parser import parse_expr
 from hyp321.series import ParamSet, excess, series_pfq, sum_series_numeric
 
@@ -230,6 +230,12 @@ class TestSerialization:
         doc["schema"] = "hyp321/999"
         with pytest.raises(SchemaVersionMismatch):
             db_from_json(doc)
+
+    def test_unknown_entry_is_typed(self):
+        with pytest.raises(UnknownEntry) as info:
+            get_entry(seed_db(), "B.999")
+        assert isinstance(info.value, KeyError)
+        assert isinstance(info.value, Hyp321Error)
 
 
 class TestConjectures:

@@ -17,9 +17,9 @@ import pytest
 from hyp321 import contiguous, database
 from hyp321 import expr as E
 from hyp321.database import seed_db
-from hyp321.errors import (GammaOverflow, Hyp321Error, IndexCapture,
-                           NonFiniteParameter, NonIntegerSumBound, ParseError,
-                           PoleError, UnboundSymbol)
+from hyp321.errors import (GammaOverflow, Hyp321Error, NonFiniteParameter,
+                           NonIntegerSumBound, ParseError, PoleError,
+                           UnboundSymbol)
 from hyp321.expr import (Add, Assignment, Const, Cos, FiniteSum, Gamma, Lin,
                          Mul, Neg, Pi, Pochhammer, Polygamma, Pow, Recip, Sin,
                          WatsonFn, WatsonRef, cpolygamma,
@@ -348,12 +348,16 @@ class TestSubstitute:
         # bound index untouched; sum still 0+1+2 + 3a
         assert E.eval_expr(out, {a: 1.0}) == 6.0
 
-    def test_index_capture_detected(self):
-        k = E.sym("k")
-        body = E.Lin(E.LinExpr.of(a))
+    def test_index_capture_renames_the_index(self):
+        k, k_ = E.sym("k"), E.Symbol("k_", "integer")
+        body = E.Lin(E.LinExpr.of(k) + E.LinExpr.of(a))
         s = E.FiniteSum(k, E.LinExpr.of(0), E.LinExpr.of(2), body)
-        with pytest.raises(IndexCapture):
-            E.substitute(s, {a: E.LinExpr.of(k)})
+        out = E.substitute(s, {a: E.LinExpr.of(k)})
+        # the target's k stays free: sum over k_ of k_ + k is 3 + 3k
+        assert out == E.FiniteSum(k_, E.LinExpr.of(0), E.LinExpr.of(2),
+                                  E.Lin(E.LinExpr.of(k) + E.LinExpr.of(k_)))
+        assert E.free_symbols(out) == frozenset({k})
+        assert E.eval_expr(out, {k: 5}) == 18
 
     def test_index_capture_needs_the_symbol_in_the_body(self):
         k = E.sym("k")
@@ -364,19 +368,21 @@ class TestSubstitute:
         s = E.FiniteSum(k, E.LinExpr.of(0), E.LinExpr.of(b), E.ONE)
         assert E.substitute(s, {b: E.LinExpr.of(k)}).upper == E.LinExpr.of(k)
 
-    def test_rename_indices(self):
+    def test_nested_capture_renames_each_index(self):
         k, k_ = E.sym("k"), E.Symbol("k_", "integer")
         inner = E.FiniteSum(k, E.LinExpr.of(0), E.LinExpr.of(k_),
                             E.Lin(E.LinExpr.of(k) + E.LinExpr.of(a)))
         s = E.FiniteSum(k, E.LinExpr.of(1), E.LinExpr.of(n), inner)
-        out = E.rename_indices(s, frozenset({k}))
-        # the inner k_ is free in the outer body, so the outer index is k__
+        out = E.substitute(s, {a: E.LinExpr.of(k)})
+        # the inner k_ is free in the outer body, so the outer index is k__;
+        # the inner index becomes k_, which its bound (outside its scope)
+        # still reads as the free k_
         assert out.index.name == "k__" and out.body.index == k_
-        assert E.free_symbols(out) == E.free_symbols(s)
-        moved = E.substitute(out, {a: E.LinExpr.of(k)})
-        assert E.eval_expr(moved, {n: 3, k_: 2, k: 2.0}) == E.eval_expr(
+        assert out.body.upper == E.LinExpr.of(k_)
+        assert E.free_symbols(out) == frozenset({n, k_, k})
+        assert E.eval_expr(out, {n: 3, k_: 2, k: 2.0}) == E.eval_expr(
             s, {n: 3, k_: 2, a: 2.0}) == 27
-        assert E.rename_indices(s, frozenset({a})) == s
+        assert E.substitute(s, {a: E.LinExpr.of(b)}).index == k
 
     def test_free_symbols_excludes_index(self):
         k = E.sym("k")

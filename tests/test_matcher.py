@@ -4,24 +4,26 @@ import dataclasses
 import random
 import zlib
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, cycle, product
 from math import lcm
 
 import numpy as np
 import pytest
 
 from hyp321 import expr as E
+from hyp321 import matcher
 from hyp321.database import get_entry, seed_db, _build_entry
 from hyp321.errors import Hyp321Error
-from hyp321.matcher import (Substitution, _eliminate, _images_of, _invertible,
-                            _orbit_key, _spot_check,
+from hyp321.matcher import (Substitution, _eliminate, _images_of,
+                            _invertible_pair, _orbit_key, _spot_check,
                             _spot_samples, _witness_samples, _witness_sound,
                             cull, equivalent, identify, unify)
+from hyp321.parser import parse_expr
 from hyp321.series import ParamSet, excess
 from hyp321.thomae import (CLASS_REPRESENTATIVES, LOWER_PERMS, UPPER_PERMS,
                            ThomaeVariant, all_variants, apply_variant,
                            five_forms)
-from test_golden_matcher import closure_pool
+from test_golden_matcher import QUERIES, closure_pool
 
 a, b, c, n = E.sym("a"), E.sym("b"), E.sym("c"), E.sym("n")
 L = E.sym("L")
@@ -259,11 +261,34 @@ class TestCompiledUnify:
         assert _assert_matches_reference(template, near) == []
 
 
+def _invertible(sub):
+    """Reference for ``_invertible_pair``: the witness substitution itself is
+    a square, full-rank affine map."""
+    qsyms, rows, _ = E.int_rows([lin for _, lin in sub.mapping])
+    return len(qsyms) == len(rows) and \
+        _eliminate(rows, len(qsyms)) is not None
+
+
 def test_invertible_witness_needs_full_rank():
     X, Y = E.LinExpr.of(E.sym("x")), E.LinExpr.of(E.sym("y"))
     assert _invertible(Substitution(((a, X + Y), (b, X - Y + 1))))
     assert not _invertible(Substitution(((a, X + Y), (b, X * 2 + Y * 2))))
     assert not _invertible(Substitution(((a, X + Y), (b, E.LinExpr.of(1)))))
+
+
+def test_invertible_pair_agrees_with_each_witness():
+    """``equivalent`` decides invertibility once per pair of entries; over
+    every fifth seed entry and closure image, each substitution that
+    ``unify`` finds for a pair is invertible exactly when the pair is."""
+    pool = seed_db()[::5] + [img for _, img in closure_pool()][::5]
+    verdicts = []
+    for e1, e2 in product(pool, repeat=2):
+        pair = _invertible_pair(e1, e2)
+        for _, img, encoded in _images_of(e1.lhs.upper, e1.lhs.lower):
+            for sub in unify(e2.lhs, img, encoded):
+                assert _invertible(sub) == pair, (e1.id, e2.id, str(sub))
+                verdicts.append(pair)
+    assert len(verdicts) > 1000 and verdicts.count(False) > 300
 
 
 def test_eliminate_gives_left_inverse_and_null_rows():
@@ -402,10 +427,12 @@ class TestIdentify:
 class TestSpotCheck:
     @staticmethod
     def _conj24_hits():
+        """CONJ.24's hits with the spot check passing every candidate."""
         db = seed_db()
         query = get_entry(db, "CONJ.24").lhs
-        return db, query, identify(db, query, include_conjectures=True,
-                                   numeric_check=False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matcher, "_spot_check", lambda *args: True)
+            return db, query, identify(db, query, include_conjectures=True)
 
     def test_derived_binding_never_circular(self):
         """Where the substituted definition of e1 mentions the query's own
@@ -627,3 +654,125 @@ class TestOrbitKey:
                     linked.add(frozenset((e1.id, e2.id)))
         assert {frozenset(("B.37", "Z.IMG.0")),
                 frozenset(("B.43", "Z.IMG.1"))} <= linked
+
+
+# ---------------------------------------------------------------------------
+# substitute against the two-pass substitution it replaced
+# ---------------------------------------------------------------------------
+
+class _Capture(Exception):
+    pass
+
+
+def _rebuilt(e, sub, lin=lambda form: form):
+    step = {E.EXPR: sub, E.EXPRS: lambda xs: tuple(map(sub, xs)), E.LIN: lin}
+    return type(e)(*(step[kind](v) if kind in step else v
+                     for kind, v in E._fields(e)))
+
+
+def _refusing_substitute(e, mapping):
+    """Substitution that raises _Capture where a target mentions the index
+    of a sum whose body holds the mapped symbol."""
+    index, inner = E._index(e), mapping
+    if index is not None:
+        inner = {s: t for s, t in mapping.items() if s != index}
+        body = frozenset().union(*map(E.free_symbols, E._subtrees(e)))
+        if any(s in body and t.coeff(index) for s, t in inner.items()):
+            raise _Capture(index)
+    return _rebuilt(e, lambda x: _refusing_substitute(x, inner),
+                    lambda form: form.subs(mapping))
+
+
+def _renamed_apart(e, taken):
+    """``e`` with each sum index in ``taken`` renamed to its name with
+    ``_`` appended until the name is neither taken nor free in the body."""
+    index = E._index(e)
+    if index not in taken:
+        return _rebuilt(e, lambda x: _renamed_apart(x, taken))
+    body = frozenset().union(*map(E.free_symbols, E._subtrees(e)))
+    fresh = E.Symbol(index.name + "_", "integer")
+    while fresh in taken or fresh in body:
+        fresh = E.Symbol(fresh.name + "_", "integer")
+    to_fresh = {index: E.LinExpr.of(fresh)}
+    e = _rebuilt(e, lambda x: _refusing_substitute(_renamed_apart(x, taken),
+                                                   to_fresh))
+    return type(e)(*(fresh if kind == E.INDEX else v
+                     for kind, v in E._fields(e)))
+
+
+def _reference_substitute(e, mapping):
+    """Capture-free substitution in two passes: every sum index that a
+    target mentions renamed apart, then a substitution that refuses to
+    capture."""
+    taken = frozenset().union(*(t.free_symbols() for t in mapping.values()))
+    return _refusing_substitute(_renamed_apart(e, taken), mapping)
+
+
+def _indices(e):
+    """The sum indices bound anywhere in ``e``."""
+    here = {E._index(e)} - {None}
+    return here.union(*map(_indices, E._subtrees(e)))
+
+
+def _outcome(e, assignment):
+    try:
+        return E.eval_expr(e, assignment)
+    except Hyp321Error as exc:
+        return type(exc)
+
+
+class TestCaptureAvoidingSubstitute:
+    def test_identify_substitutions_give_identical_trees(self):
+        """The substitutions that ``identify`` makes for the README queries:
+        each applied to its own entry's closed form and derived definitions,
+        as ``identify`` applies it, and to one further seed tree, so that
+        every seed tree meets one."""
+        db = seed_db()
+        pairs, subs = [], set()
+        for entry in db:
+            trees = (entry.rhs, *(d for _, d in entry.derived))
+            for query in QUERIES.values():
+                for _, img, encoded in _images_of(query.upper, query.lower):
+                    for sub in unify(entry.lhs, img, encoded):
+                        pairs += [(tree, sub) for tree in trees]
+                        subs.add(sub)
+        trees = [t for e in db for t in (e.rhs, *(d for _, d in e.derived))]
+        assert len(trees) > len(subs) > 50
+        pairs += zip(trees, cycle(sorted(subs, key=str)))
+        for tree, sub in pairs:
+            smap = sub.as_dict()
+            assert E.substitute(tree, smap) == _reference_substitute(tree, smap)
+
+    def test_captures_keep_their_values(self):
+        """Each free symbol of a seed tree with a sum, or of a nested sum,
+        mapped to a target that mentions a bound index: the trees may name
+        their indices apart differently, but agree at every draw."""
+        cases = [(t, i) for e in seed_db()
+                 for t in (e.rhs, *(d for _, d in e.derived))
+                 for i in sorted(_indices(t), key=lambda s: s.name)]
+        cases += [(parse_expr(text), E.sym(i)) for text, i in (
+            ("Sum(k, 0, n, Sum(L, 0, k, G(a + k + L)/G(b + L)))", "L"),
+            ("Sum(k, 0, n, Sum(L, 0, k, G(a + k + L)/G(b + L)))", "k"),
+            ("Sum(k, 0, n, Sum(k, 0, 2, a + k)*G(b + k))", "k"),
+            ("Sum(k, 1, n, Sum(L, 0, m, (a + L)*(k + b)))", "k"))]
+        rng = random.Random(20)
+        values = 0
+        for tree, index in cases:
+            free = sorted(E.free_symbols(tree), key=lambda s: s.name)
+            mapping = {s: E.LinExpr.of(s) + (j + 1) * E.LinExpr.of(index)
+                       for j, s in enumerate(free)}
+            with pytest.raises(_Capture):
+                _refusing_substitute(tree, mapping)
+            new, ref = E.substitute(tree, mapping), \
+                _reference_substitute(tree, mapping)
+            assert E.free_symbols(new) == E.free_symbols(ref)
+            for _ in range(3):
+                draw = {s: rng.randint(0, 3) if s.kind == "integer"
+                        else rng.uniform(0.1, 0.9) for s in E.free_symbols(new)}
+                got, want = _outcome(new, draw), _outcome(ref, draw)
+                if isinstance(want, type):
+                    assert got is want
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+                    values += 1
+        assert len(cases) > 50 and values > 100

@@ -7,6 +7,7 @@ import pytest
 
 from hyp321 import expr as E
 from hyp321.database import seed_db
+from hyp321.errors import ShapeError
 from hyp321.series import ParamSet, excess, sum_series_numeric
 from hyp321.thomae import (BASE_COUNT, CLASS_REPRESENTATIVES,
                            IDENTITY_VARIANT, ThomaeVariant, all_variants,
@@ -229,9 +230,9 @@ class TestStructure:
             assert abs(prod - 1.0) <= 1e-9
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             apply_variant(ThomaeVariant(1), ParamSet.make([a, b], [f]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match="outside 1..10"):
             base_relation(11, *(E.LinExpr.of(s) for s in (a, b, c, f, e)))
 
 
