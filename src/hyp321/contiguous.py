@@ -8,19 +8,18 @@ elements shift the parameters by integers:
     Whipple  P_{m,n}(a,b,c) = ₃F₂(a, b, 1−b+m+n; c, 1+2a+m−c; 1)
 
 ``watson_element`` reaches any (m, n) with |m|, |n| <= ``MAX_OFFSET`` from
-eight closed-form anchors (``anchor_value``, from the entries of
-``anchor_entries``) by one three-term stencil: the n-recursion (n by 1) in
-the anchored columns m = −1…2, the m-recursion (m by 2) outside them, run
-forward above the seeds and solved for its lowest term below them.  Dixon
-and Whipple elements are W at shifted arguments times a gamma quotient; the
-symbolic maps (``x_to_w``, ``w_to_x``, ``p_from_w``, ``p_from_x``) expose both.
-
-One unknown remains after the anchors are consumed: the two recursions
-leave W(2, 1) undetermined (the even-m, n≠0 sublattice is not reachable
-from the anchors alone).  Since both recursions are linear, every lattice
-value is an affine function p + q·u of u = W(2, 1); the lattice therefore
-stores (p, q) pairs and resolves u once, by requiring the n-recursion to
-hold in the m = −2 column, where independently computed values meet.
+four closed-form seeds (``anchor_value``, from the entries of
+``anchor_entries``).  Each parity of m is one contiguity class, since the
+lower parameter (a+b+1+m)/2 moves by ½ per unit of m, and any three
+contiguous ₃F₂(1) satisfy a linear relation, so two seeds per class fix
+it: W(0, 0) and W(0, 1) for even m, W(−1, 0) and W(−1, 1) for odd m.
+Three three-term stencils walk the rest.  The n-step (n by 1) runs in the
+seed column only; the mixed step W(m+2, n) = α·W(m, n) + β·W(m, n+1) is
+taken once, to the column two above the seeds; the m-step (m by 2) goes
+on from there.  Each is run forward above the seeds and solved for its
+lowest term below them.  Dixon and Whipple elements are W at shifted
+arguments times a gamma quotient; the symbolic maps (``x_to_w``,
+``w_to_x``, ``p_from_w``, ``p_from_x``) expose both.
 """
 
 from __future__ import annotations
@@ -102,23 +101,20 @@ class ContigQuery:
 
 #: (m, n) -> (entry id, permutation sending (a, b, c) of the query to the
 #: entry's own (a, b, c) symbols); permutation[i] is the index into the
-#: query triple bound to the i-th entry symbol.
+#: query triple bound to the i-th entry symbol.  Two seeds per parity of m:
+#: n = 0 and 1 of the seed column, 0 for even m and −1 for odd m.
 _ANCHOR_SPEC: dict[tuple[int, int], tuple[str, tuple[int, int, int]]] = {
     (0, 0): ("EXT.W00", (0, 1, 2)),
     (0, 1): ("EQ.15", (0, 1, 2)),
-    (0, -1): ("B.43", (0, 1, 2)),
-    (-1, 1): ("B.44", (0, 2, 1)),
-    (1, 0): ("B.47", (0, 1, 2)),
-    (1, -1): ("B.51", (2, 0, 1)),
     (-1, 0): ("C.5", (0, 1, 2)),
-    (2, 0): ("C.6", (0, 1, 2)),
+    (-1, 1): ("B.44", (0, 2, 1)),
 }
 
 
 @lru_cache(maxsize=1)
 def anchor_entries() -> dict:
-    """(m, n) -> (database entry, permutation) of the eight anchors, read
-    from the built-in database on first use; see ``_ANCHOR_SPEC``."""
+    """(m, n) -> (database entry, permutation) of the four seeds, read from
+    the built-in database on first use; see ``_ANCHOR_SPEC``."""
     from .database import get_entry, seed_db
     db = seed_db()
     return {key: (get_entry(db, eid), perm)
@@ -126,7 +122,7 @@ def anchor_entries() -> dict:
 
 
 def anchor_value(m: int, n: int, a: Numeric, b: Numeric, c: Numeric) -> Numeric:
-    """The anchor W_{m,n}(a, b, c) from its closed form; a gamma pole in it
+    """The seed W_{m,n}(a, b, c) from its closed form; a gamma pole in it
     raises ``AnchorPole``."""
     entry, perm = anchor_entries()[(m, n)]
     triple = (a, b, c)
@@ -138,37 +134,20 @@ def anchor_value(m: int, n: int, a: Numeric, b: Numeric, c: Numeric) -> Numeric:
             f"anchor W({m},{n}) ({entry.id}) hits a gamma pole: {exc}") from exc
 
 
-#: the free lattice unknown: u = W(2, 1)
-_FREE_NODE = (2, 1)
-
-
-def _forward(c1: complex, c2: complex, w1: tuple, w2: tuple) -> tuple:
-    """c1·W₁ + c2·W₂ on (p, q) pairs."""
-    return c1 * w1[0] + c2 * w2[0], c1 * w1[1] + c2 * w2[1]
-
-
-def _backward(c1: complex, c2: complex, w0: tuple, w1: tuple) -> tuple:
-    """W₂ from W₀ = c1·W₁ + c2·W₂ on (p, q) pairs."""
-    return (w0[0] - c1 * w1[0]) / c2, (w0[1] - c1 * w1[1]) / c2
-
-
 class _WatsonLattice:
-    """Affine-in-u lattice of W values at fixed numeric (a, b, c).
-
-    Every node is stored as a pair (p, q) meaning W = p + q·u with
-    u = W(2, 1); u is resolved lazily from an n-recursion consistency
-    condition in the m = −2 column.
-    """
+    """W values at fixed numeric (a, b, c), each from the two seeds of its
+    parity class of m."""
 
     def __init__(self, a: Numeric, b: Numeric, c: Numeric):
         self.a, self.b, self.c = complex(a), complex(b), complex(c)
-        self.memo: dict[tuple[int, int], tuple[complex, complex]] = {
-            _FREE_NODE: (0j, 1 + 0j)}
-        self.u: Optional[complex] = None
+        self.memo: dict[tuple[int, int], complex] = {}
         self.scale = 1.0 + abs(self.a) + abs(self.b) + abs(self.c)
 
-    def _check_denominator(self, d: complex, where: str) -> complex:
-        if abs(d) < SINGULAR_TOL * self.scale ** 3:
+    def _check_denominator(self, d: complex, where: str,
+                           degree: int = 3) -> complex:
+        """``d``, a polynomial of ``degree`` in (a, b, c), unless it is zero
+        to ``SINGULAR_TOL`` relative to the parameter scale."""
+        if abs(d) < SINGULAR_TOL * self.scale ** degree:
             raise SingularRecursionPath(
                 f"recursion denominator vanished at {where} "
                 f"(|d| = {abs(d):.3g})")
@@ -199,21 +178,39 @@ class _WatsonLattice:
         cb = -(a + b + m - 3) * (a + b + m - 1) * (a + b - 2 * c + 3 - m - 2 * n) / d
         return ca, cb
 
-    def pair(self, m: int, n: int) -> tuple[complex, complex]:
-        """W(m, n) as (p, q).  Pending nodes wait on a stack, not in Python
-        recursion, so the depth does not grow with the offset.  A node's
-        stencil is set up (its denominators checked) before its operands
-        are computed, the first operand first, as in a recursion."""
+    def _mixed_step(self, m: int, n: int) -> tuple[complex, complex]:
+        """(α, β) with W(m, n) = α·W(m−2, n) + β·W(m−2, n+1).
+
+        With d, e the lower parameters of W(m−2, n) and s = d + e − a − b − c,
+        F(d+1, e) = α·F(d, e) + β·F(d, e+1) for γ = (d−e)/(s·d + ab + bc + ca
+        − de − abc/d), α = γ·s and β = 1 − α − γ·abc/(de).  γ's denominator
+        is (d−a)(d−b)(d−c)/d, which is how it is computed and checked.  At
+        d = e, γ = 0 and W(m, n) = W(m−2, n+1)."""
+        a, b, c = self.a, self.b, self.c
+        d, e = (a + b - 1 + m) / 2, 2 * c + n
+        den = (d - a) * (d - b) * (d - c)
+        where = f"mixed step at (m,n)=({m},{n})"
+        self._check_denominator(d * e, where, 2)
+        self._check_denominator(den, where)
+        alpha = d * (d - e) * (d + e - a - b - c) / den
+        return alpha, 1 - alpha - (d - e) * a * b * c / (e * den)
+
+    def value(self, m: int, n: int) -> complex:
+        """W(m, n).  Pending nodes wait on a stack, not in Python recursion,
+        so the depth does not grow with the offset.  A node's stencil is set
+        up (its denominators checked) before its operands are computed, the
+        first operand first, as in a recursion."""
         memo, stack = self.memo, [((m, n), None)]
         while stack:
             key, stencil = stack.pop()
             if stencil is not None:
-                formula, c1, c2, (first, second) = stencil
-                memo[key] = formula(c1, c2, memo[first], memo[second])
+                solve, c1, c2, (first, second) = stencil
+                w1, w2 = memo[first], memo[second]
+                memo[key] = (w1 - c1 * w2) / c2 if solve else c1 * w1 + c2 * w2
             elif key in memo:
                 continue
             elif key in _ANCHOR_SPEC:
-                memo[key] = (anchor_value(*key, self.a, self.b, self.c), 0j)
+                memo[key] = anchor_value(*key, self.a, self.b, self.c)
             else:
                 stencil = self._stencil(*key)
                 first, second = stencil[3]
@@ -221,49 +218,29 @@ class _WatsonLattice:
         return memo[(m, n)]
 
     def _stencil(self, m: int, n: int) -> tuple:
-        """``(formula, c1, c2, operands)`` of a non-seed node, from the two
-        nodes before it on its axis: the n-step in the anchored columns
-        −1…2, the m-step (stride 2) outside them.  The seeds lie at n = −1…1
-        of those columns, so a node at negative n in them, or at negative m
-        outside them, is below the seeds: it solves the stencil two strides
-        up for its lowest term."""
-        if -1 <= m <= 2:
+        """``(solve, c1, c2, operands)`` of a non-seed node.  In the seed
+        column (0 for even m, −1 for odd m) it is the n-step; two columns
+        above, the mixed step from the seed column at n and n + 1; beyond
+        that, the m-step (stride 2).  A node below the seeds (n < 0 in the
+        seed column, or m below it) solves its stencil two strides up for
+        the lowest term: W = (first − c1·second)/c2.  Otherwise W = c1·first
+        + c2·second."""
+        seed = -(m % 2)
+        if m == seed + 2:
+            return (False, *self._mixed_step(m, n), ((m - 2, n), (m - 2, n + 1)))
+        if m == seed:
             step, axis, dm, dn, below = self._n_step, "n", 0, 1, n < 0
         else:
-            step, axis, dm, dn, below = self._m_step, "m", 2, 0, m < 0
+            step, axis, dm, dn, below = self._m_step, "m", 2, 0, m < seed
         if not below:
-            return (_forward, *step(m, n),
+            return (False, *step(m, n),
                     ((m - dm, n - dn), (m - 2 * dm, n - 2 * dn)))
         top = (m + 2 * dm, n + 2 * dn)
         c1, c2 = step(*top)
         if abs(c2) < SINGULAR_TOL:
             raise SingularRecursionPath(
                 f"{axis}-step at (m,n)=({top[0]},{top[1]}) cannot be inverted")
-        return _backward, c1, c2, (top, (m + dm, n + dn))
-
-    def _resolve_u(self) -> complex:
-        """Fix u = W(2, 1) so the n-recursion holds in the m = −2 column."""
-        if self.u is not None:
-            return self.u
-        for probe in (1, 2):
-            c1, c2 = self._n_step(-2, probe)
-            lp, lq = self.pair(-2, probe)
-            rp, rq = _forward(c1, c2, self.pair(-2, probe - 1),
-                              self.pair(-2, probe - 2))
-            den = lq - rq
-            mag = max(1.0, abs(lq), abs(rq))
-            if abs(den) > SINGULAR_TOL * mag:
-                self.u = (rp - lp) / den
-                return self.u
-        raise SingularRecursionPath(
-            "the consistency condition fixing W(2,1) is degenerate at these "
-            "parameters; perturb (a, b, c)")
-
-    def value(self, m: int, n: int) -> complex:
-        p, q = self.pair(m, n)
-        if abs(q) <= 1e-13 * max(1.0, abs(p)):
-            return p
-        return p + q * self._resolve_u()
+        return True, c1, c2, (top, (m + dm, n + dn))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +357,7 @@ def _checked(query: ContigQuery, value: complex,
 
 def watson_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
                    rel_tol: Optional[float] = None) -> complex:
-    """W_{m,n}(a, b, c) by lattice recursion from the eight anchors.
+    """W_{m,n}(a, b, c) by lattice recursion from the two seeds of m's parity.
 
     When ``rel_tol`` is given the result is cross-checked against direct
     series summation; ``NoConvergentCheck`` (carrying ``.value``) is raised

@@ -694,14 +694,17 @@ def substitute(e: Expr, mapping: Mapping[Symbol, LinExpr]) -> Expr:
     A sum's index shadows ``mapping`` in its body.  Where a symbol free in
     the body maps to a target that mentions the index, the index is renamed
     first, so that no target is captured: to its name with ``_`` appended
-    until the name is free in neither the body nor a target.
+    until the name is free in neither the body, the sum's bounds nor a
+    target.
     """
     index, inner = _index(e), mapping
     if index is not None:
         inner = {s: t for s, t in mapping.items() if s != index}
         body = frozenset().union(*map(free_symbols, _subtrees(e)))
         if any(s in body and t.coeff(index) for s, t in inner.items()):
-            taken = body.union(*(t.free_symbols() for t in mapping.values()))
+            taken = body.union(
+                *(t.free_symbols() for t in mapping.values()),
+                *(v.free_symbols() for kind, v in _fields(e) if kind == LIN))
             fresh = Symbol(index.name + "_", "integer")
             while fresh in taken:
                 fresh = Symbol(fresh.name + "_", "integer")

@@ -94,6 +94,63 @@ class TestWatson:
                     + cb * _watson_series(a, b, c, m - 4, n))
             assert abs(lhs2 - rhs2) <= 1e-8 * max(1.0, abs(lhs2))
 
+    def test_mixed_relation_as_identity(self):
+        # feed oracle values into W(m, n) = α·W(m−2, n) + β·W(m−2, n+1)
+        rng = random.Random(29)
+        for _ in range(10):
+            m = rng.randint(-1, 3)
+            n = rng.randint(-1, 2)
+            a, b, c = _watson_draw(rng, m - 2, n)
+            alpha, beta = _WatsonLattice(a, b, c)._mixed_step(m, n)
+            lhs = _watson_series(a, b, c, m, n)
+            rhs = (alpha * _watson_series(a, b, c, m - 2, n)
+                   + beta * _watson_series(a, b, c, m - 2, n + 1))
+            assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs)), (m, n)
+
+    @pytest.mark.parametrize("args", [
+        (1.3, 0.3, 0.9, 2, 0),     # d = a: (a + b + 1)/2 = a in column 0
+        (0.3, 0.2, 0.5, 2, -1),    # e = 2c + n = 0
+        (-0.3, -0.7, 0.9, 2, 0)])  # d = (a + b + 1)/2 = 0
+    def test_mixed_step_singular(self, args):
+        with pytest.raises(SingularRecursionPath, match="mixed step"):
+            watson_element(*args)
+
+    def test_mixed_step_where_d_equals_e(self):
+        # no singularity: γ = 0, so W(2, 0) = W(0, 1)
+        a, b = 0.3, 0.5
+        lat = _WatsonLattice(a, b, (a + b + 1) / 4)
+        alpha, beta = lat._mixed_step(2, 0)
+        assert abs(alpha) <= 1e-15 and abs(beta - 1) <= 1e-15
+        assert lat.value(2, 0) == pytest.approx(lat.value(0, 1), rel=1e-14)
+
+    #: anchors of the eight-anchor lattice that the four seeds determine:
+    #: (m, n) -> (entry id, permutation), as in ``contiguous._ANCHOR_SPEC``
+    FREED = {(0, -1): ("B.43", (0, 1, 2)), (1, 0): ("B.47", (0, 1, 2)),
+             (1, -1): ("B.51", (2, 0, 1)), (2, 0): ("C.6", (0, 1, 2))}
+
+    def test_freed_anchors_reproduced(self):
+        """The lattice agrees with the closed forms it no longer reads, and
+        with the series at the unknown it no longer resolves, u = W(2, 1).
+        Odd m reaches column 1 from column −1 by the mixed step, whose
+        denominator has the factor (a − b)²: near a = b (where B.47's closed
+        form has a pole) it refuses."""
+        rng = random.Random(37)
+        db = seed_db()
+        cases = [(m, n, get_entry(db, eid).rhs, perm)
+                 for (m, n), (eid, perm) in self.FREED.items()]
+        for m, n, rhs, perm in cases + [(2, 1, None, None)]:
+            for _ in range(20):
+                a, b, c = _watson_draw(rng, m, n)
+                ref = _watson_series(a, b, c, m, n) if rhs is None else \
+                    E.eval_expr(rhs, {s: (a, b, c)[i]
+                                      for s, i in zip((a_s, b_s, c_s), perm)})
+                try:
+                    w = watson_element(a, b, c, m, n)
+                except SingularRecursionPath:
+                    assert m % 2 and abs(a - b) < 1e-2, (m, n, a, b, c)
+                    continue
+                assert abs(w - ref) <= 1e-7 * max(1.0, abs(ref)), (m, n)
+
     def test_anchor_consistency(self):
         rng = random.Random(31)
         for (m, n) in anchor_entries():
@@ -344,3 +401,22 @@ def test_wide_parameters_raise_only_typed_errors():
         args[slot] = bad
         with pytest.raises(NonFiniteParameter, match="not finite"):
             fn(*args, 0, 0)
+
+
+def test_element_sweep_mismatches():
+    """900 seeded elements, the three families in turn, at a, b, c in
+    [0.1, 1.5] and |m|, |n| <= 8, cross-checked at rel_tol 1e-7.  A mismatch
+    (the base Hyp321Error: the element disagrees with its direct series) is
+    counted; typed refusals are not.  The four-seed lattice gives 2, the
+    eight-anchor lattice with a resolved unknown gave 13."""
+    elements = (watson_element, dixon_element, whipple_element)
+    rng = random.Random(5)
+    mismatches = 0
+    for k in range(900):
+        a, b, c = (rng.uniform(0.1, 1.5) for _ in range(3))
+        m, n = rng.randint(-8, 8), rng.randint(-8, 8)
+        try:
+            elements[k % 3](a, b, c, m, n, rel_tol=1e-7)
+        except Hyp321Error as exc:
+            mismatches += type(exc) is Hyp321Error
+    assert mismatches <= 2

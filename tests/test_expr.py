@@ -375,10 +375,11 @@ class TestSubstitute:
         s = E.FiniteSum(k, E.LinExpr.of(1), E.LinExpr.of(n), inner)
         out = E.substitute(s, {a: E.LinExpr.of(k)})
         # the inner k_ is free in the outer body, so the outer index is k__;
-        # the inner index becomes k_, which its bound (outside its scope)
-        # still reads as the free k_
-        assert out.index.name == "k__" and out.body.index == k_
+        # the inner index skips k_, which its own upper bound reads as free,
+        # and k__, which is a target
+        assert out.index.name == "k__" and out.body.index.name == "k___"
         assert out.body.upper == E.LinExpr.of(k_)
+        assert E.expr_str(out.body).startswith("Sum(k___, 0, k_, ")
         assert E.free_symbols(out) == frozenset({n, k_, k})
         assert E.eval_expr(out, {n: 3, k_: 2, k: 2.0}) == E.eval_expr(
             s, {n: 3, k_: 2, a: 2.0}) == 27
@@ -648,10 +649,10 @@ class TestEvaluatorDifferential:
         assert compared >= 300
 
     def test_anchors_and_prefactors(self):
-        """The eight Watson anchors and the four conversion prefactors."""
+        """The four Watson seeds and the four conversion prefactors."""
         rng = random.Random(42)
         anchors = contiguous.anchor_entries()
-        assert len(anchors) == 8
+        assert len(anchors) == 4
         prefactors = (contiguous._X_TO_W_PREF, contiguous._W_TO_X_PREF,
                       contiguous._P_FROM_W_PREF, contiguous._P_FROM_X_PREF)
         sa, sb, sc, sm, sn = (E.sym(x) for x in "abcmn")
