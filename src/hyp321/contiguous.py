@@ -18,8 +18,8 @@ seed column only; the mixed step W(m+2, n) = α·W(m, n) + β·W(m, n+1) is
 taken once, to the column two above the seeds; the m-step (m by 2) goes
 on from there.  Each is run forward above the seeds and solved for its
 lowest term below them.  Dixon and Whipple elements are W at shifted
-arguments times a gamma quotient; the symbolic maps (``x_to_w``,
-``w_to_x``, ``p_from_w``, ``p_from_x``) expose both.
+arguments times the prefactor of a Thomae variant (``_CONVERSIONS``); the
+symbolic maps (``x_to_w``, ``w_to_x``, ``p_from_w``, ``p_from_x``) expose both.
 """
 
 from __future__ import annotations
@@ -28,20 +28,22 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 from typing import Optional
 
 from .errors import (AnchorPole, DivergentSeries, ExceptionalCase, Hyp321Error,
                      LowerPole, NoConvergence, NoConvergentCheck,
                      NonFiniteParameter, NonFiniteValue, PoleError, ShapeError,
                      SingularRecursionPath)
-from .expr import (Expr, LinExpr, eval_expr, is_near_nonpositive_integer,
-                   nearest_integer, substitute, sym)
-from .parser import parse_expr
-from .series import sum_series_numeric
+from .expr import (Expr, Gamma, Lin, LinExpr, Mul, Recip, eval_expr,
+                   is_near_nonpositive_integer, nearest_integer, substitute,
+                   sym)
+from .series import ParamSet, sum_series_numeric
+from .thomae import ThomaeVariant, gamma_args
 
 __all__ = [
-    "FAMILIES", "MAX_OFFSET", "ContigQuery", "anchor_entries", "anchor_value",
-    "watson_element", "dixon_element", "whipple_element",
+    "FAMILIES", "MAX_OFFSET", "ContigQuery", "family_params", "anchor_entries",
+    "anchor_value", "watson_element", "dixon_element", "whipple_element",
     "x_to_w", "w_to_x", "p_from_w", "p_from_x", "dixon_swap",
 ]
 
@@ -76,6 +78,11 @@ class ContigQuery:
     n: int
 
     def __post_init__(self):
+        for name in ("m", "n"):  # an integral float such as 2.0 is accepted
+            k = getattr(self, name)
+            if not (isinstance(k, Integral) or isinstance(k, float) and k.is_integer()):
+                raise ShapeError(f"offset {name} = {k!r} is not an integer")
+            object.__setattr__(self, name, int(k))
         if self.family not in FAMILIES:
             raise ShapeError(f"unknown family {self.family!r}")
         for x in (self.a, self.b, self.c):
@@ -87,12 +94,16 @@ class ContigQuery:
 
     def series_params(self) -> tuple[tuple[Numeric, ...], tuple[Numeric, ...]]:
         """Upper/lower parameters of the defining ₃F₂."""
-        a, b, c, m, n = self.a, self.b, self.c, self.m, self.n
-        if self.family == "watson":
-            return (a, b, c), ((a + b + 1 + m) / 2, 2 * c + n)
-        if self.family == "dixon":
-            return (a, b, c), (1 + m + a - b, 1 + m + n + a - c)
-        return (a, b, 1 - b + m + n), (c, 1 + 2 * a + m - c)
+        return family_params(self.family, self.a, self.b, self.c, self.m, self.n)
+
+
+def family_params(family: str, a, b, c, m, n) -> tuple[tuple, tuple]:
+    """Upper/lower parameters of ``family``'s ₃F₂, as numbers or ``LinExpr``s."""
+    if family == "watson":
+        return (a, b, c), ((a + b + 1 + m) / 2, 2 * c + n)
+    if family == "dixon":
+        return (a, b, c), (1 + m + a - b, 1 + m + n + a - c)
+    return (a, b, 1 - b + m + n), (c, 1 + 2 * a + m - c)
 
 
 # ---------------------------------------------------------------------------
@@ -258,59 +269,61 @@ def _coerce(x) -> LinExpr:
     return LinExpr.of(x)
 
 
-_X_TO_W_PREF = parse_expr(
-    "G(a-2*b-2*c+2+2*m+n)*G(1+a-c+m+n)"
-    " / (G(1-c+m+n)*G(2*a-2*b-2*c+2+2*m+n))")
+#: (source, target) -> (variant, target_args): ``variant`` sends the source
+#: family at (a, b, c, m, n) to the target family at ``target_args(a, b, c, m,
+#: n)``, m, n.  The arguments are not read off the image: the lattice
+#: amplifies a reordering of their float sums.
+_CONVERSIONS = {
+    ("dixon", "watson"): (ThomaeVariant(3), lambda a, b, c, m, n: (
+        1 + m + a - b * 2, a, 1 + m + a - b - c)),
+    ("watson", "dixon"): (ThomaeVariant(1, (1, 2, 0), (1, 0)), lambda a, b, c, m, n: (
+        c * 2 + n - a, (b - a + m + 1) / 2, (1 + m - a - b) / 2 + c + n)),
+    ("whipple", "watson"): (ThomaeVariant(1, (0, 2, 1)), lambda a, b, c, m, n: (
+        c - b, a * 2 - c + m + 1 - b, a - n)),
+    ("whipple", "dixon"): (ThomaeVariant(3, (2, 0, 1), (1, 0)), lambda a, b, c, m, n: (
+        a * 2 - b - c + m + 1, 1 + a - c + m, 1 - b + m + n)),
+}
 
-_W_TO_X_PREF = parse_expr(
-    "G(c+n+(1+m-a-b)/2)*G(2*c+n)*G((a+b+1+m)/2)"
-    " / (G(a)*G(c+n+(1+m+b-a)/2)*G(2*c+n+(1+m-a-b)/2))")
 
-_P_FROM_W_PREF = parse_expr(
-    "G(a-n)*G(c)*G(1+m+2*a-c) / (G(b)*G(2*a-n)*G(a-b+m+1))")
-
-_P_FROM_X_PREF = parse_expr(
-    "G(a-n)*G(c) / (G(b+c-1-m-n)*G(a-b+m+1))")
+def _quotient(source: str, variant: ThomaeVariant) -> Expr:
+    """∏Γ(num)·1/∏Γ(den) over ``variant``'s gamma arguments at ``source``."""
+    symbols = map(LinExpr.of, (_A, _B, _C, _M, _N))
+    num, den = gamma_args(variant, ParamSet(*family_params(source, *symbols)))
+    gammas = lambda args: tuple(Gamma(Lin(x)) for x in args)
+    return Mul((*gammas(num), Recip(Mul(gammas(den)))))
 
 
-def _mapped(prefactor: Expr, mapped_args, a, b, c, m, n
-            ) -> tuple[tuple[LinExpr, ...], Expr]:
-    """``mapped_args(a, b, c, m, n)`` and the prefactor at those symbols."""
+#: the gamma quotient of each conversion: source = quotient · target
+_QUOTIENTS = {key: _quotient(key[0], v) for key, (v, _) in _CONVERSIONS.items()}
+
+
+def _convert(source: str, target: str, a, b, c, m, n
+             ) -> tuple[tuple[LinExpr, ...], Expr]:
+    """The target's (a, b, c, m, n) and the quotient at the source's."""
     a, b, c, m, n = map(_coerce, (a, b, c, m, n))
-    return (tuple(mapped_args(a, b, c, m, n)),
-            substitute(prefactor, {_A: a, _B: b, _C: c, _M: m, _N: n}))
-
-
-def _x_to_w_args(a, b, c, m, n) -> tuple:
-    return 1 + m + a - b * 2, a, 1 + m + a - b - c, m, n
-
-
-def _p_from_w_args(a, b, c, m, n) -> tuple:
-    return c - b, a * 2 - c + m + 1 - b, a - n, m, n
+    return ((*_CONVERSIONS[source, target][1](a, b, c, m, n), m, n),
+            substitute(_QUOTIENTS[source, target],
+                       {_A: a, _B: b, _C: c, _M: m, _N: n}))
 
 
 def x_to_w(a, b, c, m, n) -> tuple[tuple[LinExpr, ...], Expr]:
     """X_{m,n}(a,b,c) = W_{m,n}(mapped args) · prefactor."""
-    return _mapped(_X_TO_W_PREF, _x_to_w_args, a, b, c, m, n)
+    return _convert("dixon", "watson", a, b, c, m, n)
 
 
 def w_to_x(a, b, c, m, n) -> tuple[tuple[LinExpr, ...], Expr]:
     """W_{m,n}(a,b,c) = X_{m,n}(mapped args) · prefactor."""
-    return _mapped(_W_TO_X_PREF, lambda a, b, c, m, n: (
-        c * 2 + n - a, (b - a + m + 1) / 2, (1 + m - a - b) / 2 + c + n,
-        m, n), a, b, c, m, n)
+    return _convert("watson", "dixon", a, b, c, m, n)
 
 
 def p_from_w(a, b, c, m, n) -> tuple[tuple[LinExpr, ...], Expr]:
     """P_{m,n}(a,b,c) = W_{m,n}(mapped args) · prefactor."""
-    return _mapped(_P_FROM_W_PREF, _p_from_w_args, a, b, c, m, n)
+    return _convert("whipple", "watson", a, b, c, m, n)
 
 
 def p_from_x(a, b, c, m, n) -> tuple[tuple[LinExpr, ...], Expr]:
     """P_{m,n}(a,b,c) = X_{m,n}(mapped args) · prefactor."""
-    return _mapped(_P_FROM_X_PREF, lambda a, b, c, m, n: (
-        a * 2 - b - c + m + 1, 1 + a - c + m, 1 - b + m + n, m, n),
-        a, b, c, m, n)
+    return _convert("whipple", "dixon", a, b, c, m, n)
 
 
 def dixon_swap(a, b, c, m, n) -> tuple:
@@ -364,19 +377,18 @@ def watson_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
     if no convergent check exists.  All three elements raise
     ``NonFiniteValue`` for a NaN or infinite value.
     """
-    query = ContigQuery("watson", a, b, c, int(m), int(n))
+    query = ContigQuery("watson", a, b, c, m, n)
     return _checked(query, _WatsonLattice(a, b, c).value(query.m, query.n),
                     rel_tol)
 
 
-def _via_watson(query: ContigQuery, mapped_args, prefactor: Expr,
-                rel_tol: Optional[float]) -> complex:
-    """W at ``mapped_args(a, b, c, m, n)`` times the gamma quotient
-    ``prefactor``, in that order."""
+def _via_watson(query: ContigQuery, rel_tol: Optional[float]) -> complex:
+    """W at the (family, "watson") conversion's arguments times its quotient."""
+    key = query.family, "watson"
     a, b, c, m, n = query.a, query.b, query.c, query.m, query.n
-    value = watson_element(*mapped_args(a, b, c, m, n))
+    value = watson_element(*_CONVERSIONS[key][1](a, b, c, m, n), m, n)
     try:
-        value *= eval_expr(prefactor, {_A: a, _B: b, _C: c, _M: m, _N: n})
+        value *= eval_expr(_QUOTIENTS[key], {_A: a, _B: b, _C: c, _M: m, _N: n})
     except PoleError as exc:
         raise PoleError(f"gamma quotient pole: {exc}") from exc
     return _checked(query, value, rel_tol)
@@ -385,8 +397,7 @@ def _via_watson(query: ContigQuery, mapped_args, prefactor: Expr,
 def dixon_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
                   rel_tol: Optional[float] = None) -> complex:
     """X_{m,n}(a, b, c) via the Watson lattice at shifted arguments."""
-    return _via_watson(ContigQuery("dixon", a, b, c, int(m), int(n)),
-                       _x_to_w_args, _X_TO_W_PREF, rel_tol)
+    return _via_watson(ContigQuery("dixon", a, b, c, m, n), rel_tol)
 
 
 def whipple_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
@@ -396,7 +407,7 @@ def whipple_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
     Raises ``ExceptionalCase`` for m = n = 0 with ``a`` a non-positive
     integer and ``b`` non-integer, where both conversion routes break down.
     """
-    query = ContigQuery("whipple", a, b, c, int(m), int(n))
+    query = ContigQuery("whipple", a, b, c, m, n)
     if (query.m == 0 and query.n == 0
             and is_near_nonpositive_integer(complex(a))
             and abs(complex(b).imag) < 1e-9
@@ -404,4 +415,4 @@ def whipple_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
         raise ExceptionalCase(
             "the Whipple conversion fails at m = n = 0 when a is a "
             "non-positive integer and b is not an integer")
-    return _via_watson(query, _p_from_w_args, _P_FROM_W_PREF, rel_tol)
+    return _via_watson(query, rel_tol)

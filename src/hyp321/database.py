@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .contiguous import watson_element, x_to_w
+from .contiguous import family_params, watson_element, x_to_w
 from .entries import RAW_ENTRIES
 from .errors import (AnchorPole, DivergentSeries, Hyp321Error,
                      InsufficientSamples, LowerPole, NoConvergence,
@@ -156,7 +156,7 @@ def _contiguous_transplants(by_id: dict[str, DbEntry]) -> list[DbEntry]:
              "Prudnikov 7.4.4.20 : T1, transplanted to the Dixon "
              "lattice (m=0, n=-1)")):
         args, pref = x_to_w(A, B, C, m, n)
-        lhs = ParamSet.make([a, b, c], [A - B + 1 + m, A - C + 1 + m + n])
+        lhs = ParamSet(*family_params("dixon", A, B, C, m, n))
         rhs = Mul((pref, substitute(by_id[base_id].rhs,
                                     {a: args[0], b: args[1], c: args[2]})))
         out.append(DbEntry(id=new_id, lhs=lhs, rhs=rhs, int_symbols=(),
@@ -462,6 +462,9 @@ def save_db(entries: Sequence[DbEntry], path: str) -> None:
 
 
 def load_db(path: str) -> list[DbEntry]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path} is not a UTF-8 JSON file: {exc}") from None
     return db_from_json(doc)

@@ -8,7 +8,7 @@ class Hyp321Error(Exception):
 class ShapeError(Hyp321Error, ValueError):
     """Input of the wrong form: a parameter set that is not 3F2-shaped where
     one is required, an unknown contiguous family, or a contiguous offset
-    beyond ``contiguous.MAX_OFFSET``."""
+    that is not an integer or is beyond ``contiguous.MAX_OFFSET``."""
 
 
 class PoleError(Hyp321Error):

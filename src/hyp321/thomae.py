@@ -26,7 +26,7 @@ from .expr import (Expr, Gamma, LinExpr, Lin, Mul, ONE, Recip, combine,
 from .series import ParamSet
 
 __all__ = ["ThomaeVariant", "BASE_COUNT", "DOUBLED_FORMS", "all_variants",
-           "apply_variant", "base_relation", "five_forms", "inverse_of",
+           "apply_variant", "base_relation", "five_forms", "gamma_args",
            "numeric_images"]
 
 BASE_COUNT = 10
@@ -77,25 +77,13 @@ def _base(pair: tuple[int, int]) -> tuple:
 _BASES = dict(enumerate(map(_base, itertools.combinations(range(5), 2)), 1))
 
 
-def _image(base: int, slots: Sequence[LinExpr]) -> ParamSet:
-    syms, rows, den = int_rows(slots)
-    img = [row_lin(syms, r, den) for r in combine_rows(_BASES[base][1], rows)]
-    return ParamSet(tuple(img[:3]), tuple(img[3:]))
-
-
 def base_relation(base: int, a: LinExpr, b: LinExpr, c: LinExpr,
                   f: LinExpr, e: LinExpr) -> tuple[ParamSet, Expr]:
     """Image parameters and prefactor of base relation ``base`` in 1..10.
 
     Semantics: F([a,b,c],[f,e]; 1) = prefactor * F(image; 1).
     """
-    if base not in _BASES:
-        raise ShapeError(f"base relation index {base} outside 1..10")
-    _, _, num, den = _BASES[base]
-    slots = (a, b, c, f, e)
-    factors = [Gamma(Lin(combine(row, slots))) for row in num] + \
-        [Recip(Gamma(Lin(combine(row, slots)))) for row in den]
-    return _image(base, slots), Mul(tuple(factors)) if factors else ONE
+    return apply_variant(ThomaeVariant(base), ParamSet((a, b, c), (f, e)))
 
 
 def numeric_images(slots: Sequence[complex]) -> list[tuple]:
@@ -135,12 +123,6 @@ class ThomaeVariant:
 IDENTITY_VARIANT = ThomaeVariant(10)
 
 
-def _form_perm(v: ThomaeVariant) -> tuple[int, ...]:
-    """The input form at each form position of ``v``'s image (f: form 4)."""
-    moved = v.upper_perm + (4 - v.lower_perm[1], 4 - v.lower_perm[0])
-    return tuple(moved[k] for k in _BASES[v.base][0])
-
-
 def _slots(v: ThomaeVariant, p: ParamSet) -> list[LinExpr]:
     if len(p.upper) != 3 or len(p.lower) != 2:
         raise ShapeError("Thomae relations apply to 3F2 parameter sets only")
@@ -150,7 +132,22 @@ def _slots(v: ThomaeVariant, p: ParamSet) -> list[LinExpr]:
 
 def apply_variant(v: ThomaeVariant, p: ParamSet) -> tuple[ParamSet, Expr]:
     """Apply a variant: permute the slots of ``p``, then the base relation."""
-    return base_relation(v.base, *_slots(v, p))
+    num, den = gamma_args(v, p)
+    syms, rows, d = int_rows(_slots(v, p))
+    img = [row_lin(syms, r, d) for r in combine_rows(_BASES[v.base][1], rows)]
+    factors = [Gamma(Lin(x)) for x in num] + [Recip(Gamma(Lin(x))) for x in den]
+    return (ParamSet(tuple(img[:3]), tuple(img[3:])),
+            Mul(tuple(factors)) if factors else ONE)
+
+
+def gamma_args(v: ThomaeVariant, p: ParamSet) -> tuple[list[LinExpr], list[LinExpr]]:
+    """The gamma arguments ``(num, den)`` of ``v``'s prefactor at ``p``, so
+    that F(p) = prod Γ(num) / prod Γ(den) * F(image): the prefactor rows of
+    ``v``'s base relation combined over ``p``'s slots in ``v``'s order."""
+    if v.base not in _BASES:
+        raise ShapeError(f"base relation index {v.base} outside 1..10")
+    slots = _slots(v, p)
+    return tuple([combine(row, slots) for row in rows] for rows in _BASES[v.base][2:])
 
 
 def all_variants() -> list[ThomaeVariant]:
@@ -161,19 +158,18 @@ def all_variants() -> list[ThomaeVariant]:
             for lo in LOWER_PERMS]
 
 
-def _class_representatives() -> dict[frozenset, ThomaeVariant]:
+def _class_representatives() -> tuple[ThomaeVariant, ...]:
     firsts: dict[frozenset, ThomaeVariant] = {}
-    for v in all_variants():
-        firsts.setdefault(frozenset(_form_perm(v)[3:]), v)
-    return firsts
+    for v in all_variants():  # keyed by the input forms made lower (f: form 4)
+        moved = v.upper_perm + (4 - v.lower_perm[1], 4 - v.lower_perm[0])
+        firsts.setdefault(frozenset(moved[k] for k in _BASES[v.base][0][3:]), v)
+    return tuple(firsts.values())
 
 
 #: The first variant of each generic image class (the pair of input forms
-#: made lower), in ``all_variants()`` order, keyed by that pair.  Every other
-#: variant gives, as a polynomial identity, the same image as the
-#: representative of its class.
-_REPRESENTATIVE_OF = _class_representatives()
-CLASS_REPRESENTATIVES = tuple(_REPRESENTATIVE_OF.values())
+#: made lower), in ``all_variants()`` order.  Every other variant gives, as a
+#: polynomial identity, the same image as the representative of its class.
+CLASS_REPRESENTATIVES = _class_representatives()
 
 
 def distinct_images(p: ParamSet,
@@ -207,14 +203,3 @@ def distinct_images(p: ParamSet,
                      lins.setdefault(r, row_lin(syms, r, den)) for r in img]
             out.append((v, ParamSet(tuple(slots[:3]), tuple(slots[3:]))))
     return out
-
-
-def inverse_of(v: ThomaeVariant) -> ThomaeVariant:
-    """A variant ``w`` with ``w(v(P))`` equal to ``P`` for generic ``P``.
-
-    The first in ``all_variants()`` whose composition with ``v`` brings the
-    input forms e and f (3 and 4) back to the lower positions: the class
-    representative that makes lower the image positions holding them.
-    """
-    pv = _form_perm(v)
-    return _REPRESENTATIVE_OF[frozenset(k for k in range(5) if pv[k] >= 3)]

@@ -286,6 +286,16 @@ class TestDbAndCull:
         assert code == 2 and not out
         assert "coeffs: expected Mapping" in err
 
+    @pytest.mark.parametrize("content", [b'{"schema": "hyp321/1", "entr',
+                                         b'{"schema": "hyp\xff"}'])
+    def test_unreadable_database_is_a_usage_error(self, capsys, tmp_path,
+                                                  content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "--db", str(path), "db", "list")
+        assert code == 2 and not out
+        assert err.startswith(f"error: {path} is not a UTF-8 JSON file")
+
     @pytest.mark.parametrize("entries", [{}, {"entries": 3},
                                          {"entries": {"B.37": {}}}])
     def test_database_without_an_entries_list(self, capsys, tmp_path,

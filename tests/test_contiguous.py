@@ -18,9 +18,34 @@ from hyp321.errors import (ExceptionalCase, GammaOverflow, Hyp321Error,
                            NoConvergentCheck, NonFiniteParameter,
                            NonFiniteValue, ShapeError,
                            SingularRecursionPath)
-from hyp321.series import sum_series_numeric
+from hyp321.parser import parse_expr
+from hyp321.series import ParamSet, sum_series_numeric
+from hyp321.thomae import apply_variant
 
 a_s, b_s, c_s = E.sym("a"), E.sym("b"), E.sym("c")
+
+#: the defining ₃F₂ parameters of each family, written out independently of
+#: ``ContigQuery.series_params``
+_FAMILIES = {
+    "watson": lambda a, b, c, m, n: ((a, b, c), ((a + b + 1 + m) / 2,
+                                                 2 * c + n)),
+    "dixon": lambda a, b, c, m, n: ((a, b, c), (1 + m + a - b,
+                                                1 + m + n + a - c)),
+    "whipple": lambda a, b, c, m, n: ((a, b, 1 - b + m + n),
+                                      (c, 1 + 2 * a + m - c)),
+}
+
+#: the four conversion quotients as derived by hand, the reference for the
+#: quotients that ``contiguous`` builds from the Thomae group
+_HAND_QUOTIENTS = {
+    ("dixon", "watson"): "G(a-2*b-2*c+2+2*m+n)*G(1+a-c+m+n)"
+                         " / (G(1-c+m+n)*G(2*a-2*b-2*c+2+2*m+n))",
+    ("watson", "dixon"): "G(c+n+(1+m-a-b)/2)*G(2*c+n)*G((a+b+1+m)/2)"
+                         " / (G(a)*G(c+n+(1+m+b-a)/2)*G(2*c+n+(1+m-a-b)/2))",
+    ("whipple", "watson"): "G(a-n)*G(c)*G(1+m+2*a-c)"
+                           " / (G(b)*G(2*a-n)*G(a-b+m+1))",
+    ("whipple", "dixon"): "G(a-n)*G(c) / (G(b+c-1-m-n)*G(a-b+m+1))",
+}
 
 
 def _watson_draw(rng, m, n):
@@ -244,6 +269,23 @@ class TestWhipple:
 
 
 class TestConversions:
+    def test_table_covers_the_four_maps(self):
+        assert sorted(contiguous._CONVERSIONS) == sorted(_HAND_QUOTIENTS)
+
+    @pytest.mark.parametrize("source, target", sorted(_HAND_QUOTIENTS))
+    def test_row_is_a_thomae_variant(self, source, target):
+        """The row's variant sends the source family to the target family
+        at the row's arguments, and its quotient is the hand-derived one,
+        tree for tree."""
+        variant, target_args = contiguous._CONVERSIONS[source, target]
+        quotient = contiguous._QUOTIENTS[source, target]
+        a, b, c, m, n = (E.LinExpr.of(E.sym(x)) for x in "abcmn")
+        img, _ = apply_variant(variant,
+                               ParamSet(*_FAMILIES[source](a, b, c, m, n)))
+        assert img == ParamSet(*_FAMILIES[target](
+            *target_args(a, b, c, m, n), m, n))
+        assert quotient == parse_expr(_HAND_QUOTIENTS[source, target])
+
     def test_x_w_round_trip(self):
         rng = random.Random(29)
         for _ in range(6):
@@ -341,6 +383,24 @@ class TestLargeOffsets:
     def test_beyond_the_bound(self, fn, m, n):
         with pytest.raises(ShapeError, match="beyond"):
             fn(0.3, 0.2, 0.4, m, n)
+
+
+@pytest.mark.parametrize("fn", [watson_element, dixon_element,
+                                whipple_element])
+@pytest.mark.parametrize("offset", [1.5, float("nan"), float("inf"),
+                                    -float("inf"), "2", 2 + 0j])
+@pytest.mark.parametrize("axis", [3, 4])
+def test_offset_not_an_integer(fn, offset, axis):
+    args = [0.3, 0.2, 0.4, 1, 0]
+    args[axis] = offset
+    with pytest.raises(ShapeError, match="is not an integer"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn", [watson_element, dixon_element,
+                                whipple_element])
+def test_integral_float_offset(fn):
+    assert fn(0.3, 0.2, 0.4, 2.0, -1.0) == fn(0.3, 0.2, 0.4, 2, -1)
 
 
 def test_unknown_family_is_a_typed_error():

@@ -182,6 +182,14 @@ class TestSerialization:
         assert [e.id for e in back] == [e.id for e in db]
         assert dumps_db(back) == dumps_db(db)
 
+    @pytest.mark.parametrize("content", [b'{"schema": "hyp321/1", "entr',
+                                         b'{"schema": "hyp\xff"}'])
+    def test_unreadable_file_is_a_parse_error(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="bad.json is not a UTF-8 JSON"):
+            load_db(str(path))
+
     def test_entry_round_trip_exact(self):
         for e in seed_db():
             assert entry_from_json(entry_to_json(e)) == e

@@ -653,8 +653,8 @@ class TestEvaluatorDifferential:
         rng = random.Random(42)
         anchors = contiguous.anchor_entries()
         assert len(anchors) == 4
-        prefactors = (contiguous._X_TO_W_PREF, contiguous._W_TO_X_PREF,
-                      contiguous._P_FROM_W_PREF, contiguous._P_FROM_X_PREF)
+        prefactors = list(contiguous._QUOTIENTS.values())
+        assert len(prefactors) == 4
         sa, sb, sc, sm, sn = (E.sym(x) for x in "abcmn")
         for k in range(20):
             assignment = _draw(rng, (sa, sb, sc), complex_part=k % 2 == 1)

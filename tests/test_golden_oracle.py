@@ -16,8 +16,10 @@ flipped.
 """
 
 import json
+import os
 import random
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -112,6 +114,21 @@ def build_corpus() -> str:
 
 def test_oracle_corpus_unchanged():
     assert build_corpus() == GOLDEN.read_text()
+
+
+def test_corpus_independent_of_hash_seed():
+    """The corpus built under another PYTHONHASHSEED is the same file."""
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "2" else "2"
+    here = Path(__file__).parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, test_golden_oracle as g; "
+         "sys.stdout.write(g.build_corpus())"],
+        env=env, capture_output=True, text=True, encoding="utf-8",
+        check=True).stdout
+    assert out == GOLDEN.read_text(encoding="utf-8")
 
 
 def test_diff_summary_counts_changes():

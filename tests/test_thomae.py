@@ -12,7 +12,7 @@ from hyp321.series import ParamSet, excess, sum_series_numeric
 from hyp321.thomae import (BASE_COUNT, CLASS_REPRESENTATIVES,
                            IDENTITY_VARIANT, ThomaeVariant, all_variants,
                            apply_variant, base_relation, distinct_images,
-                           five_forms, inverse_of, numeric_images)
+                           five_forms, gamma_args, numeric_images)
 
 a, b, c = E.sym("a"), E.sym("b"), E.sym("c")
 f, e = E.sym("f"), E.sym("e")
@@ -82,15 +82,6 @@ def _reference_apply(v, p):
     a, b, c = (p.upper[i] for i in v.upper_perm)
     f, e = (p.lower[i] for i in v.lower_perm)
     return _reference_base_relation(v.base, a, b, c, f, e)
-
-
-def _reference_inverse(v):
-    """The first variant that maps ``v``'s generic image back, by search."""
-    img, _ = apply_variant(v, GENERIC)
-    for w in all_variants():
-        back, _ = apply_variant(w, img)
-        if back == GENERIC:
-            return w
 
 
 def _draw(rng):
@@ -209,31 +200,13 @@ class TestStructure:
             img, _ = apply_variant(v, first)
             assert img.key() in class_keys
 
-    def test_inverse_of(self):
-        for v in all_variants():
-            w = inverse_of(v)
-            assert w == _reference_inverse(v), v.name
-            img, _ = apply_variant(v, GENERIC)
-            back, _ = apply_variant(w, img)
-            assert back == GENERIC
-
-    def test_inverse_numeric(self):
-        """Prefactors of v and its inverse cancel numerically."""
-        rng = random.Random(31)
-        assign = _draw(rng)
-        for base in (1, 4, 8):
-            v = ThomaeVariant(base)
-            w = inverse_of(v)
-            img, p1 = apply_variant(v, GENERIC)
-            _, p2 = apply_variant(w, img)
-            prod = E.eval_expr(p1, assign) * E.eval_expr(p2, assign)
-            assert abs(prod - 1.0) <= 1e-9
-
     def test_rejects_wrong_shape(self):
         with pytest.raises(ShapeError):
             apply_variant(ThomaeVariant(1), ParamSet.make([a, b], [f]))
         with pytest.raises(ShapeError, match="outside 1..10"):
             base_relation(11, *(E.LinExpr.of(s) for s in (a, b, c, f, e)))
+        with pytest.raises(ShapeError, match="outside 1..10"):
+            gamma_args(ThomaeVariant(0), GENERIC)
 
 
 class TestDistinctImages:
