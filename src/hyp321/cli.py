@@ -219,22 +219,6 @@ def _cmd_db(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _trials(text: str) -> int:
-    """``verify --trials``: ``verify_entry`` needs at least 3 samples."""
-    if int(text) < 3:
-        raise argparse.ArgumentTypeError(f"needs at least 3, got {text}")
-    return int(text)
-
-
-def _tol(text: str) -> float:
-    """Every ``--tol``: a finite positive tolerance."""
-    tol = float(text)
-    if not 0 < tol < float("inf"):  # false for NaN
-        raise argparse.ArgumentTypeError(
-            f"needs a finite positive number, got {text}")
-    return tol
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="hyp321",
@@ -245,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="sum a 3F2(1) numerically")
     p.add_argument("--upper", required=True)
     p.add_argument("--lower", required=True)
-    p.add_argument("--tol", type=_tol, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("identify", help="match against the database")
@@ -253,14 +237,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lower", required=True)
     p.add_argument("--conjectures", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_tol, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(fn=_cmd_identify)
 
     p = sub.add_parser("verify", help="run the numeric database gate")
     p.add_argument("--entry")
-    p.add_argument("--trials", type=_trials, default=5)
+    p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_tol, default=None)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--report")
     p.set_defaults(fn=_cmd_verify)
 
@@ -271,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c", required=True)
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--tol", type=_tol, default=1e-7)
+        p.add_argument("--tol", type=float, default=1e-7)
         p.set_defaults(fn=_cmd_element, family=family)
 
     p = sub.add_parser("cull", help="drop redundant entries")

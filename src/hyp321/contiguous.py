@@ -38,7 +38,7 @@ from .errors import (AnchorPole, DivergentSeries, ExceptionalCase, Hyp321Error,
 from .expr import (Expr, Gamma, Lin, LinExpr, Mul, Recip, eval_expr,
                    is_near_nonpositive_integer, nearest_integer, substitute,
                    sym)
-from .series import ParamSet, sum_series_numeric
+from .series import ParamSet, check_tol, sum_series_numeric
 from .thomae import ThomaeVariant, gamma_args
 
 __all__ = [
@@ -377,6 +377,8 @@ def watson_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
     if no convergent check exists.  All three elements raise
     ``NonFiniteValue`` for a NaN or infinite value.
     """
+    if rel_tol is not None:
+        check_tol(rel_tol)
     query = ContigQuery("watson", a, b, c, m, n)
     return _checked(query, _WatsonLattice(a, b, c).value(query.m, query.n),
                     rel_tol)
@@ -397,6 +399,8 @@ def _via_watson(query: ContigQuery, rel_tol: Optional[float]) -> complex:
 def dixon_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
                   rel_tol: Optional[float] = None) -> complex:
     """X_{m,n}(a, b, c) via the Watson lattice at shifted arguments."""
+    if rel_tol is not None:
+        check_tol(rel_tol)
     return _via_watson(ContigQuery("dixon", a, b, c, m, n), rel_tol)
 
 
@@ -407,6 +411,8 @@ def whipple_element(a: Numeric, b: Numeric, c: Numeric, m: int, n: int,
     Raises ``ExceptionalCase`` for m = n = 0 with ``a`` a non-positive
     integer and ``b`` non-integer, where both conversion routes break down.
     """
+    if rel_tol is not None:
+        check_tol(rel_tol)
     query = ContigQuery("whipple", a, b, c, m, n)
     if (query.m == 0 and query.n == 0
             and is_near_nonpositive_integer(complex(a))

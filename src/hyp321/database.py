@@ -16,6 +16,7 @@ closed form.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import random
 import re
@@ -30,14 +31,14 @@ from .entries import RAW_ENTRIES
 from .errors import (AnchorPole, DivergentSeries, Hyp321Error,
                      InsufficientSamples, LowerPole, NoConvergence,
                      NonFiniteParameter, NonIntegerSumBound, ParseError,
-                     PoleError, SchemaVersionMismatch, SingularRecursionPath,
-                     UnknownEntry)
+                     PoleError, SchemaVersionMismatch, ShapeError,
+                     SingularRecursionPath, UnknownEntry)
 from .expr import (Expr, LinExpr, Mul, Symbol, eval_expr, expr_from_json,
                    expr_to_json, free_symbols, lin_from_json, lin_to_json,
                    sym, substitute)
 from .parser import parse_expr, parse_linexpr, parse_param_list
-from .series import (ParamSet, excess, is_terminating, sample_continuous,
-                     series_pfq)
+from .series import (ParamSet, check_tol, excess, is_terminating,
+                     sample_continuous, series_pfq)
 
 SCHEMA = "hyp321/1"
 
@@ -71,11 +72,8 @@ class DbEntry:
     @cached_property
     def _base_continuous(self) -> tuple[Symbol, ...]:
         derived_names = {s for s, _ in self.derived}
-        syms = set(self.lhs.free_symbols()) | free_symbols(self.rhs)
-        for _, d in self.derived:
-            syms |= free_symbols(d)
         return tuple(sorted(
-            (s for s in syms
+            (s for s in _symbols(self.lhs, self.rhs, self.derived)
              if s.kind == "continuous" and s not in derived_names),
             key=lambda s: s.name))
 
@@ -106,6 +104,13 @@ class VerificationReport:
         return max((s.rel_err for s in self.samples), default=float("nan"))
 
 
+def _symbols(lhs: ParamSet, rhs: Expr,
+             derived: Sequence[tuple[Symbol, Expr]]) -> frozenset[Symbol]:
+    """The free symbols of an entry's lhs, rhs and derived definitions."""
+    return lhs.free_symbols().union(free_symbols(rhs),
+                                    *(free_symbols(d) for _, d in derived))
+
+
 # ---------------------------------------------------------------------------
 # Building the seeded database
 # ---------------------------------------------------------------------------
@@ -114,16 +119,14 @@ def _build_entry(raw: dict) -> DbEntry:
     upper = parse_param_list(raw["upper"])
     lower = parse_param_list(raw["lower"])
     lhs = ParamSet(tuple(upper), tuple(lower))
-    rhs = raw["rhs"] if isinstance(raw["rhs"], Expr) else parse_expr(raw["rhs"])
-    derived = tuple((sym(name), parse_expr(d) if not isinstance(d, Expr) else d)
+    rhs = parse_expr(raw["rhs"])
+    derived = tuple((sym(name), parse_expr(d))
                     for name, d in raw.get("derived", []))
-    syms = set(lhs.free_symbols()).union(
-        free_symbols(rhs), *(free_symbols(d) for _, d in derived))
     ints = raw.get("ints", {})
     int_symbols = tuple(
         (s, tuple(ints.get(s.name, (f"{s.name}>=1",))))
-        for s in sorted((x for x in syms if x.kind == "integer"),
-                        key=lambda x: x.name))
+        for s in sorted((x for x in _symbols(lhs, rhs, derived)
+                         if x.kind == "integer"), key=lambda x: x.name))
     return DbEntry(
         id=raw["id"],
         lhs=lhs,
@@ -133,7 +136,6 @@ def _build_entry(raw: dict) -> DbEntry:
         excess=excess(lhs),
         provenance=raw.get("prov", ""),
         status=raw.get("status", "verified"),
-        rel_tol=raw.get("tol", DEFAULT_REL_TOL),
     )
 
 
@@ -225,12 +227,17 @@ def parse_constraint(text: str) -> Constraint:
 
 
 def int_range(constraints: Sequence[str], name: str) -> tuple[int, int]:
-    """The sampling range of integer symbol ``name``: up to 4, from 0 when
-    every constraint that names ``name`` alone holds at 0, else from 1."""
+    """The sampling range of integer symbol ``name``: from the least k >= 0
+    that every constraint naming ``name`` alone allows, to max(4, k + 3)."""
     s = sym(name)
-    alone = [c for c in map(parse_constraint, constraints)
-             if c.lhs.free_symbols() | c.rhs.free_symbols() == {s}]
-    return (0 if all(c.holds({s: 0}) for c in alone) else 1), 4
+    lo = 0
+    for c in map(parse_constraint, constraints):
+        d = c.lhs - c.rhs
+        if d.free_symbols() == {s}:
+            k = math.ceil(-d.const / d.coeff(s))  # at or above the boundary
+            if c.holds({s: k + 1}):  # a lower bound
+                lo = max(lo, k if c.holds({s: k}) else k + 1)
+    return lo, max(4, lo + 3)
 
 
 def constraints_hold(entry: DbEntry, assignment: Mapping[Symbol, complex],
@@ -348,8 +355,13 @@ def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
     then compare oracle and closed form.  Draws where either side hits a pole
     or the series cannot be summed are discarded and redrawn; fewer than three
     comparisons raise :class:`InsufficientSamples`, naming the discards.
+    Fewer than 3 trials, or a tolerance (``rel_tol``, else the entry's) that
+    is not finite and positive, raise :class:`ShapeError`.
     """
+    if trials < 3:
+        raise ShapeError(f"verify needs at least 3 trials, got {trials}")
     tol = entry.rel_tol if rel_tol is None else rel_tol
+    check_tol(tol)
     series_tol = min(1e-10, tol / 100.0)
     ranges = [(s, int_range(cs, s.name)) for s, cs in entry.int_symbols]
 
@@ -430,6 +442,21 @@ def entry_from_json(d: Mapping) -> DbEntry:
         raise ParseError(
             f"{entry_id}: stored excess {stored_excess} does not match "
             f"the parameter lists (expected {excess(lhs)})")
+    ints = {s for s in _symbols(lhs, rhs, derived) if s.kind == "integer"}
+    declared = sorted(s.name for s, _ in int_symbols)
+    used = sorted(s.name for s in ints)
+    if declared != used:
+        raise ParseError(f"{entry_id}: declares the integer symbols "
+                         f"{declared}, but uses {used}")
+    try:
+        check_tol(rel_tol)
+        for text in (t for _, cs in int_symbols for t in cs):
+            c = parse_constraint(text)
+            if not c.lhs.free_symbols() | c.rhs.free_symbols() <= ints:
+                raise ParseError(f"constraint {text!r} names a symbol that "
+                                 f"is not an integer symbol")
+    except (ShapeError, ParseError, TypeError) as exc:
+        raise ParseError(f"{entry_id}: {exc}") from None
     return DbEntry(id=entry_id, lhs=lhs, rhs=rhs, int_symbols=int_symbols,
                    derived=derived, excess=stored_excess,
                    provenance=provenance, status=status, rel_tol=rel_tol)
@@ -447,7 +474,11 @@ def db_from_json(doc: Mapping) -> list[DbEntry]:
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise ParseError("a database file needs an 'entries' list")
-    return [entry_from_json(d) for d in entries]
+    out = [entry_from_json(d) for d in entries]
+    repeated = sorted(k for k, v in Counter(e.id for e in out).items() if v > 1)
+    if repeated:
+        raise ParseError(f"duplicate entry ids: {', '.join(repeated)}")
+    return out
 
 
 def dumps_db(entries: Sequence[DbEntry]) -> str:

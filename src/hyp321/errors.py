@@ -7,8 +7,9 @@ class Hyp321Error(Exception):
 
 class ShapeError(Hyp321Error, ValueError):
     """Input of the wrong form: a parameter set that is not 3F2-shaped where
-    one is required, an unknown contiguous family, or a contiguous offset
-    that is not an integer or is beyond ``contiguous.MAX_OFFSET``."""
+    one is required, an unknown contiguous family, a contiguous offset
+    that is not an integer or is beyond ``contiguous.MAX_OFFSET``, a
+    tolerance that is not finite and positive, or fewer than 3 trials."""
 
 
 class PoleError(Hyp321Error):

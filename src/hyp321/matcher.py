@@ -32,7 +32,7 @@ from .errors import Hyp321Error, ShapeError
 from .expr import (Expr, LinExpr, Mul, Symbol, combine_rows, eval_expr,
                    free_symbols, int_rows, nearest_integer, row_lin,
                    substitute)
-from .series import (KARLSSON_MINTON_KMAX, ParamSet, excess,
+from .series import (KARLSSON_MINTON_KMAX, ParamSet, check_tol, excess,
                      sample_continuous, series_pfq)
 from .thomae import (CLASS_REPRESENTATIVES, DOUBLED_FORMS, IDENTITY_VARIANT,
                      LOWER_PERMS, UPPER_PERMS, ThomaeVariant, apply_variant,
@@ -317,6 +317,7 @@ def identify(entries: Sequence[DbEntry], query: ParamSet, *,
     variant name, and each instantiated closed form evaluates to the query's
     own value.
     """
+    check_tol(rel_tol)
     images = _images_of(query.upper, query.lower)
     prefactor = cache(lambda v: apply_variant(v, query)[1])  # once per image
     taken = query.free_symbols()
@@ -557,21 +558,8 @@ def _karlsson_minton_template(entry: DbEntry) -> bool:
     return False
 
 
-def _n_continuous(entry: DbEntry) -> int:
-    derived = dict(entry.derived)
-    syms: set[Symbol] = set()
-    for p in entry.lhs.upper + entry.lhs.lower:
-        for s in p.free_symbols():
-            if s in derived:
-                syms |= {t for t in free_symbols(derived[s])
-                         if t.kind == "continuous"}
-            elif s.kind == "continuous":
-                syms.add(s)
-    return len(syms)
-
-
 def _retention_rank(entry: DbEntry) -> tuple:
-    return (-_n_continuous(entry), len(entry.int_symbols), entry.id)
+    return (-len(entry.base_continuous()), len(entry.int_symbols), entry.id)
 
 
 def _orbit_key(entry: DbEntry) -> tuple:

@@ -20,16 +20,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
 
 from . import expr as E
 from .errors import ParseError
 
 Q = Fraction
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),]))"
-)
+_TOKEN_RE = re.compile(r"(?P<num>\d+\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                       r"|(?P<op>[-+*/^(),])|(?P<bad>\S)")
 
 #: the function nodes by grammar name, the ``Gamma`` alias and ``sqrt``
 _CALLS = {name: node for node, name in E.CALL_NAMES.items()} | {
@@ -41,25 +39,15 @@ MAX_DECIMAL_DENOMINATOR = 10 ** 6
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        pos = m.end()
-        if m.group("num"):
-            tokens.append(("num", m.group("num"), m.start()))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start()))
-        else:
-            tokens.append(("op", m.group("op"), m.start()))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
-Value = Union[E.LinExpr, E.Expr]
+Value = E.LinExpr | E.Expr
 
 
 def _to_expr(v: Value) -> E.Expr:
@@ -119,9 +107,8 @@ class _Parser:
         return self.tokens[self.i]
 
     def next(self):
-        t = self.tokens[self.i]
         self.i += 1
-        return t
+        return self.tokens[self.i - 1]
 
     def expect(self, op: str):
         kind, val, pos = self.next()
@@ -195,17 +182,21 @@ class _Parser:
             return E.LinExpr.of(E.sym(val))
         raise ParseError(f"unexpected token {val!r}", pos)
 
-    def parse_args(self) -> list[Value]:
-        self.expect("(")
-        args = [self.parse_expr()]
-        while self.peek()[:2] == ("op", ","):
+    # list := expr (',' expr)*, each item with its source text
+    def parse_list(self) -> list[tuple[Value, str]]:
+        items = []
+        while True:
+            start = self.peek()[2]
+            v = self.parse_expr()
+            items.append((v, self.text[start:self.peek()[2]].strip()))
+            if self.peek()[:2] != ("op", ","):
+                return items
             self.next()
-            args.append(self.parse_expr())
-        self.expect(")")
-        return args
 
     def parse_call(self, name: str) -> Value:
-        args = self.parse_args()
+        self.expect("(")
+        args = [v for v, _ in self.parse_list()]
+        self.expect(")")
         shape = E.SHAPES.get(_CALLS[name], (("x", E.EXPR),))  # sqrt(x)
         if len(args) != len(shape):
             raise ParseError(f"{name} expects {len(shape)} argument(s), got {len(args)}")
@@ -230,40 +221,34 @@ def _call_arg(v: Value, kind: str, what: str):
     return v
 
 
-def parse_expr(text: str) -> E.Expr:
-    """Parse to a closed-form expression tree."""
+def _parse(text: str, many: bool = False) -> list[tuple[Value, str]]:
+    """Parse the whole of ``text``: one expression, or with ``many`` a
+    comma-separated list, each item with its source text."""
     p = _Parser(text)
-    v = p.parse_expr()
+    items = p.parse_list() if many else [(p.parse_expr(), text)]
     kind, val, pos = p.peek()
     if kind != "end":
         raise ParseError(f"trailing input {val!r}", pos)
-    return _to_expr(v)
+    return items
+
+
+def _affine(v: Value, source: str) -> E.LinExpr:
+    if not isinstance(v, E.LinExpr):
+        raise ParseError(f"{source!r} is not an affine parameter expression")
+    return v
+
+
+def parse_expr(text: str) -> E.Expr:
+    """Parse to a closed-form expression tree."""
+    return _to_expr(_parse(text)[0][0])
 
 
 def parse_linexpr(text: str) -> E.LinExpr:
     """Parse a parameter: must reduce to an affine combination of symbols."""
-    p = _Parser(text)
-    v = p.parse_expr()
-    kind, val, pos = p.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {val!r}", pos)
-    if not isinstance(v, E.LinExpr):
-        raise ParseError(f"{text!r} is not an affine parameter expression")
-    return v
+    return _affine(*_parse(text)[0])
 
 
 def parse_param_list(text: str) -> tuple[E.LinExpr, ...]:
-    """Parse a comma-separated parameter list (top-level commas only)."""
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return tuple(parse_linexpr(p) for p in parts)
+    """Parse a comma-separated parameter list; error positions count from
+    the start of ``text``."""
+    return tuple(_affine(*item) for item in _parse(text, many=True))

@@ -46,7 +46,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import (DivergentSeries, LowerPole, NoConvergence,
-                     NonFiniteParameter, PoleError)
+                     NonFiniteParameter, PoleError, ShapeError)
 from .expr import (POLE_TOL, LinExpr, Symbol, combine,
                    is_near_nonpositive_integer, loggamma, nearest_integer, sym)
 
@@ -153,9 +153,17 @@ def is_karlsson_minton(p: ParamSet, assignment: Mapping[Symbol, complex]) -> boo
 # Numeric summation core
 # ---------------------------------------------------------------------------
 
+def check_tol(rel_tol: float) -> None:
+    """Raise ShapeError unless ``rel_tol`` is a finite positive number."""
+    if not 0 < rel_tol < math.inf:  # false for NaN
+        raise ShapeError(
+            f"rel_tol must be a finite positive number, got {rel_tol!r}")
+
+
 def sum_series_numeric(upper: Sequence[complex], lower: Sequence[complex],
                        rel_tol: float = 1e-10) -> SeriesResult:
     """Sum pFq(upper; lower; 1) numerically.  See module docstring."""
+    check_tol(rel_tol)
     upper = [complex(u) for u in upper]
     lower = [complex(l) for l in lower]
     for x in upper + lower:

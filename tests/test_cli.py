@@ -161,7 +161,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--entry", "B.37",
                              "--trials", trials)
         assert code == 2 and not out
-        assert f"--trials: needs at least 3, got {trials}" in err
+        assert err == f"error: verify needs at least 3 trials, got {trials}\n"
 
     def test_unknown_entry(self, capsys):
         code, _, _ = run(capsys, "verify", "--entry", "B.999")
@@ -255,7 +255,8 @@ class TestElements:
 def test_bad_tol_is_usage_error(capsys, argv, tol):
     code, out, err = run(capsys, *argv, "--tol", tol)
     assert code == 2 and not out
-    assert f"--tol: needs a finite positive number, got {tol}" in err
+    assert err == ("error: rel_tol must be a finite positive number, "
+                   f"got {float(tol)!r}\n")
 
 
 class TestDbAndCull:

@@ -403,6 +403,14 @@ def test_integral_float_offset(fn):
     assert fn(0.3, 0.2, 0.4, 2.0, -1.0) == fn(0.3, 0.2, 0.4, 2, -1)
 
 
+@pytest.mark.parametrize("fn", [watson_element, dixon_element,
+                                whipple_element])
+@pytest.mark.parametrize("rel_tol", [float("inf"), float("nan"), 0.0, -1e-7])
+def test_bad_tolerance_rejected(fn, rel_tol):
+    with pytest.raises(ShapeError, match="^rel_tol must be a finite"):
+        fn(0.3, 0.2, 0.4, 1, 0, rel_tol=rel_tol)
+
+
 def test_unknown_family_is_a_typed_error():
     with pytest.raises(Hyp321Error, match="unknown family"):
         ContigQuery("saalschutz", 0.1, 0.2, 0.3, 0, 0)

@@ -16,7 +16,8 @@ from hyp321.database import (constraints_hold, converges_at, db_from_json,
 from hyp321.entries import RAW_ENTRIES
 from hyp321.errors import (AnchorPole, Hyp321Error, InsufficientSamples,
                            ParseError, PoleError, SchemaVersionMismatch,
-                           SingularRecursionPath, UnboundSymbol, UnknownEntry)
+                           ShapeError, SingularRecursionPath, UnboundSymbol,
+                           UnknownEntry)
 from hyp321.parser import parse_expr
 from hyp321.series import ParamSet, excess, series_pfq, sum_series_numeric
 
@@ -122,6 +123,28 @@ class TestSampleChecks:
         assert converges_at(p, exc, {a: 1, n: -2, b: 1, c: 2.5, d: 2})
 
 
+class TestArguments:
+    """verify_entry checks its tolerance and trial count itself."""
+
+    @pytest.mark.parametrize("rel_tol", [float("inf"), float("nan"), 0.0,
+                                         -1e-7])
+    def test_bad_tolerance_rejected(self, rel_tol):
+        entry = get_entry(seed_db(), "EQ.1")
+        wrong = dataclasses.replace(  # the right side off by 10%
+            entry, rhs=E.Mul((E.Const(E.Q(11, 10)), entry.rhs)))
+        assert not verify_entry(wrong).passed
+        with pytest.raises(ShapeError, match="^rel_tol must be a finite"):
+            verify_entry(wrong, rel_tol=rel_tol)
+        with pytest.raises(ShapeError, match="^rel_tol must be a finite"):
+            verify_entry(dataclasses.replace(wrong, rel_tol=rel_tol))
+
+    @pytest.mark.parametrize("trials", [2, 0, -1])
+    def test_fewer_than_three_trials_rejected(self, trials):
+        with pytest.raises(ShapeError,
+                           match=f"^verify needs at least 3 trials, got {trials}$"):
+            verify_entry(get_entry(seed_db(), "EQ.1"), trials=trials)
+
+
 class TestConstraints:
     def test_parsed_once_and_evaluated(self):
         m = E.sym("m")
@@ -155,6 +178,23 @@ class TestConstraints:
     ])
     def test_int_range_reads_the_parsed_constraints(self, constraints, lo):
         assert int_range(constraints, "n") == (lo, 4)
+
+    @pytest.mark.parametrize("constraints, want", [
+        (["n>=5"], (5, 8)), (["n>5"], (6, 9)), (["9<=n", "n>=7"], (9, 12)),
+        (["2*n>=11", "n<20"], (6, 9)), (["n<=3"], (0, 4)), (["n>=-2"], (0, 4)),
+    ])
+    def test_int_range_starts_at_the_least_allowed_value(self, constraints,
+                                                         want):
+        assert int_range(constraints, "n") == want
+
+    def test_lower_bound_above_one_is_sampled(self):
+        entry = _build_entry(dict(
+            id="T.S5", upper="a, b, -n", lower="c, 1+a+b-c-n",
+            rhs="poch(c-a, n)*poch(c-b, n)/(poch(c, n)*poch(c-a-b, n))",
+            ints={"n": ("n>=5",)}))
+        report = verify_entry(entry, trials=5, seed=0)
+        assert report.passed and len(report.samples) == 5
+        assert all(dict(s.assignment)["n"] >= 5 for s in report.samples)
 
     def test_verify_entry_computes_each_range_once(self, monkeypatch):
         entry = get_entry(seed_db(), "B.1")  # integer symbols m and n
@@ -221,6 +261,35 @@ class TestSerialization:
         doc = entry_to_json(seed_db()[0])
         doc[field] = value
         with pytest.raises(ParseError, match="malformed database entry"):
+            entry_from_json(doc)
+
+    @pytest.mark.parametrize("rel_tol", ["inf", "nan", "0", "-1e-7"])
+    def test_bad_tolerance_rejected(self, rel_tol):
+        doc = entry_to_json(get_entry(seed_db(), "EQ.1"))
+        doc["rel_tol"] = rel_tol
+        with pytest.raises(ParseError, match="^EQ.1: rel_tol must be a finite"):
+            entry_from_json(doc)
+
+    def test_duplicate_id_rejected(self):
+        doc = db_to_json(seed_db())
+        doc["entries"].append(entry_to_json(get_entry(seed_db(), "B.1")))
+        with pytest.raises(ParseError, match="duplicate entry ids: B.1$"):
+            db_from_json(doc)
+
+    @pytest.mark.parametrize("int_symbols, message", [
+        ([["m", ["m>=1"]]], r"declares the integer symbols \['m'\], but "
+                            r"uses \['m', 'n'\]"),
+        ([["m", ["m>=1"]], ["n", []], ["n", []]], "declares"),
+        ([["a", []], ["m", ["m>=1"]], ["n", ["n>=1"]]], "declares"),
+        ([["m", ["m>=1"]], ["n", ["n=>1"]]], "unexpected character '='"),
+        ([["m", ["m>=1"]], ["n", ["n<a"]]], "'n<a' names a symbol"),
+        ([["m", ["m>=1"]], ["n", [1]]], "B.1: "),
+    ])
+    def test_inconsistent_integer_symbols_rejected(self, int_symbols,
+                                                   message):
+        doc = entry_to_json(get_entry(seed_db(), "B.1"))
+        doc["int_symbols"] = int_symbols
+        with pytest.raises(ParseError, match=message):
             entry_from_json(doc)
 
     def test_division_by_zero_rejected(self):

@@ -13,7 +13,7 @@ import pytest
 from hyp321 import expr as E
 from hyp321 import matcher
 from hyp321.database import get_entry, seed_db, _build_entry
-from hyp321.errors import Hyp321Error
+from hyp321.errors import Hyp321Error, ShapeError
 from hyp321.matcher import (Substitution, _eliminate, _images_of,
                             _invertible_pair, _orbit_key, _spot_check,
                             _spot_samples, _witness_samples, _witness_sound,
@@ -362,6 +362,13 @@ class TestUnify:
 
 
 class TestIdentify:
+    @pytest.mark.parametrize("rel_tol", [float("inf"), float("nan"), 0.0, -1e-7])
+    def test_bad_tolerance_rejected(self, rel_tol):
+        query = _const_paramset([Q(11, 10), Q(2, 5), Q(8, 5)],
+                                [Q(2), Q(11, 5)])
+        with pytest.raises(ShapeError, match="^rel_tol must be a finite"):
+            identify(seed_db(), query, rel_tol=rel_tol)
+
     def test_wrong_shape_raises_typed_error(self):
         # a 2F1 parameter set: typed, and still a ValueError
         with pytest.raises(Hyp321Error, match="3F2 parameter sets only"):
@@ -480,7 +487,7 @@ class TestEquivalent:
     def test_no_legal_integer_draw_is_degenerate(self):
         e = _build_entry(dict(id="T.G", upper="a, -n, b",
                               lower="c, a+b-c-n+1", rhs="1",
-                              ints={"n": ("n>=5",)}))
+                              ints={"n": ("n>=5", "n<5")}))
         v = CLASS_REPRESENTATIVES[0]
         assert list(_witness_samples(e, v, 24)) == []
         assert not _witness_sound(e, v)

@@ -123,3 +123,30 @@ class TestParseErrors:
     def test_psi_order_literal(self):
         with pytest.raises(ParseError):
             parse_expr("psi(a, 1)")
+
+    def test_bad_character_position_is_the_character(self):
+        with pytest.raises(ParseError) as exc:
+            parse_expr("a +  $")
+        assert exc.value.position == 5
+
+
+class TestParamListErrors:
+    """A list is parsed as one text, so positions count from its start."""
+
+    @pytest.mark.parametrize("text, position", [
+        ("a, b, $", 6), ("a, (b, c", 5), ("a, b)", 4), ("a,, b", 2),
+        ("a, 0.3333333", 3)])
+    def test_position_counts_from_list_start(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_param_list(text)
+        assert exc.value.position == position
+
+    def test_non_affine_item_is_named(self):
+        with pytest.raises(ParseError,
+                           match=r"^'poch\(b, 2\)' is not an affine"):
+            parse_param_list("a,  poch(b, 2) , 1")
+
+    def test_commas_inside_parentheses(self):
+        ps = parse_param_list("(a + b), (1 - (c)), n")
+        assert ps == (E.LinExpr.of(a) + E.LinExpr.of(b),
+                      1 - E.LinExpr.of(c), E.LinExpr.of(n))

@@ -13,7 +13,8 @@ import pytest
 from hyp321 import expr as E
 from hyp321 import series
 from hyp321.errors import (DivergentSeries, Hyp321Error, LowerPole,
-                           NoConvergence, NonFiniteParameter, UnboundSymbol)
+                           NoConvergence, NonFiniteParameter, ShapeError,
+                           UnboundSymbol)
 from hyp321.series import (DIRECT_BUDGET, MAX_TERMS, ParamSet, excess,
                            is_karlsson_minton, is_terminating, series_pfq,
                            sum_series_numeric)
@@ -81,6 +82,12 @@ class TestTerminating:
     def test_lower_pole_after_termination_ok(self):
         r = sum_series_numeric([-2, 0.3], [-5])
         assert r.terminated
+
+
+@pytest.mark.parametrize("rel_tol", [float("inf"), float("nan"), 0.0, -1e-7])
+def test_bad_tolerance_rejected(rel_tol):
+    with pytest.raises(ShapeError, match="^rel_tol must be a finite"):
+        sum_series_numeric([0.3, 0.45, 0.7], [1.1, 0.95], rel_tol=rel_tol)
 
 
 class TestInfinite:
