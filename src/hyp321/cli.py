@@ -219,6 +219,29 @@ def _cmd_db(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+#: options whose value may start with "-", as in ``--upper -n,a,b``
+_PARAM_OPTIONS = ("--upper", "--lower", "--a", "--b", "--c")
+
+
+def _bind_param_values(argv: Sequence[str]) -> list[str]:
+    """Write ``--upper -n,a,b`` as ``--upper=-n,a,b``.
+
+    argparse takes a token that starts with "-" as an option's value only
+    when it is a plain negative number; the ``=`` form binds any value.
+    "-h" and tokens that start with "--" stay options, and nothing after a
+    bare "--" is touched.
+    """
+    out = list(argv)
+    i = 0
+    while i + 1 < len(out) and out[i] != "--":
+        value = out[i + 1]
+        if out[i] in _PARAM_OPTIONS and value.startswith("-") \
+                and not value.startswith("--") and value != "-h":
+            out[i:i + 2] = [f"{out[i]}={value}"]
+        i += 1
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="hyp321",
@@ -274,12 +297,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_param_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if args.command == "db" and args.action in ("show", "export") \
             and not args.target:
-        print("db show/export requires a target", file=sys.stderr)
+        print("error: db show/export requires a target", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.fn(args)

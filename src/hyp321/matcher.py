@@ -516,36 +516,20 @@ def equivalent(e1: DbEntry, e2: DbEntry
     return None
 
 
-def _int_lower_bound(entry: DbEntry, s: Symbol) -> int:
-    return next((int_range(cs, s.name)[0] for t, cs in entry.int_symbols
-                 if t == s), 0)
-
-
-def _sup_if_bounded(entry: DbEntry, lin: LinExpr) -> Optional[Fraction]:
-    """Least upper bound of an integer-valued affine form, if one exists."""
-    hi = lin.const
-    for s, c in lin.terms:
-        if s.kind != "integer" or c > 0:
-            return None
-        hi += c * _int_lower_bound(entry, s)
-    return hi
-
-
-def _excess_nonpositive_integer(entry: DbEntry) -> bool:
-    exc = entry.excess
-    if not exc.is_integer_valued():
+def _nonpositive_integer(entry: DbEntry, lin: LinExpr) -> bool:
+    """True iff ``lin`` is an integer-valued form that is <= 0 at every legal
+    integer draw of ``entry``: it names only integer symbols, each with a
+    non-positive coefficient, and is <= 0 at their ``int_range`` lower bounds
+    (0 for a symbol without constraints)."""
+    if not lin.is_integer_valued():
         return False
-    sup = _sup_if_bounded(entry, exc)
-    return sup is not None and sup <= 0
-
-
-def _terminating_template(entry: DbEntry) -> bool:
-    for u in entry.lhs.upper:
-        if u.is_integer_valued():
-            sup = _sup_if_bounded(entry, u)
-            if sup is not None and sup <= 0:
-                return True
-    return False
+    sup = lin.const
+    for s, c in lin.terms:
+        if c > 0:
+            return False
+        sup += c * next((int_range(cs, s.name)[0]
+                         for t, cs in entry.int_symbols if t == s), 0)
+    return sup <= 0
 
 
 def _karlsson_minton_template(entry: DbEntry) -> bool:
@@ -610,7 +594,8 @@ def cull(entries: Sequence[DbEntry]) -> list[DbEntry]:
         if e.status == "flagged":
             candidates.append(e)
             continue
-        if _excess_nonpositive_integer(e) and not _terminating_template(e):
+        if _nonpositive_integer(e, e.excess) and \
+                not any(_nonpositive_integer(e, u) for u in e.lhs.upper):
             continue
         if _karlsson_minton_template(e):
             continue

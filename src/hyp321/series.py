@@ -245,17 +245,17 @@ def _doublings(upper, lower, s: Optional[complex], track_abs: bool = False):
 
     Corrected truncations V_j at K_j carry an error expansion in
     K^{-(s+1)}, K^{-(s+2)}, ...; a short Richardson table over the doubling
-    checkpoints removes the leading terms.  The error is the change of the
-    best estimate since the previous checkpoint (the next term in the entire
-    case, s None).  The sum of |t_k| is tracked only with ``track_abs``.
+    checkpoints removes the leading terms; a step reads only the previous
+    checkpoint's value at its level, so one column is kept.  The error is
+    the change of the best estimate since the previous checkpoint (the next
+    term in the entire case, s None).  |t_k| is summed only with ``track_abs``.
     """
     checkpoint = 64
     k_next = 0
     t_next = 1.0 + 0.0j
     partial = 0.0 + 0.0j
     abs_sum = 0.0
-    rows: list[list[complex]] = []  # rows[i] = Richardson level i over checkpoints
-    best_prev: Optional[complex] = None
+    col: list[complex] = []  # col[i]: Richardson level i, last checkpoint
     if s is not None:
         p = s.real + 1.0 if s.imag == 0 else s + 1.0
 
@@ -281,27 +281,16 @@ def _doublings(upper, lower, s: Optional[complex], track_abs: bool = False):
             checkpoint *= 2
             continue
 
-        tail = t_cp * (checkpoint / s + 0.5)
-        v = partial + tail
-        if not rows:
-            rows.append([v])
-        else:
-            rows[0].append(v)
-            level = 0
-            cur = v
-            while level + 1 < min(len(rows[0]), _RICHARDSON_DEPTH):
-                prev = rows[level][-2]
-                q = p + level
-                if q.real <= _MAX_RICHARDSON_EXP:
-                    cur = cur + (cur - prev) / (2.0 ** q - 1.0)
-                level += 1
-                if level == len(rows):
-                    rows.append([])
-                rows[level].append(cur)
-            best = cur
-            if best_prev is not None:
-                yield checkpoint, best, abs(best - best_prev), abs_sum
-            best_prev = best
+        cur = partial + t_cp * (checkpoint / s + 0.5)
+        new = [cur]
+        for level, prev in enumerate(col[:_RICHARDSON_DEPTH - 1]):
+            q = p + level
+            if q.real <= _MAX_RICHARDSON_EXP:
+                cur = cur + (cur - prev) / (2.0 ** q - 1.0)
+            new.append(cur)
+        if len(col) > 1:  # the last checkpoint had an extrapolated estimate
+            yield checkpoint, cur, abs(cur - col[-1]), abs_sum
+        col = new
         checkpoint *= 2
 
 

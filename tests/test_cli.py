@@ -331,6 +331,109 @@ class TestDbAndCull:
         assert "dropped" in out
 
 
+class TestValuesStartingWithMinus:
+    """A value of --upper, --lower, --a, --b or --c that starts with "-"
+    but is not a plain negative number reads as its ``--opt=value`` form
+    does."""
+
+    @pytest.mark.parametrize("argv, option, count, text", [
+        (("eval", "--upper", "-40,41/2,61/2", "--lower", "3/2,5/2"),
+         "--upper", 1, "41 terms, terminating)"),
+        # the README's terminating query and its hit count
+        (("identify", "--upper", "-n,a,b", "--lower", "c,1+a+b-c-n"),
+         "--upper", 44, "  variant="),
+        (("watson", "--a", "-1/2", "--b", "1/3", "--c", "1/4", "--m", "0",
+          "--n", "0"), "--a", 1, "watson(0,0) = 0.69500753567\n"),
+        (("eval", "--upper", "1,1,1", "--lower", "-1/2,5"), "--lower", 1,
+         "convergent)"),
+        (("dixon", "--a", "3/10", "--b", "-1/5", "--c", "1/10", "--m", "2",
+          "--n", "0"), "--b", 1, "dixon(2,0) = "),
+        (("dixon", "--a", "3/10", "--b", "1/5", "--c", "-1/10", "--m", "2",
+          "--n", "0"), "--c", 1, "dixon(2,0) = ")])
+    def test_negative_and_symbolic_values(self, capsys, argv, option, count,
+                                          text):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.count(text) == count and not err
+        i = argv.index(option)
+        joined = argv[:i] + (f"{option}={argv[i + 1]}",) + argv[i + 2:]
+        assert run(capsys, *joined) == (code, out, err)
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--upper", "--lower", "2,2"],
+        ["eval", "--upper", "-h"],
+        ["db", "show", "--", "--upper", "-x"],
+        ["eval", "--tol", "-1/2", "--upper", "1,1,1"]])
+    def test_options_stay_options(self, argv):
+        assert hyp321.cli._bind_param_values(argv) == argv
+
+    def test_option_without_value_is_still_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--upper", "--lower", "2,2")
+        assert code == 2 and not out
+        assert "argument --upper: expected one argument" in err
+
+
+class TestExitPaths:
+    def test_element_mismatch_is_a_verification_failure(self, capsys,
+                                                        monkeypatch):
+        import hyp321.contiguous
+
+        def off(*args, **kwargs):
+            res = sum_series_numeric(*args, **kwargs)
+            return dataclasses.replace(res, value=res.value * 1.1)
+        monkeypatch.setattr(hyp321.contiguous, "sum_series_numeric", off)
+        code, out, err = run(capsys, "watson", "--a", "0.3", "--b", "0.5",
+                             "--c", "1.4", "--m", "0", "--n", "0")
+        assert code == 1 and not out
+        assert err.startswith("verification failure: watson element (0,0) "
+                              "disagrees with the direct series")
+
+    def test_missing_database_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        code, out, err = run(capsys, "--db", str(path), "db", "list")
+        assert code == 2 and not out
+        assert err.startswith("error: [Errno 2]") and str(path) in err
+
+    def test_report_into_a_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.txt"
+        code, out, err = run(capsys, "verify", "--entry", "B.37",
+                             "--report", str(path))
+        assert code == 2 and out.startswith("PASS B.37")
+        assert err.startswith("error: [Errno 2]") and str(path) in err
+
+    def test_argparse_usage_error(self, capsys):
+        code, out, err = run(capsys, "frobnicate")
+        assert code == 2 and not out
+        assert "invalid choice: 'frobnicate'" in err
+
+    @pytest.mark.parametrize("action", ["show", "export"])
+    def test_db_action_without_a_target(self, capsys, action):
+        code, out, err = run(capsys, "db", action)
+        assert code == 2 and not out
+        assert err == "error: db show/export requires a target\n"
+
+    def test_parameter_count(self, capsys):
+        code, out, err = run(capsys, "eval", "--upper", "1,1",
+                             "--lower", "2,2")
+        assert code == 2 and not out
+        assert err == ("error: expected 3 upper and 2 lower parameters, "
+                       "got 2/2\n")
+
+    def test_symbolic_element_argument(self, capsys):
+        code, out, err = run(capsys, "watson", "--a", "x", "--b", "0.5",
+                             "--c", "1.4", "--m", "0", "--n", "0")
+        assert code == 2 and not out
+        assert err == "error: --a must be numeric, got x\n"
+
+    def test_derived_definitions_printed(self, capsys):
+        code, out, _ = run(capsys, "identify", "--upper", "a,b,d-n",
+                           "--lower", "b+d+1,a-n+1")
+        assert code == 0
+        assert ("B.40  variant=T10·(abc|fe)  {a -> a, b -> b, d -> d, "
+                "n -> n}\n") in out
+        hit = out[out.index("B.40  variant=T10·(abc|fe)"):].splitlines()
+        assert hit[2] == "  with d = (a)*(n)*(1/(b + n))"
+
+
 def test_cli_import_loads_no_mpmath():
     """``import hyp321.cli`` plus the first ``seed_db()`` stays light: it is
     what the benchmark's ``setup_s`` times."""

@@ -190,6 +190,13 @@ class TestWatson:
         with pytest.raises(SingularRecursionPath):
             watson_element(2.2, 0.2, 3.0, 3, 0)
 
+    def test_n_step_below_the_seeds_singular(self):
+        # W(0, -1) solves the n-step at (0, 1) for its lowest term, whose
+        # coefficient vanishes at 2c = a + b + 1
+        with pytest.raises(SingularRecursionPath, match=r"^n-step at "
+                           r"\(m,n\)=\(0,1\) cannot be inverted$"):
+            watson_element(0.3, 0.5, 0.9, 0, -1)
+
     def test_no_convergent_check_carries_value(self):
         plain = watson_element(0.3, 0.4, 0.25, 0, -2)
         with pytest.raises(NoConvergentCheck) as info:

@@ -12,7 +12,7 @@ import pytest
 
 from hyp321 import expr as E
 from hyp321 import matcher
-from hyp321.database import get_entry, seed_db, _build_entry
+from hyp321.database import get_entry, int_range, seed_db, _build_entry
 from hyp321.errors import Hyp321Error, ShapeError
 from hyp321.matcher import (Substitution, _eliminate, _images_of,
                             _invertible_pair, _orbit_key, _spot_check,
@@ -607,6 +607,76 @@ class TestCull:
         # the transform family collapses to single representatives
         assert "B.43" in kept_ids and "B.50" in kept_ids
         assert not {"B.44", "B.45", "B.46", "B.51", "B.52"} & kept_ids
+
+
+def _reference_sup_if_bounded(entry, lin):
+    """Least upper bound of an integer-valued affine form, if one exists:
+    the bound that cull's two sign tests read before they were one."""
+    hi = lin.const
+    for s, c in lin.terms:
+        if s.kind != "integer" or c > 0:
+            return None
+        hi += c * next((int_range(cs, s.name)[0] for t, cs in entry.int_symbols
+                        if t == s), 0)
+    return hi
+
+
+def _reference_excess_nonpositive_integer(entry):
+    exc = entry.excess
+    if not exc.is_integer_valued():
+        return False
+    sup = _reference_sup_if_bounded(entry, exc)
+    return sup is not None and sup <= 0
+
+
+def _reference_terminating_template(entry):
+    for u in entry.lhs.upper:
+        if u.is_integer_valued():
+            sup = _reference_sup_if_bounded(entry, u)
+            if sup is not None and sup <= 0:
+                return True
+    return False
+
+
+def _reference_nonpositive_integer(entry, lin):
+    return lin.is_integer_valued() and \
+        (sup := _reference_sup_if_bounded(entry, lin)) is not None and sup <= 0
+
+
+#: entries whose excess or an upper slot is a non-positive integer only at
+#: their declared lower bound, or not at all
+_SIGN_TEST_ENTRIES = (
+    dict(id="T.EXC", upper="a, b, c", lower="a+1, b+c-2", rhs="1"),
+    dict(id="T.TERM", upper="a, b, -n", lower="a+1, b-n-2", rhs="1"),
+    dict(id="T.LB2", upper="a, b, 2-n", lower="c, a+b-c+n-3", rhs="1",
+         ints={"n": ("n>=2",)}),
+    dict(id="T.LB1", upper="a, b, 2-n", lower="c, a+b-c+n-3", rhs="1",
+         ints={"n": ("n>=1",)}),
+    dict(id="T.MIX", upper="a, b, m-n", lower="c, a+b-c+m-n+2", rhs="1",
+         ints={"n": ("n>=0",), "m": ("m>=0",)}),
+    dict(id="T.HALF", upper="a, b, -n/2", lower="c, a+b-c-n/2-1", rhs="1"),
+)
+
+
+def test_nonpositive_integer_matches_the_two_sign_tests():
+    """On every seed entry, every golden closure image and a few synthetic
+    entries: the predicate agrees with the reference bound on the excess and
+    on all five slots, and cull's drop decision with the two tests it
+    replaced."""
+    entries = list(seed_db()) + [img for _, img in closure_pool()] + [
+        _build_entry(dict(raw, prov="synthetic"))
+        for raw in _SIGN_TEST_ENTRIES]
+    verdicts = []
+    for e in entries:
+        for form in (e.excess,) + e.lhs.upper + e.lhs.lower:
+            verdicts.append(matcher._nonpositive_integer(e, form))
+            assert verdicts[-1] == _reference_nonpositive_integer(e, form), \
+                (e.id, str(form))
+        assert (matcher._nonpositive_integer(e, e.excess)
+                == _reference_excess_nonpositive_integer(e)), e.id
+        assert any(matcher._nonpositive_integer(e, u) for u in e.lhs.upper) \
+            == _reference_terminating_template(e), e.id
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 #: the five forms as Fraction rows over the slots (a, b, c, f, e)

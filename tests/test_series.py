@@ -5,6 +5,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -18,6 +19,7 @@ from hyp321.errors import (DivergentSeries, Hyp321Error, LowerPole,
 from hyp321.series import (DIRECT_BUDGET, MAX_TERMS, ParamSet, excess,
                            is_karlsson_minton, is_terminating, series_pfq,
                            sum_series_numeric)
+from hyp321.thomae import numeric_images
 
 a, b, c, n = E.sym("a"), E.sym("b"), E.sym("c"), E.sym("n")
 
@@ -82,6 +84,11 @@ class TestTerminating:
     def test_lower_pole_after_termination_ok(self):
         r = sum_series_numeric([-2, 0.3], [-5])
         assert r.terminated
+
+    def test_lower_pole_without_termination(self):
+        with pytest.raises(LowerPole, match="^lower parameter is the "
+                           "non-positive integer -2$"):
+            sum_series_numeric([0.3, 0.4, 0.5], [-2, 1.5])
 
 
 @pytest.mark.parametrize("rel_tol", [float("inf"), float("nan"), 0.0, -1e-7])
@@ -278,6 +285,53 @@ class TestHardInputs:
         assert r.terms_used == 4096
         assert capfd.readouterr().err == ""
 
+    @staticmethod
+    def _spy_images(monkeypatch) -> list:
+        """The slots of every Thomae image the oracle sums, in order."""
+        summed = []
+        real = series._sum_image
+
+        def spy(upper, lower, s, rel_tol):
+            summed.append(list(upper) + list(lower))
+            return real(upper, lower, s, rel_tol)
+        monkeypatch.setattr(series, "_sum_image", spy)
+        return summed
+
+    @staticmethod
+    def _candidates(up, lo) -> list:
+        """``(base, slots, gamma arguments)`` of the images the oracle may
+        try, in the order it tries them: falling Re(excess) above Re(s)."""
+        s = sum(lo) - sum(up)
+        images = [(sum(img[3:]) - sum(img[:3]), base, img, num + den)
+                  for base, img, num, den in numeric_images(up + lo)]
+        return [im[1:] for im in sorted(images, key=lambda im: -im[0].real)
+                if im[0].real > s.real]
+
+    def test_image_with_a_lower_pole_is_skipped(self, monkeypatch):
+        up, lo = [150.25, -0.75, 100.25], [451.0, -200.5]
+        candidates = self._candidates(up, lo)
+        base, slots, _ = candidates[0]
+        assert base == 7 and slots[3] == 0.0  # f' = 0, a lower pole
+        summed = self._spy_images(monkeypatch)
+        r = sum_series_numeric(up, lo)
+        assert r.representation == "Thomae base 9 (excess 350.75)"
+        assert slots not in summed
+        assert summed[-1] == next(img for b, img, _ in candidates if b == 9)
+
+    def test_image_with_a_prefactor_pole_is_skipped(self, monkeypatch):
+        """An excess within POLE_TOL of 0 puts Γ(s) in every candidate's
+        prefactor; no candidate is summed."""
+        up, lo = [300.0, 300.0, 300.0], [451.0, 449.0 + 1e-13]
+        candidates = self._candidates(up, lo)
+        pole = E.is_near_nonpositive_integer
+        regular = [args for _, img, args in candidates
+                   if not any(map(pole, img))]
+        assert regular and all(any(map(pole, args)) for args in regular)
+        summed = self._spy_images(monkeypatch)
+        with pytest.raises(NoConvergence, match="no well-conditioned"):
+            sum_series_numeric(up, lo)
+        assert summed == []
+
     def test_richardson_exponent_beyond_float_range(self):
         # excess 2e6: 2.0 ** (s + 1) overflows a float
         r = sum_series_numeric([0.5, 0.5], [2e6 + 1.0])
@@ -357,6 +411,33 @@ def ref_doublings(upper, lower, s: Optional[complex], track_abs: bool = False):
         checkpoint *= 2
 
 
+def _richardson_draws():
+    """Seeded generic, small-excess, complex, large-parameter and entire
+    sums, each as ``(upper, lower, s)``."""
+    rng = random.Random(24)
+    u = rng.uniform
+    out = []
+    for _ in range(6):
+        up = [u(-2, 3) for _ in range(3)]
+        e = u(0.2, 4)
+        out.append((up, [e, sum(up) - e + u(0.3, 3)]))
+        up = [u(0, 2) for _ in range(3)]
+        out.append((up, [e, sum(up) - e + u(0.01, 0.3)]))
+        up = [complex(u(-2, 3), u(-3, 3)) for _ in range(3)]
+        e = complex(u(0.2, 4), u(-3, 3))
+        out.append((up, [e, sum(up) - e + complex(u(0.2, 3), u(-2, 2))]))
+        up = [u(-120, 300) for _ in range(3)]
+        e = u(1, 400)
+        out.append((up, [e, sum(up) - e + u(0.5, 40)]))
+    kinds = ("generic", "small", "complex", "large")
+    draws = [pytest.param([complex(x) for x in up], [complex(x) for x in lo],
+                          sum(lo) - sum(up), id=f"{kinds[i % 4]}{i // 4}")
+             for i, (up, lo) in enumerate(out)]
+    return draws + [pytest.param([complex(u(0, 3)) for _ in range(2)],
+                                 [complex(u(0.2, 3)) for _ in range(2)],
+                                 None, id=f"entire{i}") for i in range(3)]
+
+
 def _result(up, lo) -> str:
     try:
         r = sum_series_numeric(up, lo, rel_tol=1e-10)
@@ -430,6 +511,17 @@ class TestRatioTable:
             got = _result(up, lo)
             monkeypatch.setattr(series, "_doublings", ref_doublings)
             assert _result(up, lo) == got
+
+    @pytest.mark.parametrize("up, lo, s", _richardson_draws())
+    @pytest.mark.parametrize("track_abs", [False, True])
+    def test_richardson_column_is_the_whole_table(self, up, lo, s, track_abs):
+        """Every yield, up to K = 2^16, equals that of ``ref_doublings``,
+        which keeps the whole Richardson table."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = list(islice(series._doublings(up, lo, s, track_abs), 11))
+            want = list(islice(ref_doublings(up, lo, s, track_abs), 11))
+        assert got[0][0] == (256 if s is not None else 64)
+        assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("up, lo", _REAL)
     def test_real_table_is_the_real_part_of_the_complex_one(self, up, lo):
