@@ -132,20 +132,21 @@ def _cmd_verify(args) -> int:
     entries = _entries(args)
     if args.entry is not None:
         entries = [get_entry(entries, args.entry)]
-    lines = []
-    all_pass = True
-    for e in sorted(entries, key=lambda e: e.id):
-        report = verify_entry(e, trials=args.trials, seed=args.seed,
-                              rel_tol=args.tol)
-        status = "PASS" if report.passed else "FAIL"
-        all_pass = all_pass and report.passed
-        lines.append(f"{status} {e.id:<10s} samples={len(report.samples)} "
-                     f"max_rel_err={report.max_rel_err:.3g}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text)
+    # opened first: a path that cannot be written fails before any work
+    with open(args.report or os.devnull, "w") as fh:
+        lines = []
+        all_pass = True
+        for e in sorted(entries, key=lambda e: e.id):
+            report = verify_entry(e, trials=args.trials, seed=args.seed,
+                                  rel_tol=args.tol)
+            status = "PASS" if report.passed else "FAIL"
+            all_pass = all_pass and report.passed
+            lines.append(f"{status} {e.id:<10s} "
+                         f"samples={len(report.samples)} "
+                         f"max_rel_err={report.max_rel_err:.3g}")
+        text = "\n".join(lines) + "\n"
+        sys.stdout.write(text)
+        fh.write(text)
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 

@@ -24,6 +24,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .contiguous import family_params, watson_element, x_to_w
@@ -83,6 +84,38 @@ class DbEntry:
         for s, d in self.derived:
             full[s] = eval_expr(d, full)
         return full
+
+    @cached_property
+    def int_ranges(self) -> dict[Symbol, tuple[int, int]]:
+        """The sampling range of each integer symbol, in ``int_symbols``
+        order: from the least k >= 0 that every constraint naming the symbol
+        alone allows, to max(4, k + 3)."""
+        return {s: _int_range(cs, s) for s, cs in self.int_symbols}
+
+    @cached_property
+    def int_grid(self) -> tuple[dict[Symbol, int], ...]:
+        """The legal integer assignments within ``int_ranges``, in product
+        order."""
+        ranges = [range(lo, hi + 1) for lo, hi in self.int_ranges.values()]
+        grid = (dict(zip(self.int_ranges, combo)) for combo in product(*ranges))
+        return tuple(g for g in grid if self.ints_hold(g))
+
+    def ints_hold(self, values: Mapping[Symbol, complex],
+                  skip_unbound: bool = False) -> bool:
+        """True when every integer-symbol constraint holds at ``values``.
+
+        A constraint that cannot be evaluated (it names a symbol missing from
+        ``values``) raises, or is skipped when ``skip_unbound`` is set.
+        """
+        for _, constraints in self.int_symbols:
+            for text in constraints:
+                try:
+                    if not parse_constraint(text).holds(values):
+                        return False
+                except Hyp321Error:
+                    if not skip_unbound:
+                        raise
+        return True
 
 
 @dataclass(frozen=True)
@@ -226,10 +259,8 @@ def parse_constraint(text: str) -> Constraint:
                       parse_linexpr(parts[2]))
 
 
-def int_range(constraints: Sequence[str], name: str) -> tuple[int, int]:
-    """The sampling range of integer symbol ``name``: from the least k >= 0
-    that every constraint naming ``name`` alone allows, to max(4, k + 3)."""
-    s = sym(name)
+def _int_range(constraints: Sequence[str], s: Symbol) -> tuple[int, int]:
+    """``DbEntry.int_ranges``' rule for one integer symbol ``s``."""
     lo = 0
     for c in map(parse_constraint, constraints):
         d = c.lhs - c.rhs
@@ -238,24 +269,6 @@ def int_range(constraints: Sequence[str], name: str) -> tuple[int, int]:
             if c.holds({s: k + 1}):  # a lower bound
                 lo = max(lo, k if c.holds({s: k}) else k + 1)
     return lo, max(4, lo + 3)
-
-
-def constraints_hold(entry: DbEntry, assignment: Mapping[Symbol, complex],
-                     skip_unbound: bool = False) -> bool:
-    """True when every integer-symbol constraint of ``entry`` holds.
-
-    A constraint that cannot be evaluated (it names a symbol missing from
-    ``assignment``) raises, or is skipped when ``skip_unbound`` is set.
-    """
-    for _, constraints in entry.int_symbols:
-        for text in constraints:
-            try:
-                if not parse_constraint(text).holds(assignment):
-                    return False
-            except Hyp321Error:
-                if not skip_unbound:
-                    raise
-    return True
 
 
 def converges_at(p: ParamSet, exc: LinExpr, full: Mapping) -> bool:
@@ -359,11 +372,10 @@ def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
     tol = entry.rel_tol if rel_tol is None else rel_tol
     check_tol(tol)
     series_tol = min(1e-10, tol / 100.0)
-    ranges = [(s, int_range(cs, s.name)) for s, cs in entry.int_symbols]
 
     def draw(rng):
-        ints = {s: rng.randint(*r) for s, r in ranges}
-        if not constraints_hold(entry, ints):
+        ints = {s: rng.randint(*r) for s, r in entry.int_ranges.items()}
+        if not entry.ints_hold(ints):
             return "constraints"
         full = repaired_assignment(entry, ints | {
             s: sample_continuous(rng) for s in entry.base_continuous()}, rng)

@@ -30,7 +30,8 @@ class NonIntegerSumBound(Hyp321Error):
 
 
 class DivergentSeries(Hyp321Error):
-    """Non-terminating series at unit argument with Re(excess) <= 0."""
+    """Non-terminating series at unit argument with Re(excess) <= 0, or an
+    excess within POLE_TOL of 0."""
 
 
 class LowerPole(Hyp321Error):

@@ -19,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from operator import itemgetter, mul
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .contiguous import watson_element
-from .database import (DbEntry, SampleRecord, constraints_hold,
-                       converges_at, entry_rng, int_range,
+from .database import (DbEntry, SampleRecord, converges_at, entry_rng,
                        repaired_assignment, sample_checks)
 from .errors import Hyp321Error, ShapeError
 from .expr import (Expr, LinExpr, Mul, Symbol, combine_rows, eval_expr,
@@ -236,23 +235,13 @@ def _integer_binding_ok(row: tuple[int, ...], den: int,
 # Identification against the database
 # ---------------------------------------------------------------------------
 
-def _entry_constraints_ok(entry: DbEntry,
-                          mapping: Mapping[Symbol, LinExpr]) -> bool:
-    """Check integer-symbol constraints for bindings that are constant.
-
-    Symbolic bindings are accepted here (the constraints travel with the
-    match and can only be adjudicated at evaluation time).
-    """
-    values = {s: mapping[s].eval({}) for s, _ in entry.int_symbols
-              if s in mapping and mapping[s].is_constant}
-    return constraints_hold(entry, values, skip_unbound=True)
-
-
 def _spot_samples(query: ParamSet, match: MatchResult, entry: DbEntry,
                   seed: int) -> Optional[Iterator]:
     """The spot check's outcomes (see ``sample_checks``), drawn lazily, or
     None when an integer symbol of ``entry`` is unbound or a derived
-    definition uses a symbol not drawn or derived before it."""
+    definition uses a symbol not drawn or derived before it.  Up to 30
+    draws, or one when there is no symbol to draw: every draw is then the
+    same."""
     base = set(query.free_symbols()).union(
         free_symbols(match.instantiated_rhs),
         *(free_symbols(d) for _, d in match.derived))
@@ -274,13 +263,14 @@ def _spot_samples(query: ParamSet, match: MatchResult, entry: DbEntry,
         # respect the entry's own integer constraints at this draw
         ivals = {s: nearest_integer(submap[s].eval(full), 1e-9)
                  for s, _ in entry.int_symbols}
-        if None in ivals.values() or not constraints_hold(
-                entry, {s: complex(v) for s, v in ivals.items()}):
+        if None in ivals.values() or not entry.ints_hold(
+                {s: complex(v) for s, v in ivals.items()}):
             return "constraints"
         return full if converges_at(query, excess(query), full) else "excess"
 
     return sample_checks(
-        entry_rng(match.entry_id + "|" + match.variant.name, seed), 30, draw,
+        entry_rng(match.entry_id + "|" + match.variant.name, seed),
+        30 if order else 1, draw,
         lambda full: series_pfq(query, full, rel_tol=1e-10).value,
         lambda full: eval_expr(match.instantiated_rhs, full,
                                watson=watson_element))
@@ -330,7 +320,10 @@ def identify(entries: Sequence[DbEntry], query: ParamSet, *,
         for v, img, encoded in images:
             for sub in unify(entry.lhs, img, encoded):
                 smap = sub.as_dict()
-                if not _entry_constraints_ok(entry, smap):
+                # symbolic bindings are judged by the spot check's draws
+                fixed = {s: smap[s].eval({}) for s, _ in entry.int_symbols
+                         if s in smap and smap[s].is_constant}
+                if not entry.ints_hold(fixed, skip_unbound=True):
                     continue
                 inst_rhs = Mul((prefactor(v), substitute(entry.rhs, smap)))
                 derived = tuple(_bound_apart(s, substitute(d, smap), taken)
@@ -347,15 +340,6 @@ def identify(entries: Sequence[DbEntry], query: ParamSet, *,
 # Equivalence and culling
 # ---------------------------------------------------------------------------
 
-def _int_grid(entry: DbEntry) -> list[dict[Symbol, int]]:
-    """The legal small integer assignments for an entry's integer symbols."""
-    syms = [s for s, _ in entry.int_symbols]
-    ranges = [range(lo, hi + 1) for lo, hi in
-              (int_range(cs, s.name) for s, cs in entry.int_symbols)]
-    grid = (dict(zip(syms, combo)) for combo in product(*ranges))
-    return [g for g in grid if constraints_hold(entry, g)]
-
-
 def _int_ranges_ok(e1: DbEntry, e2: DbEntry, sub: Substitution) -> bool:
     """Every legal integer draw of ``e1`` must land inside ``e2``'s ranges.
 
@@ -367,7 +351,7 @@ def _int_ranges_ok(e1: DbEntry, e2: DbEntry, sub: Substitution) -> bool:
     smap = sub.as_dict()
     if not any(s in smap for s in tints):
         return True
-    for g in _int_grid(e1):
+    for g in e1.int_grid:
         t_assign: dict[Symbol, complex] = {}
         for s in tints:
             lin = smap.get(s)
@@ -380,7 +364,7 @@ def _int_ranges_ok(e1: DbEntry, e2: DbEntry, sub: Substitution) -> bool:
             if v.real < -1e-9:
                 return False
             t_assign[s] = v
-        if not constraints_hold(e2, t_assign, skip_unbound=True):
+        if not e2.ints_hold(t_assign, skip_unbound=True):
             return False
     return True
 
@@ -446,8 +430,9 @@ def _kinds_preserved(e2: DbEntry, sub: Substitution) -> bool:
     return True
 
 
-# The bounds of both caches hold about 150 entries with ten images each:
-# cull(seed_db()) and a pool of the seed entries with 50 planted images.
+# `_compile` and `_images_of` each keep 256 parameter sets, more than the
+# about 150 entries of cull(seed_db()) or of a pool of the seed entries with
+# 50 planted images.
 @lru_cache(maxsize=256)
 def _images_of(upper: tuple[LinExpr, ...], lower: tuple[LinExpr, ...]
                ) -> tuple:
@@ -461,7 +446,7 @@ def _images_of(upper: tuple[LinExpr, ...], lower: tuple[LinExpr, ...]
 def _witness_samples(e1: DbEntry, v: ThomaeVariant, tries: int) -> Iterator:
     """Outcomes of F(lhs) = prefactor * F(image) at legal draws of ``e1``."""
     img, pref = apply_variant(v, e1.lhs)
-    img_excess, grid = excess(img), _int_grid(e1)
+    img_excess, grid = excess(img), e1.int_grid
     if not grid:  # no legal integer assignment: nothing to draw
         return iter(())
 
@@ -519,16 +504,15 @@ def equivalent(e1: DbEntry, e2: DbEntry
 def _nonpositive_integer(entry: DbEntry, lin: LinExpr) -> bool:
     """True iff ``lin`` is an integer-valued form that is <= 0 at every legal
     integer draw of ``entry``: it names only integer symbols, each with a
-    non-positive coefficient, and is <= 0 at their ``int_range`` lower bounds
-    (0 for a symbol without constraints)."""
+    non-positive coefficient, and is <= 0 at the lower bounds of their
+    ``int_ranges`` (0 for a symbol the entry does not declare)."""
     if not lin.is_integer_valued():
         return False
     sup = lin.const
     for s, c in lin.terms:
         if c > 0:
             return False
-        sup += c * next((int_range(cs, s.name)[0]
-                         for t, cs in entry.int_symbols if t == s), 0)
+        sup += c * entry.int_ranges.get(s, (0, 0))[0]
     return sup <= 0
 
 

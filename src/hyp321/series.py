@@ -186,9 +186,10 @@ def sum_series_numeric(upper: Sequence[complex], lower: Sequence[complex],
 
     if len(upper) == len(lower) + 1:
         s = sum(lower) - sum(upper)
-        if s.real <= 0:
+        if s.real <= 0 or is_near_nonpositive_integer(s):
             raise DivergentSeries(
-                f"Re(excess) = {s.real:.6g} <= 0 for a non-terminating series")
+                f"Re(excess) = {s.real:.6g} <= 0 for a non-terminating series"
+                if s.real <= 0 else f"excess {s:.6g} is within POLE_TOL of 0")
         return _sum_infinite(upper, lower, s, rel_tol)
     if len(upper) <= len(lower):
         # entire case: terms decay factorially, plain truncation suffices

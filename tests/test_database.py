@@ -3,16 +3,17 @@
 import dataclasses
 import hashlib
 import random
+from itertools import combinations, product
 
 import pytest
 
 from hyp321 import database
 from hyp321 import expr as E
-from hyp321.database import (constraints_hold, converges_at, db_from_json,
-                             db_to_json, dumps_db, entry_from_json,
-                             entry_to_json, get_entry, int_range, load_db,
-                             parse_constraint, sample_checks, save_db,
-                             seed_db, verify_all, verify_entry, _build_entry)
+from hyp321.database import (converges_at, db_from_json, db_to_json,
+                             dumps_db, entry_from_json, entry_to_json,
+                             get_entry, load_db, parse_constraint,
+                             sample_checks, save_db, seed_db, verify_all,
+                             verify_entry, _build_entry)
 from hyp321.entries import RAW_ENTRIES
 from hyp321.errors import (AnchorPole, Hyp321Error, InsufficientSamples,
                            ParseError, PoleError, SchemaVersionMismatch,
@@ -20,6 +21,7 @@ from hyp321.errors import (AnchorPole, Hyp321Error, InsufficientSamples,
                            UnknownEntry)
 from hyp321.parser import parse_expr
 from hyp321.series import ParamSet, excess, series_pfq, sum_series_numeric
+from test_golden_matcher import closure_pool
 
 a, b, c, n, s = E.sym("a"), E.sym("b"), E.sym("c"), E.sym("n"), E.sym("s")
 
@@ -145,6 +147,13 @@ class TestArguments:
             verify_entry(get_entry(seed_db(), "EQ.1"), trials=trials)
 
 
+def _n_entry(constraints):
+    """An entry whose integer symbol n carries ``constraints``."""
+    return _build_entry(dict(id="T.N", upper="a, -n, b",
+                             lower="c, a+b-c-n+1", rhs="1",
+                             ints={"n": tuple(constraints)}))
+
+
 class TestConstraints:
     def test_parsed_once_and_evaluated(self):
         m = E.sym("m")
@@ -167,9 +176,9 @@ class TestConstraints:
         with pytest.raises(UnboundSymbol):
             parse_constraint("n<m").holds({n: 1})
         with pytest.raises(UnboundSymbol):
-            constraints_hold(entry, {n: 1})
-        assert constraints_hold(entry, {n: 1}, skip_unbound=True)
-        assert not constraints_hold(entry, {n: 0}, skip_unbound=True)
+            entry.ints_hold({n: 1})
+        assert entry.ints_hold({n: 1}, skip_unbound=True)
+        assert not entry.ints_hold({n: 0}, skip_unbound=True)
 
     @pytest.mark.parametrize("constraints, lo", [
         (["n>=0"], 0), (["n >= 0"], 0), (["0<=n"], 0), (["n>-1"], 0),
@@ -177,7 +186,7 @@ class TestConstraints:
         (["n>0"], 1), (["2*n>=1"], 1),
     ])
     def test_int_range_reads_the_parsed_constraints(self, constraints, lo):
-        assert int_range(constraints, "n") == (lo, 4)
+        assert _n_entry(constraints).int_ranges == {n: (lo, 4)}
 
     @pytest.mark.parametrize("constraints, want", [
         (["n>=5"], (5, 8)), (["n>5"], (6, 9)), (["9<=n", "n>=7"], (9, 12)),
@@ -185,7 +194,7 @@ class TestConstraints:
     ])
     def test_int_range_starts_at_the_least_allowed_value(self, constraints,
                                                          want):
-        assert int_range(constraints, "n") == want
+        assert _n_entry(constraints).int_ranges == {n: want}
 
     def test_lower_bound_above_one_is_sampled(self):
         entry = _build_entry(dict(
@@ -200,13 +209,67 @@ class TestConstraints:
         entry = get_entry(seed_db(), "B.1")  # integer symbols m and n
         want = verify_entry(entry, trials=5, seed=3)
         calls = []
+        rule = database._int_range
 
-        def counted(constraints, name):
-            calls.append(name)
-            return int_range(constraints, name)
-        monkeypatch.setattr(database, "int_range", counted)
-        assert verify_entry(entry, trials=5, seed=3) == want
-        assert calls == ["m", "n"]  # not once per draw
+        def counted(constraints, s):
+            calls.append(s.name)
+            return rule(constraints, s)
+        monkeypatch.setattr(database, "_int_range", counted)
+        fresh = dataclasses.replace(entry)  # nothing cached yet
+        assert verify_entry(fresh, trials=5, seed=3) == want
+        verify_entry(fresh, trials=5, seed=4)
+        assert calls == ["m", "n"]  # not once per draw, nor per call
+
+
+def _domain_entries():
+    return seed_db() + [image for _, image in closure_pool()]
+
+
+def _constraints_hold(entry, values, partial=False):
+    """Every parsed constraint of ``entry`` holds at ``values``; with
+    ``partial``, every one whose symbols ``values`` binds."""
+    parsed = [parse_constraint(t) for _, cs in entry.int_symbols for t in cs]
+    return all(c.holds(values) for c in parsed if not partial or
+               c.lhs.free_symbols() | c.rhs.free_symbols() <= values.keys())
+
+
+class TestIntegerDomain:
+    """``DbEntry``'s integer domain against the parsed constraints, on every
+    seed entry and every image of the golden closure pool."""
+
+    @staticmethod
+    def _box(entry):
+        syms = list(entry.int_ranges)
+        return [dict(zip(syms, combo)) for combo in product(
+            *(range(lo, hi + 1) for lo, hi in entry.int_ranges.values()))]
+
+    def test_grid_is_the_box_filtered_by_the_constraints(self):
+        for entry in _domain_entries():
+            assert list(entry.int_ranges) == [s for s, _ in entry.int_symbols]
+            want = [g for g in self._box(entry)
+                    if _constraints_hold(entry, g)]
+            assert list(entry.int_grid) == want, entry.id
+
+    def test_ints_hold_agrees_with_each_constraint(self):
+        for entry in _domain_entries():
+            syms = list(entry.int_ranges)
+            for point in self._box(entry):
+                assert entry.ints_hold(point) == \
+                    _constraints_hold(entry, point), (entry.id, point)
+                for k in range(len(syms)):
+                    for kept in combinations(syms, k):
+                        part = {s: point[s] for s in kept}
+                        assert entry.ints_hold(part, skip_unbound=True) == \
+                            _constraints_hold(entry, part, partial=True), \
+                            (entry.id, part)
+
+    def test_verified_samples_lie_in_the_grid(self):
+        for entry in _domain_entries():
+            report = verify_entry(entry, trials=3, seed=0)
+            for sample in report.samples:
+                values = dict(sample.assignment)
+                ints = {s: values[s.name] for s in entry.int_ranges}
+                assert ints in entry.int_grid, (entry.id, ints)
 
 
 class TestSerialization:

@@ -12,7 +12,7 @@ import pytest
 
 from hyp321 import expr as E
 from hyp321 import matcher
-from hyp321.database import get_entry, int_range, seed_db, _build_entry
+from hyp321.database import get_entry, seed_db, _build_entry
 from hyp321.errors import Hyp321Error, ShapeError
 from hyp321.matcher import (Substitution, _eliminate, _images_of,
                             _invertible_pair, _orbit_key, _spot_check,
@@ -464,6 +464,24 @@ class TestSpotCheck:
             assert list(_spot_samples(query, h, entry, 0)) == ["excess"] * 30
             assert _spot_check(query, h, entry, 0, 1e-6)
 
+    @pytest.mark.parametrize("upper, lower, hits", [
+        ([Q(1, 3)] * 3, [Q(4, 3)] * 2, 20),
+        ([Q(1)] * 3, [Q(2)] * 2, 13),
+    ])
+    def test_one_draw_when_no_symbol_is_drawn(self, monkeypatch, upper,
+                                              lower, hits):
+        """A numeric query's draws are all the same point: one is made."""
+        calls = []
+        real = matcher.series_pfq
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(matcher, "series_pfq", counted)
+        found = identify(seed_db(), _const_paramset(upper, lower))
+        assert len(found) == hits
+        assert len(calls) == hits
+
     def test_mismatch_rejected(self):
         db = seed_db()
         query = _const_paramset([Q(11, 10), Q(2, 5), Q(8, 5)],
@@ -616,8 +634,7 @@ def _reference_sup_if_bounded(entry, lin):
     for s, c in lin.terms:
         if s.kind != "integer" or c > 0:
             return None
-        hi += c * next((int_range(cs, s.name)[0] for t, cs in entry.int_symbols
-                        if t == s), 0)
+        hi += c * entry.int_ranges.get(s, (0, 0))[0]
     return hi
 
 

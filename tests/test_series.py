@@ -320,7 +320,7 @@ class TestHardInputs:
 
     def test_image_with_a_prefactor_pole_is_skipped(self, monkeypatch):
         """An excess within POLE_TOL of 0 puts Γ(s) in every candidate's
-        prefactor; no candidate is summed."""
+        prefactor; the oracle reads it as 0 and sums nothing."""
         up, lo = [300.0, 300.0, 300.0], [451.0, 449.0 + 1e-13]
         candidates = self._candidates(up, lo)
         pole = E.is_near_nonpositive_integer
@@ -328,9 +328,23 @@ class TestHardInputs:
                    if not any(map(pole, img))]
         assert regular and all(any(map(pole, args)) for args in regular)
         summed = self._spy_images(monkeypatch)
-        with pytest.raises(NoConvergence, match="no well-conditioned"):
+        with pytest.raises(DivergentSeries, match="within POLE_TOL of 0"):
             sum_series_numeric(up, lo)
         assert summed == []
+
+    @pytest.mark.parametrize("up, lo", [
+        ([300.0, 300.0, 300.0], [451.0, 449.0 + 1e-13]),
+        ([0.5, 0.5, 1.0], [1.0, 1.0 + 1e-13]),
+        ([0.5, 0.5, 1.0], [1.0 + 1e-13 + 5e-13j, 1.0]),
+    ])
+    def test_excess_within_pole_tol_of_zero_sums_no_term(self, monkeypatch,
+                                                         up, lo):
+        calls = []
+        monkeypatch.setattr(series, "_ratios",
+                            lambda *args: calls.append(args))
+        with pytest.raises(DivergentSeries):
+            sum_series_numeric(up, lo)
+        assert calls == []
 
     def test_richardson_exponent_beyond_float_range(self):
         # excess 2e6: 2.0 ** (s + 1) overflows a float
