@@ -195,8 +195,15 @@ class LinExpr:
                 f"parameter {self} is too large for a float") from None
         return total
 
-    def __getstate__(self):  # without the float form
+    def __getstate__(self):  # without the float form and the hash
         return {"terms": self.terms, "const": self.const}
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.terms, self.const))  # the dataclass hash, kept
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def subs(self, mapping: Mapping[Symbol, "LinExpr"]) -> "LinExpr":
         return combine([c for _, c in self.terms],
@@ -253,6 +260,14 @@ def int_rows(forms: Sequence[LinExpr]
         row.append(f.const.numerator * (den // f.const.denominator))
         rows.append(row)
     return syms, rows, den
+
+
+@lru_cache(maxsize=256)
+def slot_rows(slots: tuple[LinExpr, ...]) -> tuple:
+    """``int_rows`` of a slot tuple, with tuple rows, kept per process: a
+    compiled template and Thomae images of one parameter set share it."""
+    syms, rows, den = int_rows(slots)
+    return syms, tuple(map(tuple, rows)), den
 
 
 def row_lin(syms: Sequence[Symbol], row: Sequence[int], den: int) -> LinExpr:

@@ -7,9 +7,11 @@ up in the database; ``equivalent`` and ``cull`` use the same machinery to
 reduce a collection of identities to an inequivalent base set.
 
 All symbolic matching is exact: each parameter set is encoded as integer
-rows over one common denominator (``expr.int_rows``) and eliminated with
-Python ints; ``LinExpr`` values are built only for the substitutions that
-``unify`` returns.  Floating-point values never participate in unification.
+rows over one common denominator (``expr.slot_rows``) and eliminated with
+Python ints.  Thomae images stay in that encoding from
+``thomae.distinct_images`` to ``unify``, and ``LinExpr`` values are built
+only for the substitutions that ``unify`` returns.  Floating-point values
+never participate in unification.
 Numeric evaluation is used only as an optional spot check on candidate
 matches.
 """
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
 from math import gcd
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .contiguous import watson_element
@@ -30,7 +32,7 @@ from .database import (DbEntry, SampleRecord, converges_at, entry_rng,
 from .errors import Hyp321Error, ShapeError
 from .expr import (Expr, LinExpr, Mul, Symbol, combine_rows, eval_expr,
                    free_symbols, int_rows, nearest_integer, row_lin,
-                   substitute)
+                   slot_rows, substitute)
 from .series import (KARLSSON_MINTON_KMAX, ParamSet, check_tol, excess,
                      sample_continuous, series_pfq)
 from .thomae import (CLASS_REPRESENTATIVES, DOUBLED_FORMS, IDENTITY_VARIANT,
@@ -102,40 +104,43 @@ def _eliminate(rows: list[list[int]],
     return prev, m
 
 
-def _aligned_slots(up: tuple[int, ...], lp: tuple[int, ...]) -> itemgetter:
-    """Picks, from a row over template slots, the template slot aligned with
-    each query slot when template slot j meets query slot ``(up + lp)[j]``."""
-    perm = up + tuple(3 + i for i in lp)
-    return itemgetter(*sorted(range(5), key=perm.__getitem__))
-
-
-#: the 6 x 2 slot alignments, in the order ``unify`` tries them
-_ALIGNMENTS = tuple(_aligned_slots(up, lp)
-                    for up in UPPER_PERMS for lp in LOWER_PERMS)
+def _aligned_dots(row: Sequence[int], col: Sequence[int]) -> list[int]:
+    """``row @ col`` for each slot alignment, ``row`` over the template's
+    slots and ``col`` over the query's, when template slot j meets query
+    slot ``(up + lp)[j]``: ``up`` runs over ``UPPER_PERMS`` and, for each,
+    ``lp`` over ``LOWER_PERMS``."""
+    r0, r1, r2, r3, r4 = row
+    kept, swapped = r3 * col[3] + r4 * col[4], r3 * col[4] + r4 * col[3]
+    out = []
+    for i, j, k in UPPER_PERMS:
+        upper = r0 * col[i] + r1 * col[j] + r2 * col[k]
+        out += (upper + kept, upper + swapped)
+    return out
 
 
 @dataclass(frozen=True)
 class _Compiled:
     """A template's slots ``M sigma + c`` as integer rows, eliminated once.
 
-    ``int_rows`` gives the slots as ``[den M | den c]``; ``_eliminate`` of
+    ``slot_rows`` gives the slots as ``[den M | den c]``; ``_eliminate`` of
     ``[den M | I]`` gives a left inverse ``L / det`` of ``den M`` and
-    consistency rows C with ``C M = 0``.  For a query q with integer columns
-    over its own denominator Dq, an alignment is consistent iff every row r
-    of C has ``r @ q`` zero on the symbol columns and ``den * (r @ q_const)
-    == Dq * (r @ den c)``, the ``check``.  The solution is then
-    ``(den L @ q - Dq * (L @ den c) e_const) / (det * Dq)``, with ``offset``
-    the ``L @ den c``.  ``aligned`` holds C and ``den L`` for each alignment
-    of ``_ALIGNMENTS``, their columns permuted to the query's slot order.
+    ``consistency`` rows C with ``C M = 0``.  For a query q with integer
+    columns over its own denominator Dq, aligned to the template's slots,
+    an alignment is consistent iff every row r of C has ``r @ q`` zero on
+    the symbol columns and ``den * (r @ q_const) == Dq * (r @ den c)``, the
+    ``check``.  The solution is then ``(den L @ q - Dq * (L @ den c)
+    e_const) / (det * Dq)``, with ``offset`` the ``L @ den c`` and
+    ``inverse`` the ``den L``.
     """
 
     syms: tuple[Symbol, ...]
     integer: tuple[int, ...]           # positions of integer-kind symbols
     det: int                           # > 0
     den: int
+    consistency: tuple[tuple[int, ...], ...]
     check: tuple[int, ...]
     offset: tuple[int, ...]
-    aligned: tuple[tuple[tuple, tuple], ...]
+    inverse: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=256)
@@ -146,9 +151,9 @@ def _compile(upper: tuple[LinExpr, ...],
     None when the rank of M is below the number of template symbols: every
     alignment is then underdetermined.
     """
-    syms, rows, den = int_rows(upper + lower)
+    syms, rows, den = slot_rows(upper + lower)
     k = len(syms)
-    reduced = _eliminate([row[:k] + [int(i == j) for j in range(5)]
+    reduced = _eliminate([[*row[:k]] + [int(i == j) for j in range(5)]
                           for i, row in enumerate(rows)], k)
     if reduced is None:
         return None
@@ -156,63 +161,66 @@ def _compile(upper: tuple[LinExpr, ...],
     sign = -1 if det < 0 else 1
     inverse = [[sign * x for x in row[k:]] for row in m[:k]]
     consistency = [row[k:] for row in m[k:]]
-    consistency = [[x // gcd(*row) for x in row] for row in consistency]
+    consistency = [tuple(x // gcd(*row) for x in row) for row in consistency]
     const = [row[k] for row in rows]
-
-    scaled = [[den * x for x in row] for row in inverse]
 
     def dot(row):
         return sum(map(mul, row, const))
 
     return _Compiled(syms, tuple(i for i, s in enumerate(syms)
                                  if s.kind == "integer"),
-                     sign * det, den, tuple(map(dot, consistency)),
-                     tuple(map(dot, inverse)),
-                     tuple((tuple(map(pick, consistency)),
-                            tuple(map(pick, scaled)))
-                           for pick in _ALIGNMENTS))
+                     sign * det, den, tuple(consistency),
+                     tuple(map(dot, consistency)), tuple(map(dot, inverse)),
+                     tuple(tuple(den * x for x in row) for row in inverse))
 
 
-def unify(template: ParamSet, query: ParamSet,
-          encoded: Optional[tuple] = None) -> list[Substitution]:
+def unify(template: ParamSet, query: ParamSet | tuple) -> list[Substitution]:
     """All exact substitutions carrying ``template`` onto ``query``.
 
     For each of the 6 x 2 slot alignments the five linear equations
     ``template_i(sigma) = query_i`` are solved over the rationals for the
     template symbols.  The template's coefficient matrix is eliminated once
     (``_compile``, cached by slot order) into a left inverse and consistency
-    rows, and the query is encoded as integer rows; each alignment is then
-    tested exactly with Python ints and solved by one matrix product.  A
-    solution is kept when it is unique and exact, and integer-kind symbols
-    bind to non-negative integer constants or to integer-valued affine
-    forms; a consistent alignment reproduces the query as a multiset.
-    Template and query may share symbol names: the substitution is applied
-    simultaneously, so ``{a -> b, b -> a}`` swaps them.  ``encoded``, when
-    given, is ``int_rows`` of the query's slots, made once for many calls.
+    rows, and the query is encoded as integer rows; the alignments are all
+    tested, and those left solved, together, exactly with Python ints, one
+    row and query column at a time (``_aligned_dots``).  A solution is kept
+    when it is unique and exact, and integer-kind symbols bind to
+    non-negative integer constants or to integer-valued affine forms; a
+    consistent alignment reproduces the query as a multiset.  Template and
+    query may share symbol names: the substitution is applied
+    simultaneously, so ``{a -> b, b -> a}`` swaps them.  ``query`` is a
+    ``ParamSet`` or its five slots already encoded as ``(syms, rows, den)``,
+    as ``distinct_images`` gives them: every test here is unchanged when
+    the rows and ``den`` are scaled together, and ``row_lin`` normalises.
     """
-    if any(len(p.upper) != 3 or len(p.lower) != 2 for p in (template, query)):
+    if any(len(p.upper) != 3 or len(p.lower) != 2 for p in (template, query)
+           if isinstance(p, ParamSet)):
         raise ShapeError("unify expects 3F2 parameter sets")
     comp = _compile(template.upper, template.lower)
     if comp is None:
         return []
-    qsyms, rows, qden = encoded or int_rows(query.upper + query.lower)
+    qsyms, rows, qden = (int_rows(query.upper + query.lower)
+                         if isinstance(query, ParamSet) else query)
     cols = list(zip(*rows))
     const = cols.pop()
-    targets = [qden * chk for chk in comp.check]
+    scaled = [comp.den * x for x in const]
+    alive = range(len(UPPER_PERMS) * len(LOWER_PERMS))
+    for row, chk in zip(comp.consistency, comp.check):
+        for col, want in [(col, 0) for col in cols] + [(scaled, qden * chk)]:
+            dots = _aligned_dots(row, col)
+            alive = [a for a in alive if dots[a] == want]
+            if not alive:
+                return []
     offsets = [qden * off for off in comp.offset]
     det = comp.det * qden
     continuous = [i for i, s in enumerate(qsyms) if s.kind != "integer"]
+    solved = [[_aligned_dots(row, col) for col in cols + [const]]
+              for row in comp.inverse]
     out: list[Substitution] = []
     seen: set = set()
-    for consistency, inverse in comp.aligned:
-        if any(sum(map(mul, row, col)) for row in consistency
-               for col in cols) or any(
-                comp.den * sum(map(mul, row, const)) != t
-                for row, t in zip(consistency, targets)):
-            continue
-        sol = tuple(tuple([sum(map(mul, row, col)) for col in cols] +
-                          [sum(map(mul, row, const)) - off])
-                    for row, off in zip(inverse, offsets))
+    for a in alive:
+        sol = tuple(tuple([dots[a] for dots in row[:-1]] + [row[-1][a] - off])
+                    for row, off in zip(solved, offsets))
         if sol in seen or not all(_integer_binding_ok(sol[i], det, continuous)
                                   for i in comp.integer):
             continue
@@ -317,8 +325,8 @@ def identify(entries: Sequence[DbEntry], query: ParamSet, *,
             continue
         if entry.status == "conjecture" and not include_conjectures:
             continue
-        for v, img, encoded in images:
-            for sub in unify(entry.lhs, img, encoded):
+        for v, encoded in images:
+            for sub in unify(entry.lhs, encoded):
                 smap = sub.as_dict()
                 # symbolic bindings are judged by the spot check's draws
                 fixed = {s: smap[s].eval({}) for s, _ in entry.int_symbols
@@ -430,17 +438,19 @@ def _kinds_preserved(e2: DbEntry, sub: Substitution) -> bool:
     return True
 
 
-# `_compile` and `_images_of` each keep 256 parameter sets, more than the
-# about 150 entries of cull(seed_db()) or of a pool of the seed entries with
-# 50 planted images.
+# `_compile`, `_images_of` and `slot_rows` each keep 256 parameter sets.  The
+# cull of 550 entries (the seed entries and nine images of each of the 51
+# survivors of cull(seed_db())) passes 521 and 487 sets through the first
+# two, and their cache_info() reads 521 and 487 misses (33,963 and 2,398
+# hits), as unbounded caches do: no set is needed again once it is evicted.
 @lru_cache(maxsize=256)
 def _images_of(upper: tuple[LinExpr, ...], lower: tuple[LinExpr, ...]
                ) -> tuple:
-    """Distinct Thomae images of a parameter set, identity first, each with
-    its slots' ``int_rows`` (cached).  Keyed on the slot order, never on the
-    multiset-equal ``ParamSet``: each image's variant name depends on it."""
-    return tuple((v, img, int_rows(img.upper + img.lower)) for v, img
-                 in distinct_images(ParamSet(upper, lower), _IMAGE_VARIANTS))
+    """Distinct Thomae images of a parameter set, identity first, each as
+    ``(variant, (syms, rows, den))`` (cached).  Keyed on the slot order,
+    never on the multiset-equal ``ParamSet``: each image's variant name
+    depends on it."""
+    return tuple(distinct_images(ParamSet(upper, lower), _IMAGE_VARIANTS))
 
 
 def _witness_samples(e1: DbEntry, v: ThomaeVariant, tries: int) -> Iterator:
@@ -491,8 +501,8 @@ def equivalent(e1: DbEntry, e2: DbEntry
     """
     if not _invertible_pair(e1, e2):
         return None
-    for v, img, encoded in _images_of(e1.lhs.upper, e1.lhs.lower):
-        for sub in unify(e2.lhs, img, encoded):
+    for v, encoded in _images_of(e1.lhs.upper, e1.lhs.lower):
+        for sub in unify(e2.lhs, encoded):
             if _kinds_preserved(e2, sub) and \
                _int_ranges_ok(e1, e2, sub) and \
                _derived_ok(e1, e2, sub) and \
@@ -517,13 +527,9 @@ def _nonpositive_integer(entry: DbEntry, lin: LinExpr) -> bool:
 
 
 def _karlsson_minton_template(entry: DbEntry) -> bool:
-    for u in entry.lhs.upper:
-        for l in entry.lhs.lower:
-            k = u.const - l.const
-            if u.terms == l.terms and k.denominator == 1 and \
-                    1 <= k <= KARLSSON_MINTON_KMAX:
-                return True
-    return False
+    return any(u.terms == l.terms and (k := u.const - l.const).denominator == 1
+               and 1 <= k <= KARLSSON_MINTON_KMAX
+               for u in entry.lhs.upper for l in entry.lhs.lower)
 
 
 def _retention_rank(entry: DbEntry) -> tuple:
@@ -566,7 +572,8 @@ def cull(entries: Sequence[DbEntry]) -> list[DbEntry]:
     all but the most general member (more continuous symbols wins; ties fall
     to fewer integer symbols, then the lexicographically smaller id).
     Flagged entries are kept untouched: they are quarantined, never dropped.
-    Input order is preserved among survivors.
+    Input order is preserved among survivors; an entry given more than once
+    survives at its first place only.
 
     Only entries with equal ``_orbit_key`` are compared.  Thomae variants
     permute five linear forms of the parameters, and an accepted witness is
@@ -595,6 +602,6 @@ def cull(entries: Sequence[DbEntry]) -> list[DbEntry]:
             continue
         bucket.append(e)
 
-    chosen = {id(e) for bucket in retained.values() for e in bucket}
-    return [e for e in candidates
-            if e.status == "flagged" or id(e) in chosen]
+    chosen = {id(e): e for bucket in retained.values() for e in bucket}
+    return [e for e in candidates  # popped: a repeated entry is kept once
+            if e.status == "flagged" or chosen.pop(id(e), None) is not None]

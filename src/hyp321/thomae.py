@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeError
 from .expr import (Expr, Gamma, LinExpr, Lin, Mul, ONE, Recip, combine,
-                   combine_rows, int_rows, row_lin)
+                   combine_rows, int_rows, row_lin, slot_rows)
 from .series import ParamSet
 
 __all__ = ["ThomaeVariant", "BASE_COUNT", "DOUBLED_FORMS", "all_variants",
@@ -158,11 +159,20 @@ def all_variants() -> list[ThomaeVariant]:
             for lo in LOWER_PERMS]
 
 
+@cache
+def _image_forms(v: ThomaeVariant) -> tuple[tuple[int, ...], ...]:
+    """The input forms summed by each slot (a', b', c', f', e') of ``v``'s
+    image: ``v`` moves input form ``moved[order[k]]`` to form k."""
+    moved = v.upper_perm + (4 - v.lower_perm[1], 4 - v.lower_perm[0])
+    order = _BASES[v.base][0]
+    return tuple(tuple(sorted(moved[order[k]] for k in slot))
+                 for slot in _SLOT_FORMS)
+
+
 def _class_representatives() -> tuple[ThomaeVariant, ...]:
     firsts: dict[frozenset, ThomaeVariant] = {}
-    for v in all_variants():  # keyed by the input forms made lower (f: form 4)
-        moved = v.upper_perm + (4 - v.lower_perm[1], 4 - v.lower_perm[0])
-        firsts.setdefault(frozenset(moved[k] for k in _BASES[v.base][0][3:]), v)
+    for v in all_variants():  # keyed by the forms the lower slots sum
+        firsts.setdefault(frozenset(_image_forms(v)[3:]), v)
     return tuple(firsts.values())
 
 
@@ -174,7 +184,7 @@ CLASS_REPRESENTATIVES = _class_representatives()
 
 def distinct_images(p: ParamSet,
                     variants: Optional[Iterable[ThomaeVariant]] = None
-                    ) -> list[tuple[ThomaeVariant, ParamSet]]:
+                    ) -> list[tuple[ThomaeVariant, tuple]]:
     """One representative variant per distinct image multiset, in order.
 
     Without ``variants`` only the ten ``CLASS_REPRESENTATIVES`` are applied,
@@ -183,23 +193,25 @@ def distinct_images(p: ParamSet,
     the result equals a scan of all 120 for every parameter set, even where
     classes coincide.  ``apply_variant`` gives a variant's prefactor.
 
-    ``p`` is encoded once as integer slot rows (``int_rows``); each image is
-    an integer combination of them, two images are the same multiset when
-    their sorted upper and lower rows are, and only the slots of distinct
-    images are built as ``LinExpr``, once per distinct row.
+    Each image is ``(variant, (syms, rows, den))``: its five slot rows over
+    the symbols and common denominator of ``p``'s ``slot_rows``, so that
+    ``row_lin(syms, row, den)`` is a slot.  A slot row is half a sum of
+    doubled forms (``_image_forms``), made once per set of forms; two images
+    are the same multiset when their sorted upper and lower rows are.
     """
-    syms, rows, den = int_rows(_slots(IDENTITY_VARIANT, p))
+    syms, rows, den = slot_rows(tuple(_slots(IDENTITY_VARIANT, p)))
+    twice = combine_rows(DOUBLED_FORMS, rows)
+
+    @cache
+    def half_sum(forms: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([sum(col) // 2 for col in zip(*[twice[k] for k in forms])])
+
     seen: set = set()
-    lins: dict[tuple[int, ...], LinExpr] = {}
     out = []
     for v in (variants if variants is not None else CLASS_REPRESENTATIVES):
-        img = combine_rows(_BASES[v.base][1],
-                           [rows[i] for i in v.upper_perm] +
-                           [rows[3 + i] for i in v.lower_perm])
+        img = [half_sum(forms) for forms in _image_forms(v)]
         k = (tuple(sorted(img[:3])), tuple(sorted(img[3:])))
         if k not in seen:
             seen.add(k)
-            slots = [lins[r] if r in lins else
-                     lins.setdefault(r, row_lin(syms, r, den)) for r in img]
-            out.append((v, ParamSet(tuple(slots[:3]), tuple(slots[3:]))))
+            out.append((v, (syms, img, den)))
     return out

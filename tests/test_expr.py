@@ -24,7 +24,7 @@ from hyp321.expr import (Add, Assignment, Const, Cos, FiniteSum, Gamma, Lin,
                          Mul, Neg, Pi, Pochhammer, Polygamma, Pow, Recip, Sin,
                          WatsonFn, WatsonRef, cpolygamma,
                          is_near_nonpositive_integer, rising_factorial)
-from hyp321.parser import parse_expr
+from hyp321.parser import parse_expr, parse_linexpr
 from hyp321.series import sample_continuous
 
 a, b, c = E.sym("a"), E.sym("b"), E.sym("c")
@@ -106,6 +106,71 @@ class TestLinExpr:
         assert E.LinExpr.of(5).as_integer() == 5
         assert E.LinExpr.of(Q(1, 2)).as_integer() is None
         assert E.LinExpr.of(a).as_integer() is None
+
+
+_PICKLE_A_HASHED_FORM = """
+import pickle, sys
+from fractions import Fraction
+from hyp321.expr import LinExpr, sym
+form = LinExpr.of(sym("a")) * Fraction(2, 3) - sym("n") + Fraction(5, 4)
+hash(form)
+sys.stdout.write(pickle.dumps(form).hex())
+"""
+
+
+def _three_ways(text, syms, row, den):
+    """One form built by the parser, by ``row_lin`` from an integer row
+    over ``syms`` and ``den``, and by ``combine`` of the symbols."""
+    lin = E.row_lin(syms, row, den)
+    return (parse_linexpr(text), lin,
+            E.combine([c for _, c in lin.terms],
+                      [E.LinExpr.of(s) for s, _ in lin.terms], -lin.const))
+
+
+class TestLinExprHash:
+    """A ``LinExpr`` hashes once, to the value of its dataclass hash, and
+    its hash is not part of its pickled state."""
+
+    CASES = (("a/2 + 3*b - 1/3", (a, b), (3, 18, -2), 6),
+             ("n - 2*a + 5", (a, n), (-2, 1, 5), 1),
+             ("7/4", (), (7,), 4),
+             ("b", (a, b), (0, 4, 0), 4))
+
+    @pytest.mark.parametrize("text,syms,row,den", CASES)
+    def test_equal_forms_hash_alike(self, text, syms, row, den):
+        forms = _three_ways(text, syms, row, den)
+        for form in forms:
+            assert form == forms[0]
+            assert hash(form) == hash((form.terms, form.const))
+            assert hash(form) == hash(forms[0])
+        assert len({*forms}) == 1 and {forms[0]: 1}[forms[2]] == 1
+
+    def test_hash_is_kept_and_not_pickled(self):
+        form = E.LinExpr.of(a) * Q(2, 3) - b + 1
+        fresh = E.LinExpr(form.terms, form.const)
+        assert hash(form) == hash(form) == hash((form.terms, form.const))
+        assert "_hash" in vars(form)
+        assert form.__getstate__() == {"terms": form.terms,
+                                       "const": form.const}
+        assert pickle.dumps(form) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(form))
+        assert "_hash" not in vars(back)
+        assert back == form and hash(back) == hash(form)
+
+    def test_pickle_from_another_hash_seed(self):
+        """A form hashed and pickled under another PYTHONHASHSEED hashes
+        here as a form built here, so it finds its dict entry."""
+        src = str(Path(E.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
+        if os.environ.get("PYTHONHASHSEED") == "12345":
+            env["PYTHONHASHSEED"] = "54321"
+        out = subprocess.run([sys.executable, "-c", _PICKLE_A_HASHED_FORM],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout
+        got = pickle.loads(bytes.fromhex(out))
+        here = E.LinExpr.of(a) * Q(2, 3) - n + Q(5, 4)
+        assert hash(got) == hash(here) == hash((got.terms, got.const))
+        assert {here: "here"}[got] == "here"
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from hyp321.thomae import (CLASS_REPRESENTATIVES, LOWER_PERMS, UPPER_PERMS,
                            ThomaeVariant, all_variants, apply_variant,
                            five_forms)
 from test_golden_matcher import QUERIES, closure_pool
+from test_thomae import decoded
 
 a, b, c, n = E.sym("a"), E.sym("b"), E.sym("c"), E.sym("n")
 L = E.sym("L")
@@ -158,10 +159,13 @@ class TestCompiledUnify:
         hits = pairs = 0
         for query_entry in db[::STRIDE]:
             q = _renamed(query_entry.lhs)
-            for _, img, _ in _images_of(q.upper, q.lower):
+            for _, image in _images_of(q.upper, q.lower):
                 for entry in db:
                     pairs += 1
-                    hits += bool(_assert_matches_reference(entry.lhs, img))
+                    got = _assert_matches_reference(entry.lhs, decoded(image))
+                    assert [sub.mapping for sub in unify(entry.lhs, image)] \
+                        == got, (entry.id, query_entry.id)
+                    hits += bool(got)
         assert pairs > 2000 and hits > 50
 
     def test_template_and_query_share_names(self):
@@ -284,8 +288,8 @@ def test_invertible_pair_agrees_with_each_witness():
     verdicts = []
     for e1, e2 in product(pool, repeat=2):
         pair = _invertible_pair(e1, e2)
-        for _, img, encoded in _images_of(e1.lhs.upper, e1.lhs.lower):
-            for sub in unify(e2.lhs, img, encoded):
+        for _, image in _images_of(e1.lhs.upper, e1.lhs.lower):
+            for sub in unify(e2.lhs, image):
                 assert _invertible(sub) == pair, (e1.id, e2.id, str(sub))
                 verdicts.append(pair)
     assert len(verdicts) > 1000 and verdicts.count(False) > 300
@@ -359,6 +363,28 @@ class TestUnify:
         p = get_entry(seed_db(), "B.37").lhs
         with pytest.raises(ValueError):
             unify(p, ParamSet.make([a, b], [c]))
+        with pytest.raises(ValueError):
+            unify(ParamSet.make([a, b], [c]), E.int_rows(p.upper + p.lower))
+
+    def test_encoded_query_at_any_common_scale(self):
+        """An encoded query gives the substitutions of its ParamSet, with
+        its rows and denominator scaled together by any positive factor."""
+        db = seed_db()
+        hits = 0
+        for query_entry in db[::STRIDE]:
+            for _, image in _images_of(query_entry.lhs.upper,
+                                       query_entry.lhs.lower):
+                syms, rows, den = image
+                for entry in db[::2]:
+                    want = [s.mapping for s in unify(entry.lhs,
+                                                     decoded(image))]
+                    for k in (1, 6):
+                        scaled = (syms, [[k * x for x in row] for row in rows],
+                                  k * den)
+                        got = unify(entry.lhs, scaled)
+                        assert [s.mapping for s in got] == want, entry.id
+                    hits += bool(want)
+        assert hits > 20
 
 
 class TestIdentify:
@@ -611,6 +637,17 @@ class TestCull:
         kept = cull([e, image])
         assert image in kept
 
+    def test_repeated_entry_kept_once(self):
+        """An entry given twice survives once, at its first place; flagged
+        entries are kept as they come, repeats included."""
+        db = seed_db()
+        e, other = get_entry(db, "B.37"), get_entry(db, "B.17")
+        flagged = dataclasses.replace(e, id="T.FLAG", status="flagged")
+        assert cull([e, e]) == [e]
+        kept = cull([other, e, flagged, e, other, flagged])
+        assert [id(x) for x in kept] == \
+            [id(other), id(e), id(flagged), id(flagged)]
+
     def test_subset_pipeline_properties(self):
         pool = _planted_pool()
         kept = cull(pool)
@@ -826,8 +863,8 @@ class TestCaptureAvoidingSubstitute:
         for entry in db:
             trees = (entry.rhs, *(d for _, d in entry.derived))
             for query in QUERIES.values():
-                for _, img, encoded in _images_of(query.upper, query.lower):
-                    for sub in unify(entry.lhs, img, encoded):
+                for _, image in _images_of(query.upper, query.lower):
+                    for sub in unify(entry.lhs, image):
                         pairs += [(tree, sub) for tree in trees]
                         subs.add(sub)
         trees = [t for e in db for t in (e.rhs, *(d for _, d in e.derived))]

@@ -97,20 +97,32 @@ def _draw(rng):
 
 def _scan(p, variants):
     """Reference for ``distinct_images``: apply every variant in turn and
-    keep the first to reach each image."""
+    keep the first to reach each image, as a multiset."""
     seen = set()
     out = []
     for v in variants:
         img, pref = apply_variant(v, p)
         if img.key() not in seen:
             seen.add(img.key())
-            out.append((v.name, img.key(), pref))
+            out.append((v.name, img.upper, img.lower, pref))
     return out
 
 
+def decoded(image):
+    """An image ``(syms, rows, den)`` of ``distinct_images`` as a ParamSet,
+    each slot decoded by ``row_lin``."""
+    syms, rows, den = image
+    slots = [E.row_lin(syms, row, den) for row in rows]
+    return ParamSet(tuple(slots[:3]), tuple(slots[3:]))
+
+
 def _images(p, variants=None):
-    return [(v.name, img.key(), apply_variant(v, p)[1])
-            for v, img in distinct_images(p, variants)]
+    """``distinct_images`` of ``p``, decoded, in the shape of ``_scan``."""
+    out = []
+    for v, img in distinct_images(p, variants):
+        q = decoded(img)
+        out.append((v.name, q.upper, q.lower, apply_variant(v, p)[1]))
+    return out
 
 
 class TestNumericIdentity:
@@ -187,14 +199,14 @@ class TestStructure:
         # difference-type images) and 10 (the identity class)
         assert sorted(set(v.base for v, _ in imgs)) == [1, 3, 10]
         # and every base image appears among the ten classes
-        keys = {img.key() for _, img in imgs}
+        keys = {decoded(img).key() for _, img in imgs}
         for base in range(1, 11):
             img, _ = apply_variant(ThomaeVariant(base), GENERIC)
             assert img.key() in keys
 
     def test_group_closure_images(self):
         """Applying any variant to any image lands back in the ten classes."""
-        class_keys = {img.key() for _, img in distinct_images(GENERIC)}
+        class_keys = {decoded(img).key() for _, img in distinct_images(GENERIC)}
         first, _ = apply_variant(ThomaeVariant(5), GENERIC)
         for v in all_variants()[::7]:
             img, _ = apply_variant(v, first)
@@ -211,12 +223,14 @@ class TestStructure:
 
 class TestDistinctImages:
     def test_representatives_head_the_generic_classes(self):
-        assert [name for name, _, _ in _scan(GENERIC, all_variants())] == \
+        assert [name for name, *_ in _scan(GENERIC, all_variants())] == \
             [v.name for v in CLASS_REPRESENTATIVES]
 
-    @pytest.mark.parametrize("name", sorted(SPECIAL))
-    def test_matches_full_scan_on_special_sets(self, name):
-        p = SPECIAL[name]
+    @pytest.mark.parametrize("p", [pytest.param(GENERIC, id="generic")] + [
+        pytest.param(SPECIAL[k], id=k) for k in sorted(SPECIAL)])
+    def test_matches_full_scan_on_special_sets(self, p):
+        """The encoded images lose nothing: decoded slot by slot, they are
+        the ``apply_variant`` images of the full scan, in its order."""
         assert _images(p) == _scan(p, all_variants())
         with_identity = (IDENTITY_VARIANT,) + CLASS_REPRESENTATIVES
         assert _images(p, with_identity) == \
