@@ -148,12 +148,14 @@ def _symbols(lhs: ParamSet, rhs: Expr,
 # Building the seeded database
 # ---------------------------------------------------------------------------
 
-def _build_entry(raw: dict) -> DbEntry:
-    upper = parse_param_list(raw["upper"])
-    lower = parse_param_list(raw["lower"])
-    lhs = ParamSet(tuple(upper), tuple(lower))
-    rhs = parse_expr(raw["rhs"])
-    derived = tuple((sym(name), parse_expr(d))
+def _build_entry(raw: dict, memo: Optional[dict] = None) -> DbEntry:
+    """The entry of a ``RAW_ENTRIES`` row; ``memo`` shares call subtrees
+    between the rows of one build (``parser.parse_expr``)."""
+    upper = parse_param_list(raw["upper"], memo)
+    lower = parse_param_list(raw["lower"], memo)
+    lhs = ParamSet(upper, lower)
+    rhs = parse_expr(raw["rhs"], memo)
+    derived = tuple((sym(name), parse_expr(d, memo))
                     for name, d in raw.get("derived", []))
     ints = raw.get("ints", {})
     int_symbols = tuple(
@@ -206,7 +208,8 @@ def seed_db() -> list[DbEntry]:
     """The built-in database (parsed once, then cached)."""
     global _SEED_CACHE
     if _SEED_CACHE is None:
-        entries = [_build_entry(raw) for raw in RAW_ENTRIES]
+        memo: dict = {}  # this build's, dropped with it
+        entries = [_build_entry(raw, memo) for raw in RAW_ENTRIES]
         by_id = {e.id: e for e in entries}
         entries.extend(_contiguous_transplants(by_id))
         _SEED_CACHE = tuple(entries)

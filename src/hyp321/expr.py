@@ -40,6 +40,11 @@ INTEGER_SYMBOL_NAMES = frozenset({"n", "m", "L", "k", "N", "M"})
 #: lower-pole and Karlsson–Minton tests use it too.
 POLE_TOL = 1e-12
 
+#: Deepest tree, in nested nodes, read from text (the parser bounds what it
+#: may build) or JSON; deeper input is a ParseError, not a RecursionError
+#: in the reader or in a later walk of the tree.
+MAX_DEPTH = 100
+
 
 @dataclass(frozen=True, order=True)
 class Symbol:
@@ -827,7 +832,10 @@ def expr_to_json(e: Expr):
     return out
 
 
-def expr_from_json(j) -> Expr:
+def expr_from_json(j, depth: int = 1) -> Expr:
+    """The tree of the JSON form ``j``, a node at nesting ``depth``."""
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels")
     if not isinstance(j, list) or not j:
         raise ParseError(f"bad expression node {j!r}")
     tag, *items = j
@@ -839,15 +847,16 @@ def expr_from_json(j) -> Expr:
     if len(items) != len(shape):
         raise ParseError(f"malformed {tag!r} node: {len(shape)} field(s) "
                          f"expected, got {len(items)}")
-    return _NODE_OF_TAG[tag](*(_FROM_JSON[kind](x)
-                               for (_, kind), x in zip(shape, items)))
+    return _NODE_OF_TAG[tag](*(
+        expr_from_json(x, depth + 1) if kind == EXPR else
+        tuple(expr_from_json(y, depth + 1) for y in x) if kind == EXPRS else
+        _FROM_JSON[kind](x) for (_, kind), x in zip(shape, items)))
 
 
 #: how a field of each kind is written to and read from the JSON form
 _TO_JSON = {EXPR: expr_to_json, LIN: lin_to_flat, INDEX: lambda s: s.name,
             FRAC: _frac_to_str, INT: int}
-_FROM_JSON = {EXPR: expr_from_json, LIN: lin_from_flat, FRAC: frac_from_str,
-              EXPRS: lambda js: tuple(map(expr_from_json, js)),
+_FROM_JSON = {LIN: lin_from_flat, FRAC: frac_from_str,
               INDEX: lambda x: sym(_require(x, str, "sum index")),
               INT: lambda x: _require(x, int, "integer field")}
 _NODE_OF_TAG = {tag: node for node, tag in JSON_TAGS.items()}

@@ -214,19 +214,31 @@ def unify(template: ParamSet, query: ParamSet | tuple) -> list[Substitution]:
     offsets = [qden * off for off in comp.offset]
     det = comp.det * qden
     continuous = [i for i, s in enumerate(qsyms) if s.kind != "integer"]
-    solved = [[_aligned_dots(row, col) for col in cols + [const]]
-              for row in comp.inverse]
+    solved = {}  # template symbol -> its row's dots on each query column
+
+    def solution(i: int, a: int) -> tuple[int, ...]:  # symbol i, alignment a
+        return tuple([d[a] for d in solved[i][:-1]] +
+                     [solved[i][-1][a] - offsets[i]])
+
+    # the integer rows first, so that no other row is formed for an
+    # alignment that binds an integer symbol badly
+    for i in sorted(range(len(comp.syms)), key=lambda i: i not in comp.integer):
+        solved[i] = [_aligned_dots(comp.inverse[i], col)
+                     for col in cols + [const]]
+        if i in comp.integer:
+            alive = [a for a in alive if _integer_binding_ok(
+                solution(i, a), det, continuous)]
+            if not alive:
+                return []
     out: list[Substitution] = []
     seen: set = set()
     for a in alive:
-        sol = tuple(tuple([dots[a] for dots in row[:-1]] + [row[-1][a] - off])
-                    for row, off in zip(solved, offsets))
-        if sol in seen or not all(_integer_binding_ok(sol[i], det, continuous)
-                                  for i in comp.integer):
-            continue
-        seen.add(sol)
-        out.append(Substitution(tuple(
-            (s, row_lin(qsyms, row, det)) for s, row in zip(comp.syms, sol))))
+        sol = tuple(solution(i, a) for i in range(len(comp.syms)))
+        if sol not in seen:
+            seen.add(sol)
+            out.append(Substitution(tuple(
+                (s, row_lin(qsyms, row, det))
+                for s, row in zip(comp.syms, sol))))
     return out
 
 

@@ -420,6 +420,26 @@ class TestExitPaths:
         assert err == ("error: expected 3 upper and 2 lower parameters, "
                        "got 2/2\n")
 
+    def test_deeply_nested_parameter_is_a_usage_error(self, capsys):
+        deep = "(" * 400 + "1" + ")" * 400
+        code, out, err = run(capsys, "eval", "--upper", f"{deep},1,1",
+                             "--lower", "2,3")
+        assert code == 2 and not out
+        assert err.startswith("error: expression nested deeper than 100 "
+                              "levels (at position ")
+
+    def test_deeply_nested_database_rhs_is_a_usage_error(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "deep.json"
+        save_db([get_entry(seed_db(), "B.37")], str(path))
+        doc = json.loads(path.read_text())
+        for _ in range(600):
+            doc["entries"][0]["rhs"] = ["Neg", doc["entries"][0]["rhs"]]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "--db", str(path), "db", "list")
+        assert code == 2 and not out
+        assert err == "error: expression nested deeper than 100 levels\n"
+
     def test_symbolic_element_argument(self, capsys):
         code, out, err = run(capsys, "watson", "--a", "x", "--b", "0.5",
                              "--c", "1.4", "--m", "0", "--n", "0")
