@@ -7,10 +7,9 @@ parameters are nonlinear functions of the base symbols carry *derived*
 symbols: extra continuous names defined by an expression in the base symbols,
 so the parameter lists stay affine.
 
-Verification samples the free symbols (integers small, continuous ones from a
-fixed box), repairs the parametric excess into the convergence region when
-possible, and compares the direct-summation oracle against the evaluated
-closed form.
+Verification compares the direct-summation oracle against the evaluated
+closed form at points from :meth:`DbEntry.draw`, the one sampler of an
+entry's convergent domain, which the ``cull`` witness check shares.
 """
 
 from __future__ import annotations
@@ -116,6 +115,31 @@ class DbEntry:
                     if not skip_unbound:
                         raise
         return True
+
+    def draw(self, rng) -> dict[Symbol, complex] | str:
+        """A point of the entry's convergent domain: the continuous symbols
+        from the sampling box, a point of ``int_grid``, the derived symbols,
+        and a divergent excess moved to a drawn target along one continuous
+        symbol; or the refusing gate, "constraints" (no grid) or "excess"."""
+        if not self.int_grid:
+            return "constraints"
+        base = {s: sample_continuous(rng) for s in self.base_continuous()}
+        base |= rng.choice(self.int_grid)
+        full = self.assignment_with_derived(base)
+        if converges_at(self.lhs, self.excess, full):
+            return full
+
+        def excess_at(point: Mapping[Symbol, complex]) -> float:
+            return self.excess.eval(self.assignment_with_derived(point)).real
+
+        target = 0.45 + 0.4 * rng.random()
+        for s in self.base_continuous():
+            fixed = _newton_shift(excess_at, dict(base), s, target)
+            if fixed is not None:
+                # _newton_shift evaluated this point's excess without error
+                # and found it within 0.02 of target >= 0.45: it converges
+                return self.assignment_with_derived(fixed)
+        return "excess"
 
 
 @dataclass(frozen=True)
@@ -280,18 +304,13 @@ def converges_at(p: ParamSet, exc: LinExpr, full: Mapping) -> bool:
     return is_terminating(p, full) or exc.eval(full).real > 0.3
 
 
-def _excess_at(entry: DbEntry, base: Mapping[Symbol, complex]) -> float:
-    full = entry.assignment_with_derived(base)
-    return entry.excess.eval(full).real
-
-
-def _newton_shift(entry: DbEntry, base: dict[Symbol, complex], s: Symbol,
-                  target: float) -> Optional[dict[Symbol, complex]]:
-    """Move one continuous symbol until the excess hits ``target``."""
+def _newton_shift(excess_at: Callable, base: dict[Symbol, complex],
+                  s: Symbol, target: float) -> Optional[dict[Symbol, complex]]:
+    """Move one continuous symbol until ``excess_at`` hits ``target``."""
     h = 1e-5
     for _ in range(14):
         try:
-            cur = _excess_at(entry, base)
+            cur = excess_at(base)
         except RECOVERABLE:
             return None
         if abs(cur - target) < 0.02:
@@ -299,7 +318,7 @@ def _newton_shift(entry: DbEntry, base: dict[Symbol, complex], s: Symbol,
         bumped = dict(base)
         bumped[s] = base[s] + h
         try:
-            grad = (_excess_at(entry, bumped) - cur) / h
+            grad = (excess_at(bumped) - cur) / h
         except RECOVERABLE:
             return None
         if abs(grad) < 1e-9:
@@ -308,23 +327,6 @@ def _newton_shift(entry: DbEntry, base: dict[Symbol, complex], s: Symbol,
         if abs(nxt) > 60 or nxt != nxt:
             return None
         base[s] = nxt
-    return None
-
-
-def repaired_assignment(entry: DbEntry, base: dict[Symbol, complex],
-                         rng) -> Optional[dict[Symbol, complex]]:
-    """Full assignment with the excess pushed into the convergence region,
-    or None.  Draws from ``rng`` only when it repairs."""
-    full = entry.assignment_with_derived(base)
-    if converges_at(entry.lhs, entry.excess, full):
-        return full
-    target = 0.45 + 0.4 * rng.random()
-    for s in entry.base_continuous():
-        fixed = _newton_shift(entry, dict(base), s, target)
-        if fixed is not None:
-            # _newton_shift evaluated this point's excess without error and
-            # found it within 0.02 of target >= 0.45, so it converges
-            return entry.assignment_with_derived(fixed)
     return None
 
 
@@ -362,13 +364,13 @@ def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
                  rel_tol: Optional[float] = None) -> VerificationReport:
     """Check an entry numerically at ``trials`` (at least 3) random points.
 
-    Draw integer symbols small, continuous symbols from the sampling box,
-    evaluate derived symbols, repair the excess if the series would diverge,
-    then compare oracle and closed form.  Draws where either side hits a pole
-    or the series cannot be summed are discarded and redrawn; fewer than three
-    comparisons raise :class:`InsufficientSamples`, naming the discards.
-    Fewer than 3 trials, or a tolerance (``rel_tol``, else the entry's) that
-    is not finite and positive, raise :class:`ShapeError`.
+    The points are the entry's own draws (:meth:`DbEntry.draw`), where the
+    oracle is compared with the closed form.  Draws that ``draw`` refuses,
+    or where either side hits a pole or the series cannot be summed, are
+    discarded and redrawn; fewer than three comparisons raise
+    :class:`InsufficientSamples`, naming the discards.  Fewer than 3 trials,
+    or a tolerance (``rel_tol``, else the entry's) that is not finite and
+    positive, raise :class:`ShapeError`.
     """
     if trials < 3:
         raise ShapeError(f"verify needs at least 3 trials, got {trials}")
@@ -376,17 +378,9 @@ def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
     check_tol(tol)
     series_tol = min(1e-10, tol / 100.0)
 
-    def draw(rng):
-        ints = {s: rng.randint(*r) for s, r in entry.int_ranges.items()}
-        if not entry.ints_hold(ints):
-            return "constraints"
-        full = repaired_assignment(entry, ints | {
-            s: sample_continuous(rng) for s in entry.base_continuous()}, rng)
-        return "excess" if full is None else full
-
     samples, discarded = [], Counter()
     for out in sample_checks(
-            entry_rng(entry.id, seed), 100 * trials, draw,
+            entry_rng(entry.id, seed), 100 * trials, entry.draw,
             lambda full: series_pfq(entry.lhs, full, rel_tol=series_tol).value,
             lambda full: eval_expr(entry.rhs, full, watson=watson_element)):
         if isinstance(out, str):

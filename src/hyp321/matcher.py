@@ -28,7 +28,7 @@ from typing import Iterator, Optional, Sequence
 
 from .contiguous import watson_element
 from .database import (DbEntry, SampleRecord, converges_at, entry_rng,
-                       repaired_assignment, sample_checks)
+                       sample_checks)
 from .errors import Hyp321Error, ShapeError
 from .expr import (Expr, LinExpr, Mul, Symbol, combine_rows, eval_expr,
                    free_symbols, int_rows, nearest_integer, row_lin,
@@ -274,6 +274,7 @@ def _spot_samples(query: ParamSet, match: MatchResult, entry: DbEntry,
         if not free_symbols(d) <= base:
             return None
         base.add(s)
+    query_excess = excess(query)
 
     def draw(rng):
         full = {s: rng.randint(1, 4) if s.kind == "integer"
@@ -286,7 +287,7 @@ def _spot_samples(query: ParamSet, match: MatchResult, entry: DbEntry,
         if None in ivals.values() or not entry.ints_hold(
                 {s: complex(v) for s, v in ivals.items()}):
             return "constraints"
-        return full if converges_at(query, excess(query), full) else "excess"
+        return full if converges_at(query, query_excess, full) else "excess"
 
     return sample_checks(
         entry_rng(match.entry_id + "|" + match.variant.name, seed),
@@ -466,17 +467,16 @@ def _images_of(upper: tuple[LinExpr, ...], lower: tuple[LinExpr, ...]
 
 
 def _witness_samples(e1: DbEntry, v: ThomaeVariant, tries: int) -> Iterator:
-    """Outcomes of F(lhs) = prefactor * F(image) at legal draws of ``e1``."""
+    """Outcomes of F(lhs) = prefactor * F(image) at ``e1.draw`` points,
+    where the image must converge too."""
     img, pref = apply_variant(v, e1.lhs)
-    img_excess, grid = excess(img), e1.int_grid
-    if not grid:  # no legal integer assignment: nothing to draw
-        return iter(())
+    img_excess = excess(img)
 
     def draw(rng):
-        base = {s: sample_continuous(rng) for s in e1.base_continuous()}
-        full = repaired_assignment(e1, base | rng.choice(grid), rng)
-        ok = full is not None and converges_at(img, img_excess, full)
-        return full if ok else "excess"
+        full = e1.draw(rng)
+        if isinstance(full, str) or converges_at(img, img_excess, full):
+            return full
+        return "excess"
 
     return sample_checks(
         entry_rng(e1.id + "|" + v.name, 0), tries, draw,

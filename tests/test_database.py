@@ -10,10 +10,10 @@ import pytest
 from hyp321 import database
 from hyp321 import expr as E
 from hyp321.database import (converges_at, db_from_json, db_to_json,
-                             dumps_db, entry_from_json, entry_to_json,
-                             get_entry, load_db, parse_constraint,
-                             sample_checks, save_db, seed_db, verify_all,
-                             verify_entry, _build_entry)
+                             dumps_db, entry_from_json, entry_rng,
+                             entry_to_json, get_entry, load_db,
+                             parse_constraint, sample_checks, save_db,
+                             seed_db, verify_all, verify_entry, _build_entry)
 from hyp321.entries import RAW_ENTRIES
 from hyp321.errors import (AnchorPole, Hyp321Error, InsufficientSamples,
                            ParseError, PoleError, SchemaVersionMismatch,
@@ -270,6 +270,47 @@ class TestIntegerDomain:
                 values = dict(sample.assignment)
                 ints = {s: values[s.name] for s in entry.int_ranges}
                 assert ints in entry.int_grid, (entry.id, ints)
+
+
+class TestDraw:
+    """``DbEntry.draw``, the one sampler of verification and of the cull's
+    witness check."""
+
+    def test_outcomes_are_legal_convergent_points(self):
+        empty = _n_entry(["n>=5", "n<5"])
+        for entry in seed_db() + [empty]:
+            rng = entry_rng(entry.id, 0)
+            derived = {s for s, _ in entry.derived}
+            for _ in range(20):
+                out = entry.draw(rng)
+                if isinstance(out, str):
+                    assert out in ("constraints", "excess"), (entry.id, out)
+                    assert (out == "constraints") == (not entry.int_grid)
+                    continue
+                assert entry.int_grid, entry.id
+                base = {s: v for s, v in out.items() if s not in derived}
+                assert base.keys() == \
+                    set(entry.base_continuous()) | entry.int_ranges.keys()
+                assert {s: out[s] for s in entry.int_ranges} in entry.int_grid
+                assert out == entry.assignment_with_derived(base), entry.id
+                assert converges_at(entry.lhs, entry.excess, out), entry.id
+
+    def test_verify_takes_the_first_usable_draws(self):
+        entry = get_entry(seed_db(), "B.1")  # integer symbols m and n
+        report = verify_entry(entry, trials=5, seed=3)
+        rng, usable = entry_rng("B.1", 3), []
+        while len(usable) < 5:
+            out = entry.draw(rng)
+            if not isinstance(out, str):
+                usable.append(tuple(sorted((s.name, v)
+                                           for s, v in out.items())))
+        assert [s.assignment for s in report.samples] == usable
+
+    def test_no_legal_integer_point_is_named(self):
+        with pytest.raises(InsufficientSamples,
+                           match=r"after 500 draws \(discarded: "
+                                 r"constraints 500\)"):
+            verify_entry(_n_entry(["n>=5", "n<5"]), trials=5)
 
 
 class TestSerialization:
