@@ -7,9 +7,11 @@ parameters are nonlinear functions of the base symbols carry *derived*
 symbols: extra continuous names defined by an expression in the base symbols,
 so the parameter lists stay affine.
 
-Verification compares the direct-summation oracle against the evaluated
-closed form at points from :meth:`DbEntry.draw`, the one sampler of an
-entry's convergent domain, which the ``cull`` witness check shares.
+Verification, and the ``identify`` spot check on each hit built as an entry
+in the query's symbols, compare the direct-summation oracle against the
+evaluated closed form (:meth:`DbEntry.checks`) at points from
+:meth:`DbEntry.draw`, the one sampler of an entry's convergent domain, which
+the ``cull`` witness check shares.
 """
 
 from __future__ import annotations
@@ -106,6 +108,7 @@ class DbEntry:
         A constraint that cannot be evaluated (it names a symbol missing from
         ``values``) raises, or is skipped when ``skip_unbound`` is set.
         """
+        values = {sym(s.name): v for s, v in values.items()}  # by name
         for _, constraints in self.int_symbols:
             for text in constraints:
                 try:
@@ -120,7 +123,9 @@ class DbEntry:
         """A point of the entry's convergent domain: the continuous symbols
         from the sampling box, a point of ``int_grid``, the derived symbols,
         and a divergent excess moved to a drawn target along one continuous
-        symbol; or the refusing gate, "constraints" (no grid) or "excess"."""
+        symbol; or the refusing gate, "constraints" (no grid) or "excess".
+        The sampler of all three numeric checks: ``checks`` (verification,
+        the spot check) and the witness."""
         if not self.int_grid:
             return "constraints"
         base = {s: sample_continuous(rng) for s in self.base_continuous()}
@@ -140,6 +145,14 @@ class DbEntry:
                 # and found it within 0.02 of target >= 0.45: it converges
                 return self.assignment_with_derived(fixed)
         return "excess"
+
+    def checks(self, seed: int, tries: int, series_tol: float) -> Iterator:
+        """``sample_checks`` of the oracle against the closed form, at up to
+        ``tries`` draws from the rng of ``id`` and ``seed``."""
+        return sample_checks(
+            entry_rng(self.id, seed), tries, self.draw,
+            lambda full: series_pfq(self.lhs, full, rel_tol=series_tol).value,
+            lambda full: eval_expr(self.rhs, full, watson=watson_element))
 
 
 @dataclass(frozen=True)
@@ -287,8 +300,8 @@ def parse_constraint(text: str) -> Constraint:
 
 
 def _int_range(constraints: Sequence[str], s: Symbol) -> tuple[int, int]:
-    """``DbEntry.int_ranges``' rule for one integer symbol ``s``."""
-    lo = 0
+    """``DbEntry.int_ranges``' rule for one integer symbol, named by name."""
+    s, lo = sym(s.name), 0
     for c in map(parse_constraint, constraints):
         d = c.lhs - c.rhs
         if d.free_symbols() == {s}:
@@ -364,8 +377,8 @@ def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
                  rel_tol: Optional[float] = None) -> VerificationReport:
     """Check an entry numerically at ``trials`` (at least 3) random points.
 
-    The points are the entry's own draws (:meth:`DbEntry.draw`), where the
-    oracle is compared with the closed form.  Draws that ``draw`` refuses,
+    The points are the entry's own draws, where the oracle is compared with
+    the closed form (:meth:`DbEntry.checks`).  Draws that ``draw`` refuses,
     or where either side hits a pole or the series cannot be summed, are
     discarded and redrawn; fewer than three comparisons raise
     :class:`InsufficientSamples`, naming the discards.  Fewer than 3 trials,
@@ -379,10 +392,7 @@ def verify_entry(entry: DbEntry, trials: int = 5, seed: int = 0,
     series_tol = min(1e-10, tol / 100.0)
 
     samples, discarded = [], Counter()
-    for out in sample_checks(
-            entry_rng(entry.id, seed), 100 * trials, entry.draw,
-            lambda full: series_pfq(entry.lhs, full, rel_tol=series_tol).value,
-            lambda full: eval_expr(entry.rhs, full, watson=watson_element)):
+    for out in entry.checks(seed, 100 * trials, series_tol):
         if isinstance(out, str):
             discarded[out] += 1
         else:

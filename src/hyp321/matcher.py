@@ -11,9 +11,8 @@ rows over one common denominator (``expr.slot_rows``) and eliminated with
 Python ints.  Thomae images stay in that encoding from
 ``thomae.distinct_images`` to ``unify``, and ``LinExpr`` values are built
 only for the substitutions that ``unify`` returns.  Floating-point values
-never participate in unification.
-Numeric evaluation is used only as an optional spot check on candidate
-matches.
+never participate in unification.  Numeric evaluation only checks a hit,
+as a ``DbEntry`` in the query's symbols at its own draws (``DbEntry.checks``).
 """
 
 from __future__ import annotations
@@ -26,15 +25,13 @@ from math import gcd
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .contiguous import watson_element
 from .database import (DbEntry, SampleRecord, converges_at, entry_rng,
-                       sample_checks)
+                       parse_constraint, sample_checks)
 from .errors import Hyp321Error, ShapeError
 from .expr import (Expr, LinExpr, Mul, Symbol, combine_rows, eval_expr,
-                   free_symbols, int_rows, nearest_integer, row_lin,
-                   slot_rows, substitute)
+                   free_symbols, int_rows, row_lin, slot_rows, substitute)
 from .series import (KARLSSON_MINTON_KMAX, ParamSet, check_tol, excess,
-                     sample_continuous, series_pfq)
+                     series_pfq)
 from .thomae import (CLASS_REPRESENTATIVES, DOUBLED_FORMS, IDENTITY_VARIANT,
                      LOWER_PERMS, UPPER_PERMS, ThomaeVariant, apply_variant,
                      distinct_images)
@@ -255,54 +252,46 @@ def _integer_binding_ok(row: tuple[int, ...], den: int,
 # Identification against the database
 # ---------------------------------------------------------------------------
 
-def _spot_samples(query: ParamSet, match: MatchResult, entry: DbEntry,
-                  seed: int) -> Optional[Iterator]:
-    """The spot check's outcomes (see ``sample_checks``), drawn lazily, or
-    None when an integer symbol of ``entry`` is unbound or a derived
-    definition uses a symbol not drawn or derived before it.  Up to 30
-    draws, or one when there is no symbol to draw: every draw is then the
-    same."""
-    base = set(query.free_symbols()).union(
+def _hit_entry(query: ParamSet, match: MatchResult,
+               entry: DbEntry) -> Optional[DbEntry]:
+    """The hit ``3F2(query) = instantiated_rhs`` as an entry in the query's
+    symbols: each integer symbol >= 1 and under every constraint of
+    ``entry`` carried through the substitution.  None when an integer
+    symbol of ``entry`` is unbound or a derived definition uses a symbol
+    not drawn or derived before it."""
+    smap = match.substitution.as_dict()
+    if any(s not in smap for s, _ in entry.int_symbols):
+        return None
+    syms = query.free_symbols().union(
         free_symbols(match.instantiated_rhs),
         *(free_symbols(d) for _, d in match.derived))
-    base -= {s for s, _ in match.derived}
-    order = sorted(base, key=lambda s: s.name)
-    submap = match.substitution.as_dict()
-    if any(s not in submap for s, _ in entry.int_symbols):
-        return None
+    known = set(syms) - {s for s, _ in match.derived}
     for s, d in match.derived:
-        if not free_symbols(d) <= base:
+        if not free_symbols(d) <= known:
             return None
-        base.add(s)
-    query_excess = excess(query)
-
-    def draw(rng):
-        full = {s: rng.randint(1, 4) if s.kind == "integer"
-                else sample_continuous(rng) for s in order}
-        for s, d in match.derived:
-            full[s] = eval_expr(d, full)
-        # respect the entry's own integer constraints at this draw
-        ivals = {s: nearest_integer(submap[s].eval(full), 1e-9)
-                 for s, _ in entry.int_symbols}
-        if None in ivals.values() or not entry.ints_hold(
-                {s: complex(v) for s, v in ivals.items()}):
-            return "constraints"
-        return full if converges_at(query, query_excess, full) else "excess"
-
-    return sample_checks(
-        entry_rng(match.entry_id + "|" + match.variant.name, seed),
-        30 if order else 1, draw,
-        lambda full: series_pfq(query, full, rel_tol=1e-10).value,
-        lambda full: eval_expr(match.instantiated_rhs, full,
-                               watson=watson_element))
+        known.add(s)
+    carried = tuple(f"{c.lhs.subs(smap)}{c.op}{c.rhs.subs(smap)}" for c in
+                    map(parse_constraint, (t for _, cs in entry.int_symbols
+                                           for t in cs)))
+    return DbEntry(
+        id=f"{match.entry_id}|{match.variant.name}", lhs=query,
+        rhs=match.instantiated_rhs,
+        int_symbols=tuple((s, (f"{s.name}>=1",) + carried) for s in sorted(
+            (s for s in syms if s.kind == "integer"), key=lambda s: s.name)),
+        derived=match.derived, excess=excess(query), provenance="")
 
 
 def _spot_check(query: ParamSet, match: MatchResult, entry: DbEntry,
                 seed: int, rel_tol: float) -> bool:
-    """Test a candidate match numerically at random legal assignments: False
-    only on a demonstrated mismatch, an untestable match is accepted."""
-    return next((o.rel_err < rel_tol for o in
-                 _spot_samples(query, match, entry, seed) or ()
+    """Test a candidate match numerically at the draws of its hit entry
+    (``_hit_entry``), 30 of them, or one when there is no symbol to draw:
+    False only on a demonstrated mismatch, an untestable match is
+    accepted."""
+    hit = _hit_entry(query, match, entry)
+    if hit is None:
+        return True
+    tries = 30 if hit.base_continuous() or hit.int_symbols else 1
+    return next((o.rel_err < rel_tol for o in hit.checks(seed, tries, 1e-10)
                  if isinstance(o, SampleRecord)), True)
 
 

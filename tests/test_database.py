@@ -3,13 +3,15 @@
 import dataclasses
 import hashlib
 import random
+from functools import cache
 from itertools import combinations, product
 
 import pytest
 
 from hyp321 import database
 from hyp321 import expr as E
-from hyp321.database import (converges_at, db_from_json, db_to_json,
+from hyp321 import matcher
+from hyp321.database import (DbEntry, converges_at, db_from_json, db_to_json,
                              dumps_db, entry_from_json, entry_rng,
                              entry_to_json, get_entry, load_db,
                              parse_constraint, sample_checks, save_db,
@@ -21,9 +23,39 @@ from hyp321.errors import (AnchorPole, Hyp321Error, InsufficientSamples,
                            UnknownEntry)
 from hyp321.parser import parse_expr
 from hyp321.series import ParamSet, excess, series_pfq, sum_series_numeric
-from test_golden_matcher import closure_pool
+from test_golden_matcher import QUERIES, closure_pool
 
 a, b, c, n, s = E.sym("a"), E.sym("b"), E.sym("c"), E.sym("n"), E.sym("s")
+#: an integer symbol outside ``expr.INTEGER_SYMBOL_NAMES``
+K0 = E.Symbol("k0", "integer")
+
+
+def k0_query():
+    """B.1's lhs with n renamed to ``K0``."""
+    b1 = get_entry(seed_db(), "B.1")
+    rename = {n: E.LinExpr.of(K0)}
+    return ParamSet(tuple(p.subs(rename) for p in b1.lhs.upper),
+                    tuple(p.subs(rename) for p in b1.lhs.lower))
+
+
+@cache
+def _hit_domains():
+    """(hit entry, entry, substitution) for every ``identify`` candidate of
+    CONJ.24's lhs, the README symbolic query and ``k0_query()``, the spot
+    check passing each, with the hit built as the spot check builds it."""
+    db, out = seed_db(), []
+    for query in (get_entry(db, "CONJ.24").lhs, QUERIES["symbolic"],
+                  k0_query()):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matcher, "_spot_check", lambda *args: True)
+            hits = matcher.identify(db, query, include_conjectures=True)
+        for h in hits:
+            entry = get_entry(db, h.entry_id)
+            hit = matcher._hit_entry(query, h, entry)
+            assert hit is not None, (h.entry_id, h.variant.name)
+            out.append((hit, entry, h.substitution.as_dict()))
+    assert len(out) == 24 + 24 + 48
+    return tuple(out)
 
 
 class TestGate:
@@ -227,7 +259,9 @@ def _domain_entries():
 
 def _constraints_hold(entry, values, partial=False):
     """Every parsed constraint of ``entry`` holds at ``values``; with
-    ``partial``, every one whose symbols ``values`` binds."""
+    ``partial``, every one whose symbols ``values`` binds.  A constraint
+    names its symbols by name."""
+    values = {E.sym(s.name): v for s, v in values.items()}
     parsed = [parse_constraint(t) for _, cs in entry.int_symbols for t in cs]
     return all(c.holds(values) for c in parsed if not partial or
                c.lhs.free_symbols() | c.rhs.free_symbols() <= values.keys())
@@ -235,7 +269,17 @@ def _constraints_hold(entry, values, partial=False):
 
 class TestIntegerDomain:
     """``DbEntry``'s integer domain against the parsed constraints, on every
-    seed entry and every image of the golden closure pool."""
+    seed entry and every image of the golden closure pool; the first two
+    tests also on the spot check's hit entries (``_hit_domains``)."""
+
+    def test_integer_symbol_outside_the_reserved_names(self):
+        lhs = ParamSet.make([a, -E.LinExpr.of(K0), b],
+                            [c, E.LinExpr.of(a) + b - c - K0 + 1])
+        entry = DbEntry(id="T.K0", lhs=lhs, rhs=E.Const(E.Q(1)),
+                        int_symbols=((K0, ("k0>=1",)),), derived=(),
+                        excess=excess(lhs), provenance="synthetic")
+        assert entry.int_ranges == {K0: (1, 4)}
+        assert entry.int_grid == tuple({K0: k} for k in range(1, 5))
 
     @staticmethod
     def _box(entry):
@@ -244,14 +288,14 @@ class TestIntegerDomain:
             *(range(lo, hi + 1) for lo, hi in entry.int_ranges.values()))]
 
     def test_grid_is_the_box_filtered_by_the_constraints(self):
-        for entry in _domain_entries():
+        for entry in _domain_entries() + [h for h, _, _ in _hit_domains()]:
             assert list(entry.int_ranges) == [s for s, _ in entry.int_symbols]
             want = [g for g in self._box(entry)
                     if _constraints_hold(entry, g)]
             assert list(entry.int_grid) == want, entry.id
 
     def test_ints_hold_agrees_with_each_constraint(self):
-        for entry in _domain_entries():
+        for entry in _domain_entries() + [h for h, _, _ in _hit_domains()]:
             syms = list(entry.int_ranges)
             for point in self._box(entry):
                 assert entry.ints_hold(point) == \
@@ -273,12 +317,16 @@ class TestIntegerDomain:
 
 
 class TestDraw:
-    """``DbEntry.draw``, the one sampler of verification and of the cull's
-    witness check."""
+    """``DbEntry.draw``, the one sampler of verification, of the
+    ``identify`` spot check and of the cull's witness check."""
 
     def test_outcomes_are_legal_convergent_points(self):
+        """On every seed entry and every spot-check hit entry: each point
+        lies in the grid, converges, and meets the constraints of the entry
+        it was built from at the substituted values."""
         empty = _n_entry(["n>=5", "n<5"])
-        for entry in seed_db() + [empty]:
+        domains = [(e, e, {}) for e in seed_db() + [empty]]
+        for entry, source, smap in domains + list(_hit_domains()):
             rng = entry_rng(entry.id, 0)
             derived = {s for s, _ in entry.derived}
             for _ in range(20):
@@ -294,6 +342,9 @@ class TestDraw:
                 assert {s: out[s] for s in entry.int_ranges} in entry.int_grid
                 assert out == entry.assignment_with_derived(base), entry.id
                 assert converges_at(entry.lhs, entry.excess, out), entry.id
+                assert source.ints_hold({
+                    s: E.LinExpr.of(s).subs(smap).eval(out)
+                    for s, _ in source.int_symbols}), entry.id
 
     def test_verify_takes_the_first_usable_draws(self):
         entry = get_entry(seed_db(), "B.1")  # integer symbols m and n

@@ -10,19 +10,21 @@ from math import lcm
 import numpy as np
 import pytest
 
+from hyp321 import database
 from hyp321 import expr as E
 from hyp321 import matcher
-from hyp321.database import get_entry, seed_db, _build_entry
+from hyp321.database import SampleRecord, get_entry, seed_db, _build_entry
 from hyp321.errors import Hyp321Error, ShapeError
-from hyp321.matcher import (Substitution, _eliminate, _images_of,
-                            _invertible_pair, _orbit_key, _spot_check,
-                            _spot_samples, _witness_samples, _witness_sound,
+from hyp321.matcher import (Substitution, _compile, _eliminate, _hit_entry,
+                            _images_of, _invertible_pair, _orbit_key,
+                            _spot_check, _witness_samples, _witness_sound,
                             cull, equivalent, identify, unify)
 from hyp321.parser import parse_expr
 from hyp321.series import ParamSet, excess
 from hyp321.thomae import (CLASS_REPRESENTATIVES, LOWER_PERMS, UPPER_PERMS,
                            ThomaeVariant, all_variants, apply_variant,
                            five_forms)
+from test_database import k0_query
 from test_golden_matcher import QUERIES, closure_pool
 from test_thomae import decoded
 
@@ -456,6 +458,26 @@ class TestIdentify:
         hits = identify(db, query, include_conjectures=True)
         assert any(h.entry_id == "CONJ.24" for h in hits)
 
+    def test_integer_symbol_outside_the_reserved_names(self):
+        """Constraints carried onto a query integer symbol name it by name:
+        renaming B.1's n to an integer k0 keeps every hit."""
+        db = seed_db()
+        want = [(h.entry_id, h.variant.name)
+                for h in identify(db, get_entry(db, "B.1").lhs)]
+        assert want
+        assert [(h.entry_id, h.variant.name)
+                for h in identify(db, k0_query())] == want
+
+    def test_self_recall(self):
+        """Every fifth verified seed entry with a full-rank template (all but
+        EQ.12, EQ.12B and EQ.14) is found from its own lhs."""
+        db = seed_db()
+        entries = [e for e in db if e.status == "verified"
+                   and _compile(e.lhs.upper, e.lhs.lower) is not None]
+        assert len(entries) == 86
+        for e in entries[::5]:
+            assert e.id in {h.entry_id for h in identify(db, e.lhs)}, e.id
+
 
 class TestSpotCheck:
     @staticmethod
@@ -469,7 +491,9 @@ class TestSpotCheck:
 
     def test_derived_binding_never_circular(self):
         """Where the substituted definition of e1 mentions the query's own
-        e1, the hit binds a fresh e1_ instead, so it can be evaluated."""
+        e1, the hit binds a fresh e1_ instead, so it can be evaluated; the
+        spot check keeps only the two CONJ.24 hits under T10·(abc|fe) that
+        bind e1 itself."""
         db, query, hits = self._conj24_hits()
         assert len(hits) == 24
         renamed = [h for h in hits if h.derived[0][0] == E.sym("e1_")]
@@ -477,18 +501,40 @@ class TestSpotCheck:
         assert all(h.entry_id == "CONJ.24" for h in renamed)
         for h in hits:
             assert all(s not in E.free_symbols(d) for s, d in h.derived)
-            assert _spot_samples(query, h, get_entry(db, h.entry_id), 0) \
-                is not None
-        assert identify(db, query, include_conjectures=True) == hits
+            assert _hit_entry(query, h, get_entry(db, h.entry_id)) is not None
+        kept = identify(db, query, include_conjectures=True)
+        assert len(kept) == 2
+        for h in kept:
+            assert (h.entry_id, h.variant.name) == ("CONJ.24", "T10·(abc|fe)")
+            assert h.derived[0][0] == E.sym("e1")
+            assert h in hits
 
-    def test_no_usable_draw_is_an_outcome(self):
+    def test_refuted_at_a_repaired_draw(self, monkeypatch):
+        """CONJ.24's B.41 candidates are compared where the excess was moved
+        into the convergence region, and rejected."""
         db, query, hits = self._conj24_hits()
         b41 = [h for h in hits if h.entry_id == "B.41"]
         assert len(b41) == 12
         entry = get_entry(db, "B.41")
+        repaired = []
+        shift = database._newton_shift
+
+        def recorded(*args):
+            fixed = shift(*args)
+            if fixed is not None:
+                repaired.append(fixed)
+            return fixed
+        monkeypatch.setattr(database, "_newton_shift", recorded)
         for h in b41:
-            assert list(_spot_samples(query, h, entry, 0)) == ["excess"] * 30
-            assert _spot_check(query, h, entry, 0, 1e-6)
+            hit = _hit_entry(query, h, entry)
+            repaired.clear()
+            first = next(o for o in hit.checks(0, 30, 1e-10)
+                         if isinstance(o, SampleRecord))
+            point = hit.assignment_with_derived(repaired[-1])
+            assert first.assignment == tuple(sorted(
+                (s.name, v) for s, v in point.items()))
+            assert first.rel_err >= 1e-6
+            assert not _spot_check(query, h, entry, 0, 1e-6)
 
     @pytest.mark.parametrize("upper, lower, hits", [
         ([Q(1, 3)] * 3, [Q(4, 3)] * 2, 20),
@@ -498,12 +544,12 @@ class TestSpotCheck:
                                               lower, hits):
         """A numeric query's draws are all the same point: one is made."""
         calls = []
-        real = matcher.series_pfq
+        real = database.series_pfq
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
-        monkeypatch.setattr(matcher, "series_pfq", counted)
+        monkeypatch.setattr(database, "series_pfq", counted)
         found = identify(seed_db(), _const_paramset(upper, lower))
         assert len(found) == hits
         assert len(calls) == hits
