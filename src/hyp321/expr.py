@@ -10,11 +10,11 @@ numeric operation.
 Each node type is described once, by its dataclass: ``SHAPES`` reads its
 fields and their kinds from the annotations, and ``CALL_NAMES`` names the
 function nodes of the grammar.  Every walk of a tree goes through these two
-tables.  ``eval_expr`` compiles a tree once, through ``SHAPES``, into a
-program of nested tuples, each Γ of a linear form one step, and keeps a
-bounded number of programs.  ``LinExpr.eval`` is the one evaluator of a
-linear form: it sums in floats while its values are real, which is the real
-part of the complex sum bit for bit, and Γ of such a sum is ``math.gamma``.
+tables but one: ``eval_expr`` walks the tree on each call, each node by its
+entry in ``_EVAL``, and keeps nothing between calls.  ``LinExpr.eval`` is
+the one evaluator of a linear form: it sums in floats while its values are
+real, which is the real part of the complex sum bit for bit, and Γ of such a
+sum, or of a number, is ``math.gamma``.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ POLE_TOL = 1e-12
 #: may build) or JSON; deeper input is a ParseError, not a RecursionError
 #: in the reader or in a later walk of the tree.
 MAX_DEPTH = 100
+
+#: Highest polygamma order read from text or JSON; the database uses 0 and
+#: 1.  Beyond order 170 ψ overflows a float wherever |z| <= 1, and mpmath's
+#: time grows with the order: seconds at 10^5, no answer in 20 s at 10^7.
+MAX_POLYGAMMA_ORDER = 200
 
 
 @dataclass(frozen=True, order=True)
@@ -433,19 +438,31 @@ def _index(e: Expr) -> Optional[Symbol]:
 
 
 def free_symbols(e: Expr) -> frozenset[Symbol]:
-    """Free symbols of a tree (a sum index is bound in its body only)."""
-    body, bounds, index = frozenset(), frozenset(), None
-    for name, kind in SHAPES[type(e)]:  # not _fields: this is a hot path
-        v = getattr(e, name)
-        if kind == EXPR:
-            body |= free_symbols(v)
-        elif kind == EXPRS:
-            body = body.union(*map(free_symbols, v))
-        elif kind == LIN:
-            bounds |= v.free_symbols()
-        elif kind == INDEX:
-            index = v
-    return (body - {index} if index else body) | bounds
+    """Free symbols of a tree (a sum index is bound in its body only); a
+    subtree that occurs more than once in ``e`` is walked once."""
+    return _free_symbols(e, {})
+
+
+def _free_symbols(e: Expr, memo: dict[int, frozenset[Symbol]]) -> frozenset[Symbol]:
+    """``free_symbols(e)``, kept in ``memo`` by node identity for the rest
+    of one walk; a Lin leaf, the most common node, is not kept."""
+    if type(e) is Lin:
+        return e.lin.free_symbols()
+    out = memo.get(id(e))
+    if out is None:
+        body, bounds, index = frozenset(), frozenset(), None
+        for name, kind in SHAPES[type(e)]:  # not _fields: this is a hot path
+            v = getattr(e, name)
+            if kind == EXPR:
+                body |= _free_symbols(v, memo)
+            elif kind == EXPRS:
+                body = body.union(*[_free_symbols(x, memo) for x in v])
+            elif kind == LIN:
+                bounds |= v.free_symbols()
+            elif kind == INDEX:
+                index = v
+        out = memo[id(e)] = (body - {index} if index else body) | bounds
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +555,25 @@ def loggamma(z: complex) -> complex:
 
 
 def cpolygamma(order: int, z: complex) -> complex:
-    """Polygamma of arbitrary non-negative order at a complex point (mpmath)."""
+    """Polygamma of non-negative order at a complex point (mpmath); raises
+    PoleError at a pole, GammaOverflow where the value is not finite."""
     import mpmath
     z = complex(z)
     if is_near_nonpositive_integer(z):
         raise PoleError(f"polygamma pole at {z}")
-    return complex(mpmath.psi(order, mpmath.mpc(z)))
+    v = complex(mpmath.psi(order, mpmath.mpc(z)))
+    if not cmath.isfinite(v):
+        raise GammaOverflow(f"polygamma of order {order} out of range at {z}")
+    return v
+
+
+def polygamma_order(k: int) -> int:
+    """``k``, read from text or JSON as a polygamma order, when it is in
+    0..MAX_POLYGAMMA_ORDER; raises ParseError otherwise."""
+    if not 0 <= k <= MAX_POLYGAMMA_ORDER:
+        raise ParseError(
+            f"polygamma order {k} is not in 0..{MAX_POLYGAMMA_ORDER}")
+    return k
 
 
 def rising_factorial(x: complex, count: int) -> complex:
@@ -560,77 +590,49 @@ def rising_factorial(x: complex, count: int) -> complex:
 Assignment = Mapping[Symbol, complex]
 WatsonFn = Callable[[complex, complex, complex, int, int], complex]
 
-#: compiled programs by id of their tree, which each entry keeps alive
-_PROGRAMS: dict[int, tuple[Expr, tuple]] = {}
-_MAX_PROGRAMS = 512
-
 
 def eval_expr(e: Expr, assignment: Assignment, watson: Optional[WatsonFn] = None) -> complex:
     """Evaluate a closed-form tree at a numeric assignment.
 
     ``watson`` resolves WatsonRef nodes; leaving it unset raises UnboundSymbol
-    if such a node is encountered.  A tree is compiled on its first
-    evaluation into a program of nested ``(step, *operands)`` tuples, run as
-    ``step(program, assignment, watson)``; the last ``_MAX_PROGRAMS`` are kept.
+    if such a node is encountered.  The tree is walked once per call, each
+    node by its entry in ``_EVAL``; nothing is kept between calls.
     """
-    hit = _PROGRAMS.get(id(e))
-    if hit is None or hit[0] is not e:
-        if len(_PROGRAMS) >= _MAX_PROGRAMS:
-            del _PROGRAMS[next(iter(_PROGRAMS))]
-        hit = _PROGRAMS[id(e)] = (e, _compile(e))
-    return hit[1][0](hit[1], assignment, watson)
+    return _eval(e, assignment, watson)
 
 
-def _compile(e: Expr) -> tuple:
-    """``e``'s fields in SHAPES order as operands of its step; a number or
-    a LinExpr is a linear program, fused with a Gamma above it."""
-    node, operands = type(e), []
-    if node not in SHAPES:
+def _eval(e: Expr, assignment: Assignment, watson: Optional[WatsonFn]) -> complex:
+    step = _EVAL.get(type(e))
+    if step is None:
         raise TypeError(f"unknown node {e!r}")
-    for name, kind in SHAPES[node]:  # not _fields: a loop is faster
-        v = getattr(e, name)
-        if kind == EXPRS:
-            operands.extend(map(_compile, v))
-        else:
-            operands.append(_COMPILE_FIELD[kind](v))
-    if node is Lin or node is Const:
-        return operands[0]
-    if node is Pi:
-        return (_constant, complex(math.pi))
-    if node is Gamma and operands[0][0] is _lin:
-        return (_gamma_lin, operands[0][1])  # Γ of a linear form: one step
-    if node in _FUNCTIONS:
-        return (_apply, _FUNCTIONS[node], *operands)
-    return (_STEPS[node], *operands)
+    return step(e, assignment, watson)
 
 
-def _lin(p, assignment, watson):
-    return p[1].eval(assignment)
+def _const(q: Fraction) -> complex:
+    """``LinExpr((), q).eval({})``, without building the LinExpr."""
+    try:
+        return complex(q.numerator / q.denominator)
+    except OverflowError:
+        raise NonFiniteParameter(f"constant {q} is too large for a float") from None
 
 
-def _gamma_lin(p, assignment, watson):
-    """Γ of a linear form: ``math.gamma`` of its ``real_sum`` if it has one."""
-    x = p[1].real_sum(assignment)
-    return cgamma(p[1].eval(assignment)) if x is None else complex(_real_gamma(x))
-
-
-def _constant(p, assignment, watson):
-    return p[1]
-
-
-def _apply(p, assignment, watson):
-    return p[1](*[x[0](x, assignment, watson) for x in p[2:]])
-
-
-def _add(p, assignment, watson):
+def _add(e: Add, assignment, watson) -> complex:
     total = 0j
-    for x in [x[0](x, assignment, watson) for x in p[1:]]:
-        total += x
+    for x in e.args:
+        total += _eval(x, assignment, watson)
     return total
 
 
-def _mul(p, assignment, watson):
-    return math.prod([x[0](x, assignment, watson) for x in p[1:]], start=1.0)
+def _gamma(e: Gamma, assignment, watson) -> complex:
+    """Γ of a number, or of a linear form with a ``real_sum``, is
+    ``math.gamma`` of that float; anything else goes through ``cgamma``."""
+    arg = e.arg
+    if type(arg) is Const:
+        return complex(_real_gamma(_const(arg.value).real))
+    x = arg.lin.real_sum(assignment) if type(arg) is Lin else None
+    if x is None:
+        return cgamma(_eval(arg, assignment, watson))
+    return complex(_real_gamma(x))
 
 
 def _recip(v: complex) -> complex:
@@ -655,46 +657,53 @@ def _pochhammer(x: complex, cnt: complex) -> complex:
     return cgamma(x + cnt) / cgamma(x) if count is None else rising_factorial(x, count)
 
 
-def _integers(forms, assignment, watson, what: str) -> list[int]:
-    """The linear programs ``forms`` evaluated, then checked integers."""
-    values = [f[0](f, assignment, watson) for f in forms]
+def _integers(forms: Sequence[LinExpr], assignment, what: str) -> list[int]:
+    """The linear forms ``forms`` evaluated, then checked integers."""
+    values = [f.eval(assignment) for f in forms]
     for v in values:
         if nearest_integer(v, 1e-9) is None:
             raise NonIntegerSumBound(f"{what} {v} is not an integer")
     return [nearest_integer(v, 1e-9) for v in values]
 
 
-def _finite_sum(p, assignment, watson):
-    _, index, lower, upper, body = p
-    lo, hi = _integers((lower, upper), assignment, watson, "sum bound")
+def _finite_sum(e: FiniteSum, assignment, watson) -> complex:
+    lo, hi = _integers((e.lower, e.upper), assignment, "sum bound")
     # the definite-sum convention for reversed bounds (see FiniteSum)
     lo, hi, sign = (hi + 1, lo - 1, -1.0) if hi < lo - 1 else (lo, hi, 1.0)
     total: complex = 0.0
     inner = dict(assignment)
     for i in range(lo, hi + 1):  # empty when hi == lo - 1
-        inner[index] = i
-        total += body[0](body, inner, watson)
+        inner[e.index] = i
+        total += _eval(e.body, inner, watson)
     return sign * total
 
 
-def _watson_ref(p, assignment, watson):
+def _watson_ref(e: WatsonRef, assignment, watson) -> complex:
     if watson is None:
         raise UnboundSymbol("WatsonRef encountered without a watson resolver")
-    a, b, c = [x[0](x, assignment, watson) for x in p[1:4]]
-    return watson(a, b, c, *_integers(p[4:], assignment, watson,
-                                      "Watson offset"))
+    a, b, c = [_eval(x, assignment, watson) for x in (e.a, e.b, e.c)]
+    return watson(a, b, c, *_integers((e.m, e.n), assignment, "Watson offset"))
 
 
-#: what each node type computes from the values of its fields
-_FUNCTIONS = {Neg: operator.neg, Recip: _recip, Pow: _power, Gamma: cgamma,
-              Sin: cmath.sin, Cos: cmath.cos, Polygamma: cpolygamma,
-              Pochhammer: _pochhammer}
-#: the steps of the node types that evaluate their fields themselves
-_STEPS = {Add: _add, Mul: _mul, FiniteSum: _finite_sum, WatsonRef: _watson_ref}
-#: a number is a linear program without terms
-_COMPILE_FIELD = {EXPR: _compile, LIN: lambda v: (_lin, v), INDEX: lambda v: v,
-                  FRAC: lambda v: (_lin, LinExpr((), v)),
-                  INT: lambda v: (_constant, v)}
+#: how each node type is evaluated from its fields, its subtrees through
+#: ``_eval`` in field order
+_EVAL: dict[type, Callable[[Expr, Assignment, Optional[WatsonFn]], complex]] = {
+    Const: lambda e, a, w: _const(e.value),
+    Pi: lambda e, a, w: complex(math.pi),
+    Lin: lambda e, a, w: e.lin.eval(a),
+    Add: _add,
+    Mul: lambda e, a, w: math.prod([_eval(x, a, w) for x in e.args], start=1.0),
+    Neg: lambda e, a, w: -_eval(e.arg, a, w),
+    Recip: lambda e, a, w: _recip(_eval(e.arg, a, w)),
+    Pow: lambda e, a, w: _power(_eval(e.base, a, w), _eval(e.exponent, a, w)),
+    Gamma: _gamma,
+    Sin: lambda e, a, w: cmath.sin(_eval(e.arg, a, w)),
+    Cos: lambda e, a, w: cmath.cos(_eval(e.arg, a, w)),
+    Polygamma: lambda e, a, w: cpolygamma(e.order, _eval(e.arg, a, w)),
+    Pochhammer: lambda e, a, w: _pochhammer(_eval(e.base, a, w), e.count.eval(a)),
+    FiniteSum: _finite_sum,
+    WatsonRef: _watson_ref,
+}
 
 
 def as_real(value: complex, rel: float = 1e-9) -> complex:
@@ -858,5 +867,5 @@ _TO_JSON = {EXPR: expr_to_json, LIN: lin_to_flat, INDEX: lambda s: s.name,
             FRAC: _frac_to_str, INT: int}
 _FROM_JSON = {LIN: lin_from_flat, FRAC: frac_from_str,
               INDEX: lambda x: sym(_require(x, str, "sum index")),
-              INT: lambda x: _require(x, int, "integer field")}
+              INT: lambda x: polygamma_order(_require(x, int, "integer field"))}
 _NODE_OF_TAG = {tag: node for node, tag in JSON_TAGS.items()}

@@ -7,7 +7,7 @@ Accepted syntax::
     arithmetic            + - * / ^ ( )
     constants             pi
     functions             Gamma(x)  G(x)  sin(x)  cos(x)  sqrt(x)
-                          psi(order, x)           polygamma
+                          psi(order, x)           polygamma (order <= expr.MAX_POLYGAMMA_ORDER)
                           poch(x, count)          Pochhammer symbol
                           Sum(i, lo, hi, body)    finite sum, inclusive bounds
                           W(a, b, c, m, n)        generalized Watson element
@@ -257,9 +257,9 @@ def _call_arg(v: Value, kind: str, what: str):
         raise ParseError(f"{what} must be a linear expression")
     nums, c, d = v
     if kind == E.INT:
-        if nums or c % d or c // d < 0:
-            raise ParseError(f"{what} must be a non-negative integer literal")
-        return c // d
+        if nums or c % d:
+            raise ParseError(f"{what} must be an integer literal")
+        return E.polygamma_order(c // d)
     if kind == E.INDEX:
         if c or len(nums) != 1 or d not in nums.values():
             raise ParseError(f"{what} must be a bare symbol")

@@ -133,8 +133,8 @@ def excess(p: ParamSet) -> LinExpr:
 
 def is_terminating(p: ParamSet, assignment: Mapping[Symbol, complex]) -> bool:
     """True iff some upper parameter evaluates to a non-positive integer."""
-    up, _ = p.eval(assignment)
-    return any(map(is_near_nonpositive_integer, up))
+    return any(map(is_near_nonpositive_integer,
+                   [u.eval(assignment) for u in p.upper]))
 
 
 def is_karlsson_minton(p: ParamSet, assignment: Mapping[Symbol, complex]) -> bool:

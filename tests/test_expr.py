@@ -24,8 +24,10 @@ from hyp321.expr import (Add, Assignment, Const, Cos, FiniteSum, Gamma, Lin,
                          Mul, Neg, Pi, Pochhammer, Polygamma, Pow, Recip, Sin,
                          WatsonFn, WatsonRef, cpolygamma,
                          is_near_nonpositive_integer, rising_factorial)
-from hyp321.parser import parse_expr, parse_linexpr
-from hyp321.series import sample_continuous
+from hyp321.matcher import identify
+from hyp321.parser import parse_expr, parse_linexpr, parse_param_list
+from hyp321.series import ParamSet, sample_continuous
+from hyp321.thomae import CLASS_REPRESENTATIVES, apply_variant
 
 a, b, c = E.sym("a"), E.sym("b"), E.sym("c")
 n = E.sym("n")
@@ -290,6 +292,26 @@ class TestPolygamma:
     def test_pole(self):
         with pytest.raises(PoleError):
             E.cpolygamma(0, -3.0)
+
+    @pytest.mark.parametrize("order", [E.MAX_POLYGAMMA_ORDER + 1, 100000,
+                                       10 ** 7, -1])
+    def test_order_out_of_range_is_a_parse_error(self, order):
+        """The parser and the JSON reader refuse the order before mpmath
+        could spend seconds (10^5) or hang (10^7) on it."""
+        with pytest.raises(ParseError, match="polygamma order"):
+            parse_expr(f"psi({order}, a)")
+        j = E.expr_to_json(parse_expr("psi(1, a)"))
+        j[1] = order
+        with pytest.raises(ParseError, match="polygamma order"):
+            E.expr_from_json(j)
+
+    def test_non_finite_value_is_typed(self):
+        top = parse_expr(f"psi({E.MAX_POLYGAMMA_ORDER}, a)")
+        assert E.expr_from_json(E.expr_to_json(top)) == top
+        with pytest.raises(GammaOverflow):
+            E.eval_expr(top, {a: 0.5})
+        assert E.eval_expr(parse_expr("psi(1, a)"), {a: 0.5}).real == \
+            pytest.approx(math.pi ** 2 / 2, rel=1e-12)
 
 
 class TestNearestInteger:
@@ -714,7 +736,10 @@ class TestEvaluatorDifferential:
         assert compared >= 300
 
     def test_anchors_and_prefactors(self):
-        """The four Watson seeds and the four conversion prefactors."""
+        """The four Watson seeds and the four conversion prefactors; trees
+        built at run time: the Thomae prefactor of every seed entry under
+        each class representative, and the closed forms of the hits of the
+        README's symbolic ``identify`` query."""
         rng = random.Random(42)
         anchors = contiguous.anchor_entries()
         assert len(anchors) == 4
@@ -728,6 +753,15 @@ class TestEvaluatorDifferential:
             assignment.update({sm: rng.randint(-4, 4), sn: rng.randint(-4, 4)})
             for pref in prefactors:
                 _assert_same(pref, assignment)
+        built = [apply_variant(v, e.lhs)[1] for e in seed_db()
+                 for v in CLASS_REPRESENTATIVES]
+        hits = identify(seed_db(), ParamSet.make(
+            parse_param_list("a,b,2-b"), parse_param_list("c,2*a+2-c")))
+        assert len(hits) == 24
+        for tree in built + [h.instantiated_rhs for h in hits]:
+            for complex_part in (False, True):
+                _assert_same(tree, _draw(rng, sorted(E.free_symbols(tree)),
+                                         complex_part))
 
     def test_one_tree_per_node_type(self):
         A, B = E.Lin(E.LinExpr.of(a)), E.Lin(E.LinExpr.of(b))
@@ -835,7 +869,6 @@ class TestEvaluatorDifferential:
                       E.Recip(E.Gamma(E.Lin(E.LinExpr.of(a) + b)))))
         for assignment in ({a: 0.25, b: 0.5}, {a: 1.5 + 0.25j, b: 2}):
             _assert_same(tree, assignment)
-        assert E._PROGRAMS[id(tree)][0] is tree
 
     def test_pole_then_value(self):
         tree = E.Add((E.Gamma(E.Lin(E.LinExpr.of(a))), E.PI_CONST))
@@ -899,20 +932,6 @@ class TestEvaluatorDifferential:
     def test_unknown_node(self):
         with pytest.raises(TypeError, match="unknown node"):
             E.eval_expr(E.LinExpr.of(a), {a: 1.0})
-
-    def test_seed_db_compiles_nothing(self, monkeypatch):
-        monkeypatch.setattr(E, "_PROGRAMS", {})
-        monkeypatch.setattr(database, "_SEED_CACHE", None)
-        seed_db()
-        assert E._PROGRAMS == {}
-
-    def test_program_cache_is_bounded(self):
-        trees = [E.Lin(E.LinExpr.of(a) + k) for k in range(E._MAX_PROGRAMS + 5)]
-        for k, tree in enumerate(trees):
-            assert E.eval_expr(tree, {a: 0.5}) == 0.5 + k
-            assert len(E._PROGRAMS) <= E._MAX_PROGRAMS
-        assert id(trees[0]) not in E._PROGRAMS  # the oldest went first
-        assert E.eval_expr(trees[0], {a: 0.5}) == 0.5
 
 
 # ---------------------------------------------------------------------------
